@@ -25,11 +25,9 @@ import (
 	"widx/internal/hashidx"
 	"widx/internal/join"
 	"widx/internal/mem"
-	"widx/internal/program"
 	"widx/internal/sampling"
 	"widx/internal/stats"
 	"widx/internal/structures"
-	"widx/internal/system"
 	"widx/internal/vm"
 	"widx/internal/widx"
 )
@@ -243,23 +241,13 @@ func (e *CMPExperiment) SampledMetricValues() map[string]float64 {
 	return m
 }
 
-// cmpRunner couples one agent's schedulable engine with its finisher.
-// matches returns a Widx agent's emitted match stream once finish has run;
-// it is nil for host cores (trace replay emits no matches).
-type cmpRunner struct {
-	agent   system.Agent
-	finish  func() (cycles uint64, stats mem.Stats, err error)
-	matches func() []uint64
-}
-
 // cmpAgentWorkload is one agent's private partition of the CMP workload:
 // its structure's resident regions (for LLC warming), its probe-key column,
 // the software reference's probe traces and match stream, and — for Widx
 // agents — the program bundle pointing at a private result region. Traces
 // are built for every agent kind (host cores replay them; sampled runs warm
-// fast-forward spans from them), and the matches/bounds pair carries the
-// reference output Widx agents fast-forward through and fingerprint-verify
-// against.
+// fast-forward spans from them), and ref carries the reference output Widx
+// agents fast-forward through and fingerprint-verify against.
 type cmpAgentWorkload struct {
 	name    string
 	regions [][2]uint64
@@ -267,18 +255,7 @@ type cmpAgentWorkload struct {
 	keys    int
 	progs   *structures.Programs
 	traces  []hashidx.ProbeTrace
-	matches []uint64
-	bounds  []int
-}
-
-// span returns the workload restricted to probes [sp.Start, sp.End): the
-// key column and trace slice a span-sized runner consumes.
-func (w *cmpAgentWorkload) span(sp sampling.Span) *cmpAgentWorkload {
-	sw := *w
-	sw.keyBase = w.keyBase + sp.Start*8
-	sw.keys = int(sp.Len())
-	sw.traces = w.traces[sp.Start:sp.End]
-	return &sw
+	ref     *matchRef
 }
 
 // buildCMPWorkload lays out one partition per agent in a single shared
@@ -339,22 +316,14 @@ func (c Config) buildCMPWorkload(size join.SizeClass, specs []CMPAgentSpec, stru
 			as.Write64(w.keyBase+uint64(j)*8, k)
 		}
 		w.traces = make([]hashidx.ProbeTrace, perAgent)
-		w.bounds = make([]int, perAgent)
 		for j, k := range probeKeys {
 			w.traces[j] = tbl.ProbeFrom(k, w.keyBase+uint64(j)*8).Trace
-			w.matches = append(w.matches, tbl.ProbeMatches(k)...)
-			w.bounds[j] = len(w.matches)
 		}
+		w.ref = refStream(tbl, w.traces)
 		if spec.Kind == AgentWidx {
 			resultBase := as.AllocAligned(w.name+".results", uint64(perAgent)*8+64)
-			bundle, err := program.ForTable(tbl, resultBase)
-			if err != nil {
+			if w.progs, err = tablePrograms(tbl)(resultBase); err != nil {
 				return nil, nil, err
-			}
-			w.progs = &structures.Programs{
-				Dispatcher: bundle.Dispatcher,
-				Walker:     bundle.Walker,
-				Producer:   bundle.Producer,
 			}
 		}
 	}
@@ -389,8 +358,7 @@ func (c Config) buildCMPStructurePartition(as *vm.AddressSpace, w *cmpAgentWorkl
 	w.keys = inst.ProbeCount()
 	matches, traces := inst.Reference()
 	w.traces = traces
-	w.matches = matches
-	w.bounds = inst.MatchBounds()
+	w.ref = &matchRef{matches: matches, bounds: inst.MatchBounds()}
 	if spec.Kind == AgentWidx {
 		resultBase := as.AllocAligned(w.name+".results", uint64(len(matches))*8+64)
 		w.progs, err = inst.Programs(resultBase, structures.ProgramOptions{})
@@ -489,125 +457,35 @@ func (c Config) cmpAgentSpec(top mem.Topology, name string, spec CMPAgentSpec) m
 	return as
 }
 
-// newCMPRunner wires one agent spec onto a hierarchy view: a Widx offload
-// over its key column, or a core replay of its traces, beginning at
-// startCycle (the arrival stagger of the co-run; solo runs pass 0).
-func newCMPRunner(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload, queueDepth int, startCycle uint64) (*cmpRunner, error) {
+// cmpAgent wires one agent spec onto a hierarchy view: a Widx accelerator
+// over the partition's key column, fingerprint-checked against its
+// reference matches, or a host core replaying its traces.
+func (c Config) cmpAgent(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload) (*spanAgent, error) {
+	var a *spanAgent
+	var err error
 	switch spec.Kind {
 	case AgentWidx:
 		walkers := spec.Walkers
 		if walkers == 0 {
 			walkers = 4
 		}
-		acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: queueDepth},
-			hier, as, w.progs.Dispatcher, w.progs.Walker, w.progs.Producer)
-		if err != nil {
+		if a, err = c.widxAgent(hier, as, w.progs, walkers, widx.SharedDispatcher, w.keyBase); err != nil {
 			return nil, err
 		}
-		o, err := acc.StartOffload(widx.OffloadRequest{KeyBase: w.keyBase, KeyCount: uint64(w.keys), StartCycle: startCycle})
-		if err != nil {
-			return nil, err
-		}
-		var res *widx.OffloadResult
-		return &cmpRunner{
-			agent: o,
-			finish: func() (uint64, mem.Stats, error) {
-				r, err := o.Result()
-				if err != nil {
-					return 0, mem.Stats{}, err
-				}
-				res = r
-				return r.TotalCycles, r.MemStats, nil
-			},
-			matches: func() []uint64 {
-				if res == nil {
-					return nil
-				}
-				return res.Matches
-			},
-		}, nil
-
+		a.ref = w.ref
 	case AgentOoO, AgentInOrder:
 		cfg := cores.OoOConfig()
 		if spec.Kind == AgentInOrder {
 			cfg = cores.InOrderConfig()
 		}
-		core, err := cores.New(cfg, hier)
-		if err != nil {
+		if a, err = coreAgent(hier, cfg, w.traces); err != nil {
 			return nil, err
 		}
-		e, err := core.NewProbeEngine(w.traces, startCycle)
-		if err != nil {
-			return nil, err
-		}
-		return &cmpRunner{agent: e, finish: func() (uint64, mem.Stats, error) {
-			res, err := e.Result()
-			if err != nil {
-				return 0, mem.Stats{}, err
-			}
-			return res.TotalCycles, res.MemStats, nil
-		}}, nil
-
 	default:
 		return nil, fmt.Errorf("sim: unknown agent kind %v", spec.Kind)
 	}
-}
-
-// runCMPSoloSampled executes one agent's stream alone through the plan on
-// its already partition-warmed hierarchy: fast-forward spans warm from the
-// reference traces (a Widx agent's reference matches join its output
-// stream), detailed spans run a span-sized engine resuming at the cycle the
-// previous span ended. The returned cycle and memory aggregates cover the
-// measured spans only; Widx output is fingerprint-verified against the full
-// reference before returning.
-func (c Config) runCMPSoloSampled(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload, plan sampling.Plan) (uint64, mem.Stats, []windowSample, error) {
-	var cycles, cursor uint64
-	var memStats mem.Stats
-	var wins []windowSample
-	var stream []uint64
-	detailed := func(sp sampling.Span) error {
-		run, err := newCMPRunner(hier, spec, as, w.span(sp), c.queueDepth(), cursor)
-		if err != nil {
-			return err
-		}
-		if err := system.Run(run.agent); err != nil {
-			return err
-		}
-		cyc, st, err := run.finish()
-		if err != nil {
-			return err
-		}
-		cursor += cyc
-		if run.matches != nil {
-			stream = append(stream, run.matches()...)
-		}
-		if sp.Kind != sampling.Measure {
-			return nil
-		}
-		cycles += cyc
-		memStats = memStats.Add(st)
-		wins = append(wins, windowSample{cycles: cyc, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
-		return nil
-	}
-	ff := func(sp sampling.Span) error {
-		if w.progs != nil {
-			stream = append(stream, matchSegment(w.matches, w.bounds, sp.Start, sp.End)...)
-		}
-		ffWarm(hier, w.traces[sp.Start:sp.End])
-		return nil
-	}
-	if c.SampleFullDetail {
-		ff = detailed
-	}
-	if err := plan.Run(ff, detailed); err != nil {
-		return 0, mem.Stats{}, nil, err
-	}
-	if w.progs != nil {
-		if err := verifySampledStream(w.name+" solo", stream, w.matches); err != nil {
-			return 0, mem.Stats{}, nil, err
-		}
-	}
-	return cycles, memStats, wins, nil
+	a.name, a.traces = w.name, w.traces
+	return a, nil
 }
 
 // RunCMP co-schedules one index-probe stream per agent on a single shared
@@ -660,12 +538,9 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 
 	// Every agent's partition carries the same probe-stream length, so one
 	// plan drives all of them and the co-run's rounds stay aligned.
-	var plan sampling.Plan
+	plan := c.samplePlan(workloads[0].keys)
 	soloWins := make([][]windowSample, k)
-	coWins := make([][]windowSample, k)
-	if c.sampling() {
-		plan = c.samplePlan(workloads[0].keys)
-	}
+	verified := false
 
 	// Solo reference runs: each agent alone on a fresh, uncontended
 	// hierarchy with its own partition warmed and the same private spec
@@ -679,38 +554,25 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 		if err := c.warmCMPSolo(hier, workloadKey, &workloads[i], i); err != nil {
 			return nil, err
 		}
+		solo, err := c.cmpAgent(hier, spec, as, &workloads[i])
+		if err != nil {
+			return nil, err
+		}
+		solo.name += " solo"
+		if _, err := c.runSpans(plan, 0, solo); err != nil {
+			return nil, err
+		}
+		verified = verified || solo.ref != nil
 		a := &exp.Agents[i]
 		a.Name = workloads[i].name
 		a.Spec = spec
-		a.Tuples = uint64(workloads[i].keys)
-		var cycles uint64
-		var memStats mem.Stats
-		if c.sampling() {
-			var wins []windowSample
-			cycles, memStats, wins, err = c.runCMPSoloSampled(hier, spec, as, &workloads[i], plan)
-			if err != nil {
-				return nil, err
-			}
-			soloWins[i] = wins
-			// Per-tuple figures cover the measured probes only.
-			a.Tuples = plan.MeasuredProbes()
-		} else {
-			run, err := newCMPRunner(hier, spec, as, &workloads[i], c.queueDepth(), 0)
-			if err != nil {
-				return nil, err
-			}
-			if err := system.Run(run.agent); err != nil {
-				return nil, err
-			}
-			cycles, memStats, err = run.finish()
-			if err != nil {
-				return nil, err
-			}
-		}
-		a.SoloCycles = cycles
-		a.SoloCyclesPerTuple = float64(cycles) / float64(a.Tuples)
-		a.SoloMemStats = memStats
-		if u := c.Mem.MemBandwidthUtilization(memStats.MemBlocks, cycles); u > exp.SoloBandwidthUtilization {
+		// Per-tuple figures cover the measured probes only.
+		a.Tuples = plan.MeasuredProbes()
+		a.SoloCycles = solo.cycles
+		a.SoloCyclesPerTuple = float64(solo.cycles) / float64(a.Tuples)
+		a.SoloMemStats = solo.stats
+		soloWins[i] = solo.wins
+		if u := c.Mem.MemBandwidthUtilization(solo.stats.MemBlocks, solo.cycles); u > exp.SoloBandwidthUtilization {
 			exp.SoloBandwidthUtilization = u
 		}
 	}
@@ -719,10 +581,10 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	// round-robin block-interleaved (so the steady-state capacity pressure
 	// of a partitioned join lands on every agent evenly rather than evicting
 	// the partitions warmed first), merged by the system scheduler's event
-	// heap in globally monotonic cycle order.
+	// heap in globally monotonic cycle order. Under a staggered arrival
+	// agent i starts each detailed round Stagger*i cycles late, and the
+	// system drains when the last agent finishes.
 	sl := c.newSharedLevel()
-	runs := make([]*cmpRunner, k)
-	agents := make([]system.Agent, k)
 	hiers := make([]*mem.Hierarchy, k)
 	for i := range specs {
 		hiers[i] = sl.NewAgent(c.cmpAgentSpec(sl.Topology(), workloads[i].name, specs[i]))
@@ -730,127 +592,37 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	if err := c.warmCMPCoRun(sl, hiers, workloadKey, workloads, interleavedWarm); err != nil {
 		return nil, err
 	}
-	if c.sampling() {
-		// Sampled co-run: the plan advances in lockstep rounds. A
-		// fast-forward round warms every agent's trace span functionally; a
-		// detailed round schedules all agents together (re-staggered by
-		// arrival) from the cycle the previous round ended, and measured
-		// rounds contribute one window observation per agent.
-		streams := make([][]uint64, k)
-		var cursor uint64
-		detailed := func(sp sampling.Span) error {
-			spanRuns := make([]*cmpRunner, k)
-			spanAgents := make([]system.Agent, k)
-			for i, spec := range specs {
-				r, err := newCMPRunner(hiers[i], spec, as, workloads[i].span(sp), c.queueDepth(), cursor+uint64(i)*c.Stagger)
-				if err != nil {
-					return err
-				}
-				spanRuns[i], spanAgents[i] = r, r.agent
-			}
-			if err := system.Run(spanAgents...); err != nil {
-				return err
-			}
-			var roundMax uint64
-			for i, r := range spanRuns {
-				cyc, st, err := r.finish()
-				if err != nil {
-					return err
-				}
-				if r.matches != nil {
-					streams[i] = append(streams[i], r.matches()...)
-				}
-				if end := uint64(i)*c.Stagger + cyc; end > roundMax {
-					roundMax = end
-				}
-				if sp.Kind == sampling.Measure {
-					a := &exp.Agents[i]
-					a.Cycles += cyc
-					a.MemStats = a.MemStats.Add(st)
-					coWins[i] = append(coWins[i], windowSample{cycles: cyc, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
-				}
-			}
-			cursor += roundMax
-			return nil
-		}
-		ff := func(sp sampling.Span) error {
-			for i := range workloads {
-				if workloads[i].progs != nil {
-					streams[i] = append(streams[i], matchSegment(workloads[i].matches, workloads[i].bounds, sp.Start, sp.End)...)
-				}
-				ffWarm(hiers[i], workloads[i].traces[sp.Start:sp.End])
-			}
-			return nil
-		}
-		if c.SampleFullDetail {
-			ff = detailed
-		}
-		if err := plan.Run(ff, detailed); err != nil {
+	agents := make([]*spanAgent, k)
+	for i, spec := range specs {
+		if agents[i], err = c.cmpAgent(hiers[i], spec, as, &workloads[i]); err != nil {
 			return nil, err
 		}
-		for i := range workloads {
-			if workloads[i].progs == nil {
-				continue
-			}
-			if err := verifySampledStream(workloads[i].name, streams[i], workloads[i].matches); err != nil {
-				return nil, err
-			}
-		}
-		exp.SystemCycles = cursor
-		var coMisses, soloMisses uint64
-		rep := sampling.NewReport(plan)
-		for i := range exp.Agents {
-			a := &exp.Agents[i]
-			a.CyclesPerTuple = float64(a.Cycles) / float64(a.Tuples)
-			a.Slowdown = ratio(float64(a.Cycles), float64(a.SoloCycles))
-			a.LLCMissInflation = ratio(float64(a.MemStats.LLCMisses), float64(a.SoloMemStats.LLCMisses))
-			coMisses += a.MemStats.LLCMisses
-			soloMisses += a.SoloMemStats.LLCMisses
-			if workloads[i].progs != nil {
-				rep.FingerprintVerified = true
-			}
+	}
+	if exp.SystemCycles, err = c.runSpans(plan, c.Stagger, agents...); err != nil {
+		return nil, err
+	}
+
+	var coMisses, soloMisses uint64
+	rep := c.samplingReport(plan, verified)
+	for i, co := range agents {
+		a := &exp.Agents[i]
+		a.Cycles = co.cycles
+		a.CyclesPerTuple = float64(a.Cycles) / float64(a.Tuples)
+		a.MemStats = co.stats
+		a.Slowdown = ratio(float64(a.Cycles), float64(a.SoloCycles))
+		a.LLCMissInflation = ratio(float64(a.MemStats.LLCMisses), float64(a.SoloMemStats.LLCMisses))
+		coMisses += a.MemStats.LLCMisses
+		soloMisses += a.SoloMemStats.LLCMisses
+		if rep != nil {
 			rep.Add(sampledMetricName(a.Name+" solo", metricCPT), cptSeries(soloWins[i]))
-			rep.Add(sampledMetricName(a.Name+" co", metricCPT), cptSeries(coWins[i]))
+			rep.Add(sampledMetricName(a.Name+" co", metricCPT), cptSeries(co.wins))
 			// Window j's slowdown is the co-run/solo cycle ratio of aligned
 			// windows.
-			rep.Add(a.Name+" slowdown", speedupSeries(coWins[i], soloWins[i]))
+			rep.Add(a.Name+" slowdown", speedupSeries(co.wins, soloWins[i]))
 		}
-		exp.LLCMissInflation = ratio(float64(coMisses), float64(soloMisses))
-		exp.Sampling = rep
-	} else {
-		for i, spec := range specs {
-			runs[i], err = newCMPRunner(hiers[i], spec, as, &workloads[i], c.queueDepth(), uint64(i)*c.Stagger)
-			if err != nil {
-				return nil, err
-			}
-			agents[i] = runs[i].agent
-		}
-		if err := system.Run(agents...); err != nil {
-			return nil, err
-		}
-
-		var coMisses, soloMisses uint64
-		for i, run := range runs {
-			cycles, stats, err := run.finish()
-			if err != nil {
-				return nil, err
-			}
-			a := &exp.Agents[i]
-			a.Cycles = cycles
-			a.CyclesPerTuple = float64(cycles) / float64(a.Tuples)
-			a.MemStats = stats
-			a.Slowdown = ratio(float64(cycles), float64(a.SoloCycles))
-			a.LLCMissInflation = ratio(float64(stats.LLCMisses), float64(a.SoloMemStats.LLCMisses))
-			coMisses += stats.LLCMisses
-			soloMisses += a.SoloMemStats.LLCMisses
-			// The system drains when the last agent finishes; under a
-			// staggered arrival an agent's span is offset by its start cycle.
-			if end := uint64(i)*c.Stagger + cycles; end > exp.SystemCycles {
-				exp.SystemCycles = end
-			}
-		}
-		exp.LLCMissInflation = ratio(float64(coMisses), float64(soloMisses))
 	}
+	exp.LLCMissInflation = ratio(float64(coMisses), float64(soloMisses))
+	exp.Sampling = rep
 	exp.SharedStats = sl.Stats()
 	exp.MSHRSaturationShare = exp.SharedStats.MSHRSaturationShare(c.fillBuffers())
 	exp.BandwidthUtilization = c.Mem.MemBandwidthUtilization(exp.SharedStats.MemBlocks, exp.SystemCycles)

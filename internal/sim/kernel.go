@@ -95,7 +95,7 @@ func (c Config) RunKernel(sizes []join.SizeClass) (*KernelExperiment, error) {
 	inner := c.InnerConfig(len(sizes))
 	if err := c.RunTasks(len(sizes), func(i int) error {
 		size := sizes[i]
-		ph, err := c.kernelPhase(size, true)
+		ph, err := c.kernelPhase(size)
 		if err != nil {
 			return err
 		}
@@ -107,8 +107,7 @@ func (c Config) RunKernel(sizes []join.SizeClass) (*KernelExperiment, error) {
 		}
 		ooo := baseRes[0]
 		perSize[i].oooCPT = ooo.CyclesPerTuple()
-		if ps != nil {
-			rep := ps.report()
+		if rep := ps.report(c); rep != nil {
 			rep.Add(sampledMetricName(fmt.Sprintf("%s/ooo", size), metricCPT), cptSeries(ps.baseWins[0]))
 			for j, w := range c.Walkers {
 				addSampledPoint(rep, fmt.Sprintf("%s/%dw", size, w), ps.baseWins[0], ps.widxWins[j])

@@ -58,14 +58,8 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: query %s %s: %w", q.Suite, q.Name, err)
 	}
-	ph := &indexPhase{
-		as:           engRes.AS,
-		index:        engRes.Index,
-		probeKeyBase: engRes.ProbeKeyBase,
-		probeCount:   engRes.ProbeCount,
-		traces:       engRes.Traces,
-		warmKey:      engKey,
-	}
+	ph := c.hashPhase(engRes.AS, engRes.Index, engRes.ProbeKeyBase, engRes.ProbeCount, engRes.Traces, engKey)
+	ph.label = fmt.Sprintf("%s %s", q.Suite, q.Name)
 
 	res := &QueryResult{
 		Query:              q,
@@ -86,8 +80,7 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	}
 	res.OoOCyclesPerTuple = baseRes[0].CyclesPerTuple()
 	res.InOrderCyclesPerTuple = baseRes[1].CyclesPerTuple()
-	if ps != nil {
-		rep := ps.report()
+	if rep := ps.report(c); rep != nil {
 		rep.Add(sampledMetricName("ooo", metricCPT), cptSeries(ps.baseWins[0]))
 		rep.Add(sampledMetricName("inorder", metricCPT), cptSeries(ps.baseWins[1]))
 		for i, w := range c.Walkers {
@@ -325,15 +318,9 @@ func (c Config) RunHashingAblation(q workloads.QuerySpec, walkers int) (*Ablatio
 	if err != nil {
 		return nil, err
 	}
-	ph := &indexPhase{
-		as:           engRes.AS,
-		index:        engRes.Index,
-		probeKeyBase: engRes.ProbeKeyBase,
-		probeCount:   engRes.ProbeCount,
-		traces:       engRes.Traces,
-		warmKey:      engKey,
-	}
-	out := &AblationResult{Query: fmt.Sprintf("%s %s", q.Suite, q.Name), Walkers: walkers}
+	ph := c.hashPhase(engRes.AS, engRes.Index, engRes.ProbeKeyBase, engRes.ProbeCount, engRes.Traces, engKey)
+	ph.label = fmt.Sprintf("%s %s", q.Suite, q.Name)
+	out := &AblationResult{Query: ph.label, Walkers: walkers}
 	// Fixed design-point order: the previous map iteration randomized the
 	// result-region allocation order (and with it buffer addresses) from run
 	// to run, making the ablation numbers nondeterministic.

@@ -1,19 +1,25 @@
 package sim
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"widx/internal/cores"
+	"widx/internal/hashidx"
+	"widx/internal/program"
+	"widx/internal/structures"
 	"widx/internal/vm"
 	"widx/internal/widx"
 )
 
-// This file is the parallel experiment runner. Design points (and whole
-// workloads) are independent experiments — each gets a freshly warmed memory
-// hierarchy — so they can run on separate goroutines as long as nothing
-// mutable is shared. The two rules that keep parallel results bit-identical
-// to a sequential run are:
+// This file is the parallel experiment runner. An indexing phase — the
+// kernel's join, a query's index phase, a zoo structure — runs on every
+// design point as one span execution per point (sampled.go): the phase's
+// sampling plan, full or systematic, on a fresh machine with one agent.
+// Design points (and whole workloads) are independent experiments, so they
+// run on separate goroutines as long as nothing mutable is shared. The two
+// rules that keep parallel results bit-identical to a sequential run are:
 //
 //  1. Result slots are indexed, never appended: every task writes its result
 //     into a pre-sized slice at its own index, so collection order is stable
@@ -124,20 +130,73 @@ type widxPoint struct {
 	mode    widx.HashingMode
 }
 
+// indexPhase bundles everything needed to run one indexing phase on all
+// design points: the data in its address space, the probe-key column, the
+// simulated probe stream's reference traces and matches, and the phase's
+// program generator and result-region layout.
+type indexPhase struct {
+	// label names the phase in errors ("Small", "TPC-H q20", "btree").
+	label        string
+	as           *vm.AddressSpace
+	probeKeyBase uint64
+	// traces and ref cover exactly the probes the phase simulates (the
+	// probe sample).
+	traces []hashidx.ProbeTrace
+	ref    *matchRef
+	// programs generates the Widx program bundle storing into the result
+	// region at resultBase.
+	programs func(resultBase uint64) (*structures.Programs, error)
+	// resultRegion names and sizes a Widx point's result buffer.
+	resultRegion func(p widxPoint) (name string, bytes uint64)
+	// warmKey is the phase's warm-cache identity ("" when caching is off):
+	// the workload artifact's content-addressed key, which the opening
+	// fast-forward checkpoint chains on (sampled.go).
+	warmKey string
+}
+
+// hashPhase is the index phase of a hash-join probe stream: the first
+// sampleCount(probeCount) probes of the key column at keyBase against
+// index, with result regions sized for the whole column.
+func (c Config) hashPhase(as *vm.AddressSpace, index *hashidx.Table, keyBase uint64, probeCount int, traces []hashidx.ProbeTrace, warmKey string) *indexPhase {
+	traces = traces[:c.sampleCount(probeCount)]
+	return &indexPhase{
+		as:           as,
+		probeKeyBase: keyBase,
+		traces:       traces,
+		ref:          refStream(index, traces),
+		programs:     tablePrograms(index),
+		resultRegion: func(p widxPoint) (string, uint64) {
+			return fmt.Sprintf("results.w%d.m%d", p.walkers, p.mode), uint64(probeCount)*8 + 64
+		},
+		warmKey: warmKey,
+	}
+}
+
+// tablePrograms generates the hash-join program bundle for an index.
+func tablePrograms(index *hashidx.Table) func(uint64) (*structures.Programs, error) {
+	return func(resultBase uint64) (*structures.Programs, error) {
+		b, err := program.ForTable(index, resultBase)
+		if err != nil {
+			return nil, err
+		}
+		return &structures.Programs{Dispatcher: b.Dispatcher, Walker: b.Walker, Producer: b.Producer}, nil
+	}
+}
+
 // runPhase executes one indexing phase on every requested design point: the
-// given baseline cores plus Widx at every point. Result-region allocations
-// for all Widx points are performed up front, in point order, on the phase's
+// given baseline cores plus Widx at every point, each a span execution of
+// the phase's plan on its own fresh machine. Result-region allocations for
+// all Widx points are performed up front, in point order, on the phase's
 // own address space (the order a sequential runner would produce); each Widx
 // task then runs on a private clone when fanning out. Returned slices are
-// parallel to the input slices. With sampling enabled every design point
-// executes the same sampling.Plan through the sampled runners and the
-// per-window observations come back in phaseSampling (nil when sampling is
-// off); plan placement is a pure function of the stream, so parallel
-// sampled runs stay bit-identical to sequential ones.
+// parallel to the input slices, as are the per-window observations in
+// phaseSampling; plan placement is a pure function of the stream, so
+// parallel runs stay bit-identical to sequential ones.
 func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widxPoint) ([]cores.Result, []*widx.OffloadResult, *phaseSampling, error) {
 	resultBases := make([]uint64, len(points))
 	for i, p := range points {
-		resultBases[i] = ph.allocResultRegion(p.walkers, p.mode)
+		name, bytes := ph.resultRegion(p)
+		resultBases[i] = ph.as.AllocAligned(name, bytes)
 	}
 	// Private memory images for parallel Widx tasks: the producer's result
 	// stores must not touch the address space other tasks are reading. The
@@ -151,69 +210,47 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 			spaces[i] = ph.as.Clone()
 		}
 	}
-	baseRes := make([]cores.Result, len(baselines))
-	widxRes := make([]*widx.OffloadResult, len(points))
-
-	if !c.sampling() {
-		err := c.RunTasks(len(baselines)+len(points), func(i int) error {
-			if i < len(baselines) {
-				r, err := c.runBaseline(ph, baselines[i])
-				if err != nil {
-					return err
-				}
-				baseRes[i] = r
-				return nil
-			}
-			j := i - len(baselines)
-			r, err := c.runWidx(ph, spaces[j], resultBases[j], points[j].walkers, points[j].mode)
-			if err != nil {
-				return err
-			}
-			widxRes[j] = r
-			return nil
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return baseRes, widxRes, nil, nil
-	}
-
-	// Sampled execution: truncate the trace stream to the sample cap (the
-	// plan covers exactly the probes the full runners would simulate), place
-	// the plan, and compute the software-reference match stream once — it
-	// feeds every Widx point's fast-forward output and fingerprint check.
-	n := c.sampleCount(ph.probeCount)
-	ph.traces = ph.traces[:n]
-	plan := c.samplePlan(n)
-	refMatches, bounds := refStream(ph.index, ph.traces)
 	ps := &phaseSampling{
-		plan:     plan,
+		plan:     c.samplePlan(len(ph.traces)),
 		baseWins: make([][]windowSample, len(baselines)),
 		widxWins: make([][]windowSample, len(points)),
 	}
+	baseRes := make([]cores.Result, len(baselines))
+	widxRes := make([]*widx.OffloadResult, len(points))
 	err := c.RunTasks(len(baselines)+len(points), func(i int) error {
+		sl := c.newSharedLevel()
 		if i < len(baselines) {
-			r, wins, err := c.runBaselineSampled(ph, baselines[i], plan)
+			a, err := coreAgent(sl.NewAgent(sl.Topology().Agent("host")), baselines[i], ph.traces)
 			if err != nil {
 				return err
 			}
-			baseRes[i] = r
-			ps.baseWins[i] = wins
+			a.warmKey = ph.warmKey
+			if _, err := c.runSpans(ps.plan, 0, a); err != nil {
+				return err
+			}
+			baseRes[i], ps.baseWins[i] = a.core, a.wins
 			return nil
 		}
 		j := i - len(baselines)
-		r, wins, err := c.runWidxSampled(ph, spaces[j], resultBases[j], points[j].walkers, points[j].mode, plan, refMatches, bounds)
+		progs, err := ph.programs(resultBases[j])
 		if err != nil {
 			return err
 		}
-		widxRes[j] = r
-		ps.widxWins[j] = wins
+		a, err := c.widxAgent(sl.NewAgent(c.widxSpec(sl.Topology(), "widx")), spaces[j], progs, points[j].walkers, points[j].mode, ph.probeKeyBase)
+		if err != nil {
+			return err
+		}
+		a.name = fmt.Sprintf("%s %dw walker", ph.label, points[j].walkers)
+		a.traces, a.ref, a.warmKey = ph.traces, ph.ref, ph.warmKey
+		if _, err := c.runSpans(ps.plan, 0, a); err != nil {
+			return err
+		}
+		widxRes[j], ps.widxWins[j] = &a.offload, a.wins
 		return nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ps.verified = len(points) > 0
 	return baseRes, widxRes, ps, nil
 }
 

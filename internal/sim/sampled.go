@@ -1,24 +1,31 @@
-// Sampled execution: the SMARTS-style detailed-window runners. When
-// Config.SampleWindows is set, every design point executes its probe
-// stream through a sampling.Plan instead of end to end: fast-forward spans
-// perform only functional state updates — the software reference's matches
-// join the output stream and the addresses its traversal touches warm the
-// cache tags and TLB pages (mem.WarmBlock), with no cycle accounting —
-// while detailed spans run on the live machine exactly as a full run
-// would, resuming at the cycle the previous span ended. Measured spans
-// contribute one observation per window to the confidence estimator
-// (internal/sampling/stats); warmup spans re-establish the
-// microarchitectural state functional warming cannot reproduce (MSHR
-// occupancy, queue fill, LRU recency) and are excluded from measurement.
+// Span execution: the one executor every experiment's probe phase runs
+// through. An execution is a sampling.Plan over a probe stream and K agents
+// advancing through it in lockstep rounds; full detail is simply the plan
+// with one measured span covering the stream (sampling.Full), so there is
+// no separate unsampled runner. K = 1 is one design point on its own
+// machine; K > 1 is a CMP co-run on one shared level, re-staggered by
+// arrival at every round.
+//
+// Fast-forward spans (sampled plans only) perform functional state updates:
+// the software reference's matches join the output stream and the addresses
+// its traversal touches warm the cache tags and TLB pages (mem.WarmBlock),
+// with no cycle accounting. Detailed spans build a span-sized engine per
+// agent — a Widx offload over the span's keys or a core replay of the
+// span's traces — and run them together on the system scheduler, resuming
+// at the cycle the previous round ended. Measured spans contribute one
+// observation per window to the confidence estimator
+// (internal/sampling/stats) and are folded into each agent's aggregate
+// result; warmup spans re-establish the microarchitectural state functional
+// warming cannot reproduce (MSHR occupancy, queue fill, LRU recency) and are
+// excluded from measurement.
 //
 // Correctness contract: the functional output is bit-identical to the
-// unsampled run. Every design point with a match stream concatenates the
-// reference matches of its fast-forward spans with the simulated matches
-// of its detailed spans, in probe order, and the fingerprint of that
-// stream must equal the full software reference's — a mismatch is a hard
-// run error, the same contract RunZoo enforces. Window placement is a pure
-// function of (stream length, knobs), so sampled results are
-// byte-identical at every parallelism level.
+// software reference. Every agent with a match stream concatenates the
+// reference matches of its fast-forward spans with the simulated matches of
+// its detailed spans, in probe order, and the fingerprint of that stream
+// must equal the full reference's — a mismatch is a hard run error, in full
+// detail and sampled alike. Window placement is a pure function of (stream
+// length, knobs), so results are byte-identical at every parallelism level.
 package sim
 
 import (
@@ -27,9 +34,9 @@ import (
 	"widx/internal/cores"
 	"widx/internal/hashidx"
 	"widx/internal/mem"
-	"widx/internal/program"
 	"widx/internal/sampling"
 	"widx/internal/structures"
+	"widx/internal/system"
 	"widx/internal/vm"
 	"widx/internal/warmstate"
 	"widx/internal/widx"
@@ -106,11 +113,12 @@ func ffWarm(hier *mem.Hierarchy, traces []hashidx.ProbeTrace) {
 }
 
 // ffSpan executes one fast-forward span's warming. The plan's opening span
-// starts at probe 0, so its warm state is a pure function of the workload
-// and the machine's warm-relevant geometry — that one span is checkpointed
-// through the warm cache (and the disk store, surviving the process); later
-// fast-forward spans depend on the detailed execution before them and warm
-// inline.
+// starts at probe 0, so on a fresh single-agent machine its warm state is a
+// pure function of the workload and the machine's warm-relevant geometry —
+// that one span is checkpointed through the warm cache (and the disk store,
+// surviving the process) under the phase's key; later fast-forward spans
+// depend on the detailed execution before them and warm inline, as does
+// every span of an agent without a phase key.
 func (c Config) ffSpan(hier *mem.Hierarchy, phaseKey string, traces []hashidx.ProbeTrace, sp sampling.Span) error {
 	if c.WarmCache == nil || phaseKey == "" || sp.Start != 0 {
 		ffWarm(hier, traces[sp.Start:sp.End])
@@ -135,38 +143,207 @@ func (c Config) ffSpan(hier *mem.Hierarchy, phaseKey string, traces []hashidx.Pr
 	return nil
 }
 
-// refStream computes the software-reference match stream of the phase's
-// probes, with per-probe bounds: probe i's matches occupy
-// matches[bounds[i-1]:bounds[i]] (bounds[-1] is implicitly 0).
-func refStream(index *hashidx.Table, traces []hashidx.ProbeTrace) (matches []uint64, bounds []int) {
-	bounds = make([]int, len(traces))
-	for i := range traces {
-		matches = append(matches, index.ProbeMatches(traces[i].Key)...)
-		bounds[i] = len(matches)
-	}
-	return matches, bounds
+// matchRef is a software-reference match stream with per-probe bounds:
+// probe i's matches occupy matches[bounds[i-1]:bounds[i]] (bounds[-1] is
+// implicitly 0).
+type matchRef struct {
+	matches []uint64
+	bounds  []int
 }
 
-// matchSegment slices the reference stream to the matches of probes
-// [lo, hi).
-func matchSegment(matches []uint64, bounds []int, lo, hi uint64) []uint64 {
+// refStream computes the reference match stream of a hash-join probe
+// stream.
+func refStream(index *hashidx.Table, traces []hashidx.ProbeTrace) *matchRef {
+	r := &matchRef{bounds: make([]int, len(traces))}
+	for i := range traces {
+		r.matches = append(r.matches, index.ProbeMatches(traces[i].Key)...)
+		r.bounds[i] = len(r.matches)
+	}
+	return r
+}
+
+// segment slices the stream to the matches of probes [lo, hi).
+func (r *matchRef) segment(lo, hi uint64) []uint64 {
 	start := 0
 	if lo > 0 {
-		start = bounds[lo-1]
+		start = r.bounds[lo-1]
 	}
-	return matches[start:bounds[hi-1]]
+	return r.matches[start:r.bounds[hi-1]]
 }
 
-// verifySampledStream enforces the bit-identical-output contract: the
-// concatenated fast-forward reference + detailed simulated match stream
-// must fingerprint-match the full software reference.
-func verifySampledStream(what string, stream, ref []uint64) error {
-	refFP := structures.Fingerprint(ref)
-	if got := structures.Fingerprint(stream); got != refFP {
-		return fmt.Errorf("sim: sampled %s output diverged from the software reference (%d matches fp %#x, want %d fp %#x)",
-			what, len(stream), got, len(ref), refFP)
+// spanEngine builds one agent's engine for a detailed span: the probes of
+// sp, beginning at startCycle. The agent is a *widx.OffloadAgent or a
+// *cores.ProbeEngine.
+type spanEngine func(sp sampling.Span, startCycle uint64) (system.Agent, error)
+
+// spanAgent is one agent of a span execution: its hierarchy view, its
+// engine constructor, the reference traces fast-forward spans warm from,
+// and — for agents that emit matches — the reference stream their output
+// is stitched from and checked against. runSpans fills the measured
+// aggregates.
+type spanAgent struct {
+	name   string
+	hier   *mem.Hierarchy
+	start  spanEngine
+	traces []hashidx.ProbeTrace
+	// ref is nil for agents without a match stream (host cores).
+	ref *matchRef
+	// warmKey chains the opening fast-forward checkpoint ("" warms inline);
+	// only single-agent phases on a fresh machine set it.
+	warmKey string
+
+	// Measured spans only: cycles and memory activity, the engine's own
+	// aggregate result (offload for Widx agents, core for host cores) and
+	// one observation per window.
+	cycles  uint64
+	stats   mem.Stats
+	offload widx.OffloadResult
+	core    cores.Result
+	wins    []windowSample
+}
+
+// widxAgent attaches a Widx accelerator running progs over the probe-key
+// column at keyBase to hier; the producer stores into as.
+func (c Config) widxAgent(hier *mem.Hierarchy, as *vm.AddressSpace, progs *structures.Programs, walkers int, mode widx.HashingMode, keyBase uint64) (*spanAgent, error) {
+	acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: mode},
+		hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return &spanAgent{hier: hier, start: func(sp sampling.Span, startCycle uint64) (system.Agent, error) {
+		o, err := acc.StartOffload(widx.OffloadRequest{KeyBase: keyBase + sp.Start*8, KeyCount: sp.Len(), StartCycle: startCycle})
+		if err != nil {
+			return nil, err
+		}
+		return o, nil
+	}}, nil
+}
+
+// coreAgent attaches a baseline core replaying traces to hier.
+func coreAgent(hier *mem.Hierarchy, cfg cores.Config, traces []hashidx.ProbeTrace) (*spanAgent, error) {
+	core, err := cores.New(cfg, hier)
+	if err != nil {
+		return nil, err
+	}
+	return &spanAgent{hier: hier, traces: traces, start: func(sp sampling.Span, startCycle uint64) (system.Agent, error) {
+		e, err := core.NewProbeEngine(traces[sp.Start:sp.End], startCycle)
+		if err != nil {
+			return nil, err
+		}
+		return e, nil
+	}}, nil
+}
+
+// finish collects one finished detailed span: its cycles, memory activity
+// and matches (nil for host cores), folding a measured span into the
+// agent's aggregates.
+func (a *spanAgent) finish(e system.Agent, sp sampling.Span) (uint64, []uint64, error) {
+	var cycles uint64
+	var st mem.Stats
+	var matches []uint64
+	measured := sp.Kind == sampling.Measure
+	switch e := e.(type) {
+	case *widx.OffloadAgent:
+		r, err := e.Result()
+		if err != nil {
+			return 0, nil, err
+		}
+		cycles, st, matches = r.TotalCycles, r.MemStats, r.Matches
+		if measured {
+			addOffloadResult(&a.offload, r)
+		}
+	case *cores.ProbeEngine:
+		r, err := e.Result()
+		if err != nil {
+			return 0, nil, err
+		}
+		cycles, st = r.TotalCycles, r.MemStats
+		if measured {
+			addCoreResult(&a.core, r)
+		}
+	default:
+		return 0, nil, fmt.Errorf("sim: %s: unknown span engine %T", a.name, e)
+	}
+	if measured {
+		a.cycles += cycles
+		a.stats = a.stats.Add(st)
+		a.wins = append(a.wins, windowSample{cycles: cycles, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
+	}
+	return cycles, matches, nil
+}
+
+// runSpans executes plan on the agents in lockstep rounds and returns the
+// cycle the last round ended. A fast-forward round warms every agent's span
+// functionally; a detailed round starts every agent's span engine at the
+// cycle the previous round ended (agent i arriving stagger*i later) and runs
+// them together on the system scheduler, and the round ends when the last
+// agent finishes. Every agent with a reference stream has its stitched
+// output fingerprint-checked against it.
+func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgent) (uint64, error) {
+	streams := make([][]uint64, len(agents))
+	for i, a := range agents {
+		if a.ref != nil {
+			streams[i] = make([]uint64, 0, len(a.ref.matches))
+		}
+	}
+	var cursor uint64
+	detailed := func(sp sampling.Span) error {
+		engines := make([]system.Agent, len(agents))
+		for i, a := range agents {
+			e, err := a.start(sp, cursor+uint64(i)*stagger)
+			if err != nil {
+				return err
+			}
+			engines[i] = e
+		}
+		if err := system.Run(engines...); err != nil {
+			return err
+		}
+		var roundEnd uint64
+		for i, a := range agents {
+			cycles, matches, err := a.finish(engines[i], sp)
+			if err != nil {
+				return err
+			}
+			if a.ref != nil {
+				streams[i] = append(streams[i], matches...)
+			}
+			if end := uint64(i)*stagger + cycles; end > roundEnd {
+				roundEnd = end
+			}
+		}
+		cursor += roundEnd
+		return nil
+	}
+	ff := func(sp sampling.Span) error {
+		for i, a := range agents {
+			if a.ref != nil {
+				streams[i] = append(streams[i], a.ref.segment(sp.Start, sp.End)...)
+			}
+			if err := c.ffSpan(a.hier, a.warmKey, a.traces, sp); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if c.SampleFullDetail {
+		// Reference mode: fast-forward spans execute in detail too (their
+		// Kind keeps them unmeasured), so the windows observe true history.
+		ff = detailed
+	}
+	if err := plan.Run(ff, detailed); err != nil {
+		return 0, err
+	}
+	for i, a := range agents {
+		if a.ref == nil {
+			continue
+		}
+		if got, want := structures.Fingerprint(streams[i]), structures.Fingerprint(a.ref.matches); got != want {
+			return 0, fmt.Errorf("sim: %s output diverged from the software reference (%d matches fp %#x, want %d fp %#x)",
+				a.name, len(streams[i]), got, len(a.ref.matches), want)
+		}
+	}
+	return cursor, nil
 }
 
 // addCoreResult accumulates one measured span's core result.
@@ -186,6 +363,10 @@ func addCoreResult(agg *cores.Result, r cores.Result) {
 func addOffloadResult(agg *widx.OffloadResult, r *widx.OffloadResult) {
 	agg.Tuples += r.Tuples
 	agg.TotalCycles += r.TotalCycles
+	agg.Matches = append(agg.Matches, r.Matches...)
+	if agg.Walkers == nil {
+		agg.Walkers = make([]widx.Breakdown, len(r.Walkers))
+	}
 	for i := range r.Walkers {
 		agg.Walkers[i].Add(r.Walkers[i])
 	}
@@ -196,123 +377,32 @@ func addOffloadResult(agg *widx.OffloadResult, r *widx.OffloadResult) {
 	agg.MemStats = agg.MemStats.Add(r.MemStats)
 }
 
-// runBaselineSampled replays the phase's traces on a baseline core through
-// the plan: fast-forward spans warm functionally, detailed spans run on the
-// live core resuming at the cycle the previous span ended. The returned
-// result aggregates the measured spans only (its CyclesPerTuple is the
-// measured-probe-weighted window mean), alongside the per-window
-// observations.
-func (c Config) runBaselineSampled(ph *indexPhase, coreCfg cores.Config, plan sampling.Plan) (cores.Result, []windowSample, error) {
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(sl.Topology().Agent("host"))
-	core, err := cores.New(coreCfg, hier)
-	if err != nil {
-		return cores.Result{}, nil, err
-	}
-	var agg cores.Result
-	wins := make([]windowSample, 0, plan.Windows)
-	var cursor uint64
-	detailed := func(sp sampling.Span) error {
-		res, err := core.RunProbes(ph.traces[sp.Start:sp.End], cursor)
-		if err != nil {
-			return err
-		}
-		cursor += res.TotalCycles
-		if sp.Kind != sampling.Measure {
-			return nil
-		}
-		wins = append(wins, windowSample{cycles: res.TotalCycles, tuples: res.Tuples, mshr: res.MemStats.MeanMSHROccupancy()})
-		addCoreResult(&agg, res)
-		return nil
-	}
-	ff := func(sp sampling.Span) error {
-		return c.ffSpan(hier, ph.warmKey, ph.traces, sp)
-	}
-	if c.SampleFullDetail {
-		// Reference mode: fast-forward spans execute in detail too (their
-		// Kind keeps them unmeasured), so the windows observe true history.
-		ff = detailed
-	}
-	if err := plan.Run(ff, detailed); err != nil {
-		return cores.Result{}, nil, err
-	}
-	return agg, wins, nil
-}
-
-// runWidxSampled executes the phase's probes on a Widx design point through
-// the plan. Fast-forward spans append the reference matches of their probes
-// to the output stream and warm the hierarchy; detailed spans offload the
-// span's key range at the current cursor. The combined stream is verified
-// against the full reference before the result is returned.
-func (c Config) runWidxSampled(ph *indexPhase, as *vm.AddressSpace, resultBase uint64, walkers int, mode widx.HashingMode,
-	plan sampling.Plan, refMatches []uint64, bounds []int) (*widx.OffloadResult, []windowSample, error) {
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(c.widxSpec(sl.Topology(), "widx"))
-	bundle, err := program.ForTable(ph.index, resultBase)
-	if err != nil {
-		return nil, nil, err
-	}
-	acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: mode},
-		hier, as, bundle.Dispatcher, bundle.Walker, bundle.Producer)
-	if err != nil {
-		return nil, nil, err
-	}
-	agg := &widx.OffloadResult{Walkers: make([]widx.Breakdown, walkers)}
-	stream := make([]uint64, 0, len(refMatches))
-	wins := make([]windowSample, 0, plan.Windows)
-	var cursor uint64
-	detailed := func(sp sampling.Span) error {
-		res, err := acc.Offload(widx.OffloadRequest{
-			KeyBase:    ph.probeKeyBase + sp.Start*8,
-			KeyCount:   sp.Len(),
-			StartCycle: cursor,
-		})
-		if err != nil {
-			return err
-		}
-		cursor += res.TotalCycles
-		stream = append(stream, res.Matches...)
-		if sp.Kind != sampling.Measure {
-			return nil
-		}
-		wins = append(wins, windowSample{cycles: res.TotalCycles, tuples: res.Tuples, mshr: res.MemStats.MeanMSHROccupancy()})
-		addOffloadResult(agg, res)
-		return nil
-	}
-	ff := func(sp sampling.Span) error {
-		stream = append(stream, matchSegment(refMatches, bounds, sp.Start, sp.End)...)
-		return c.ffSpan(hier, ph.warmKey, ph.traces, sp)
-	}
-	if c.SampleFullDetail {
-		ff = detailed
-	}
-	if err := plan.Run(ff, detailed); err != nil {
-		return nil, nil, err
-	}
-	if err := verifySampledStream("widx", stream, refMatches); err != nil {
-		return nil, nil, err
-	}
-	agg.Matches = stream
-	return agg, wins, nil
-}
-
-// phaseSampling carries one phase's sampled execution record back to the
+// phaseSampling carries one phase's execution record back to the
 // experiment layer: the executed plan and each design point's window
 // observations, parallel to runPhase's result slices.
 type phaseSampling struct {
 	plan     sampling.Plan
 	baseWins [][]windowSample
 	widxWins [][]windowSample
-	// verified reports that at least one Widx point's match stream was
-	// fingerprint-checked against the reference (mismatches abort the run).
-	verified bool
 }
 
-// report seeds a sampling.Report from the phase's plan.
-func (ps *phaseSampling) report() *sampling.Report {
-	r := sampling.NewReport(ps.plan)
-	r.FingerprintVerified = ps.verified
+// samplingReport seeds the run's sampling block from the executed plan, or
+// returns nil when sampling is off: full-detail results carry no block, so
+// their manifests stay byte-identical to pre-sampling ones. verified
+// reports that at least one agent's match stream was fingerprint-checked
+// (mismatches abort the run).
+func (c Config) samplingReport(plan sampling.Plan, verified bool) *sampling.Report {
+	if !c.sampling() {
+		return nil
+	}
+	r := sampling.NewReport(plan)
+	r.FingerprintVerified = verified
 	return r
+}
+
+// report seeds the phase's sampling block (nil when sampling is off).
+func (ps *phaseSampling) report(c Config) *sampling.Report {
+	return c.samplingReport(ps.plan, len(ps.widxWins) > 0)
 }
 
 // addSampledPoint records one Widx design point's three headline metric

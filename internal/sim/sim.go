@@ -7,9 +7,17 @@
 // once, the indexing phase is then executed on every design point — the
 // out-of-order baseline, the in-order core, and Widx with one, two and four
 // walkers — each with its own freshly warmed memory hierarchy, and the
-// measured metric is indexing cycles per tuple. Like the paper's SMARTS-style
-// sampling, only a bounded sample of probes is simulated in detail; the
-// sample is large enough for stable per-tuple averages.
+// measured metric is indexing cycles per tuple. The probe stream is capped
+// at a bounded sample (Config.SampleProbes), large enough for stable
+// per-tuple averages.
+//
+// Every probe phase — kernel, walker sweep, queries, ablation, zoo, and the
+// CMP's solo and co-run streams — executes through one span executor
+// (sampled.go) under a sampling.Plan, SMARTS-style: full detail is simply
+// the plan with one measured span covering the stream, and
+// Config.SampleWindows switches to systematic detailed windows with
+// functional fast-forward between them. Every Widx agent's match stream is
+// fingerprint-checked against the software reference either way.
 //
 // Because the design points are independent experiments, the harness can run
 // them concurrently: Config.Parallelism sets the worker count, and the runner
@@ -24,12 +32,8 @@ import (
 	"fmt"
 	"runtime"
 
-	"widx/internal/cores"
-	"widx/internal/hashidx"
 	"widx/internal/mem"
-	"widx/internal/program"
 	"widx/internal/sampling"
-	"widx/internal/vm"
 	"widx/internal/warmstate"
 	"widx/internal/widx"
 )
@@ -290,61 +294,4 @@ func scaleBreakdown(total widx.Breakdown, walkers int, tuples uint64) Breakdown 
 		TLB:  float64(total.TLB) / d,
 		Idle: float64(total.Idle) / d,
 	}
-}
-
-// indexPhase bundles everything needed to run one indexing phase on all
-// design points: the data in its address space, the built index, the probe
-// key column and the probe traces.
-type indexPhase struct {
-	as           *vm.AddressSpace
-	index        *hashidx.Table
-	probeKeyBase uint64
-	probeCount   int
-	traces       []hashidx.ProbeTrace
-	// warmKey is the phase's warm-cache identity ("" when caching is off):
-	// the workload artifact's content-addressed key, which sampled runs
-	// chain their fast-forward checkpoint keys on (sampled.go).
-	warmKey string
-}
-
-// allocResultRegion reserves the result buffer for one Widx design point on
-// the phase's address space. The runner performs these allocations for every
-// design point before fanning out, in sequential order, so buffer addresses —
-// and with them cache and TLB behaviour — do not depend on the parallelism.
-func (ph *indexPhase) allocResultRegion(walkers int, mode widx.HashingMode) uint64 {
-	return ph.as.AllocAligned(fmt.Sprintf("results.w%d.m%d", walkers, mode), uint64(ph.probeCount)*8+64)
-}
-
-// runBaseline executes the phase's probes on a baseline core with a fresh
-// hierarchy and returns the result.
-func (c Config) runBaseline(ph *indexPhase, coreCfg cores.Config) (cores.Result, error) {
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(sl.Topology().Agent("host"))
-	core, err := cores.New(coreCfg, hier)
-	if err != nil {
-		return cores.Result{}, err
-	}
-	n := c.sampleCount(len(ph.traces))
-	return core.RunProbes(ph.traces[:n], 0)
-}
-
-// runWidx executes the phase's probes on a Widx configuration with a fresh
-// hierarchy and returns the offload result. The address space may be the
-// phase's own (sequential runs) or a private clone (parallel runs); the
-// result region at resultBase must already be allocated on the phase's
-// address space via allocResultRegion.
-func (c Config) runWidx(ph *indexPhase, as *vm.AddressSpace, resultBase uint64, walkers int, mode widx.HashingMode) (*widx.OffloadResult, error) {
-	sl := c.newSharedLevel()
-	hier := sl.NewAgent(c.widxSpec(sl.Topology(), "widx"))
-	bundle, err := program.ForTable(ph.index, resultBase)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: mode},
-		hier, as, bundle.Dispatcher, bundle.Walker, bundle.Producer)
-	if err != nil {
-		return nil, err
-	}
-	n := uint64(c.sampleCount(ph.probeCount))
-	return acc.Offload(widx.OffloadRequest{KeyBase: ph.probeKeyBase, KeyCount: n})
 }

@@ -55,9 +55,8 @@ func (c Config) RunWalkerUtilization(size join.SizeClass, maxWalkers int) (*Walk
 	}
 	// The walker sweep replays the same kernel workload the Figure 8
 	// experiment builds, so with the warm cache enabled the two share one
-	// build. Probe traces are only needed for sampled runs (no baseline
-	// cores here), where fast-forward spans warm from them.
-	ph, err := c.kernelPhase(size, c.sampling())
+	// build.
+	ph, err := c.kernelPhase(size)
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +73,7 @@ func (c Config) RunWalkerUtilization(size join.SizeClass, maxWalkers int) (*Walk
 		MSHRs:  c.Mem.L1MSHRs,
 		Points: make([]WalkerUtilizationPoint, maxWalkers),
 	}
-	if psamp != nil {
-		rep := psamp.report()
+	if rep := psamp.report(c); rep != nil {
 		for i := range points {
 			addSampledPoint(rep, fmt.Sprintf("%dw", i+1), nil, psamp.widxWins[i])
 		}

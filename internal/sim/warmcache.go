@@ -103,32 +103,15 @@ type kernelArtifact struct {
 	traces []hashidx.ProbeTrace
 }
 
-// phase hands out one consumer's view of the artifact: an indexPhase on a
-// private copy-on-write clone of the master image. The clone is taken
-// under mu because vm.AddressSpace.Clone mutates the parent's sharing
-// bookkeeping.
-func (a *kernelArtifact) phase(withTraces bool) *indexPhase {
-	a.mu.Lock()
-	as := a.kernel.AS.Clone()
-	a.mu.Unlock()
-	ph := &indexPhase{
-		as:           as,
-		index:        a.kernel.Index,
-		probeKeyBase: a.kernel.ProbeKeyBase,
-		probeCount:   len(a.kernel.ProbeKeys),
-	}
-	if withTraces {
-		ph.traces = a.traces
-	}
-	return ph
-}
-
 // kernelPhase builds (or fetches from the warm cache) the kernel workload
 // for one size class. The key names every input BuildKernel consumes; the
 // probe-sample knob enters through the derived OuterTuples stream length,
 // so two configs that produce the same stream share the build. Cache off
-// reproduces the historical inline path exactly, master image included.
-func (c Config) kernelPhase(size join.SizeClass, withTraces bool) (*indexPhase, error) {
+// reproduces the historical inline path exactly, master image included;
+// cache on hands out a private copy-on-write clone of the master, taken
+// under the artifact's mutex because vm.AddressSpace.Clone mutates the
+// parent's sharing bookkeeping.
+func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 	kcfg := join.DefaultKernelConfig(size, c.Scale)
 	// The probe stream only needs to cover the detailed sample.
 	kcfg.OuterTuples = c.sampleCount(4 * size.Tuples(c.Scale))
@@ -142,36 +125,35 @@ func (c Config) kernelPhase(size join.SizeClass, withTraces bool) (*indexPhase, 
 			traces: kernel.Traces(c.sampleCount(len(kernel.ProbeKeys))),
 		}, nil
 	}
+	var art *kernelArtifact
+	var as *vm.AddressSpace
+	var key string
+	var err error
 	if c.WarmCache == nil {
-		art, err := build()
+		if art, err = build(); err != nil {
+			return nil, err
+		}
+		as = art.kernel.AS
+	} else {
+		key = warmKey(warmstate.NewFingerprint("kernel").
+			Field("size", kcfg.Size).
+			Field("scale", kcfg.Scale).
+			Field("outer", kcfg.OuterTuples).
+			Field("npb", kcfg.NodesPerBucket).
+			Field("hash", kcfg.Hash).
+			Field("seed", kcfg.Seed))
+		art, err = warmstate.Get(c.WarmCache, key, build,
+			func(a *kernelArtifact) uint64 { return a.kernel.AS.ContentHash() })
 		if err != nil {
 			return nil, err
 		}
-		ph := &indexPhase{
-			as:           art.kernel.AS,
-			index:        art.kernel.Index,
-			probeKeyBase: art.kernel.ProbeKeyBase,
-			probeCount:   len(art.kernel.ProbeKeys),
-		}
-		if withTraces {
-			ph.traces = art.traces
-		}
-		return ph, nil
+		art.mu.Lock()
+		as = art.kernel.AS.Clone()
+		art.mu.Unlock()
 	}
-	key := warmKey(warmstate.NewFingerprint("kernel").
-		Field("size", kcfg.Size).
-		Field("scale", kcfg.Scale).
-		Field("outer", kcfg.OuterTuples).
-		Field("npb", kcfg.NodesPerBucket).
-		Field("hash", kcfg.Hash).
-		Field("seed", kcfg.Seed))
-	art, err := warmstate.Get(c.WarmCache, key, build,
-		func(a *kernelArtifact) uint64 { return a.kernel.AS.ContentHash() })
-	if err != nil {
-		return nil, err
-	}
-	ph := art.phase(withTraces)
-	ph.warmKey = key
+	k := art.kernel
+	ph := c.hashPhase(as, k.Index, k.ProbeKeyBase, len(k.ProbeKeys), art.traces, key)
+	ph.label = size.String()
 	return ph, nil
 }
 
