@@ -1,5 +1,6 @@
-// Quickstart: build a hash index, probe it through the Widx accelerator and
-// compare against the out-of-order and in-order baseline cores.
+// Quickstart: probe a hash-join index through the Widx accelerator, compare
+// it against the out-of-order baseline core, then co-run several agents on
+// one shared memory hierarchy.
 //
 // Run with:
 //
@@ -10,85 +11,64 @@ import (
 	"fmt"
 	"log"
 
-	"widx/internal/core"
-	"widx/internal/stats"
+	"widx/internal/energy"
+	"widx/internal/join"
+	"widx/internal/sim"
+	"widx/internal/structures"
 )
 
 func main() {
-	// 1. Create a simulated system with the paper's Table 2 memory hierarchy.
-	sys, err := core.NewSystem(core.Options{})
+	// 1. A small simulation configuration: the paper's Table 2 memory
+	// hierarchy, a workload scaled down for an interactive run, and Widx
+	// with 1, 2 and 4 walkers.
+	cfg := sim.DefaultConfig()
+	cfg.Scale = 1.0 / 128
+	cfg.SampleProbes = 5_000
+
+	// 2. The design comparison: one hash-join probe stream replayed on the
+	// OoO baseline and offloaded to Widx at every walker count, each design
+	// on its own freshly warmed hierarchy. Every Widx run's match stream is
+	// checked bit-identical to the software reference probe.
+	zoo, err := cfg.RunZoo(sim.ZooOptions{Structures: []structures.Kind{structures.HashJoin}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	hj := zoo.Structures[0]
+	fmt.Printf("hash join: %d probes, %d matches (fingerprint %#x)\n", hj.Probes, hj.Matches, hj.Fingerprint)
 
-	// 2. Build a hash index over 100K build-side keys (the inner relation of
-	// a join), using MonetDB's indirect node layout and a robust hash.
-	rng := stats.NewRNG(2013)
-	buildKeys := make([]uint64, 100_000)
-	seen := make(map[uint64]bool, len(buildKeys))
-	for i := range buildKeys {
-		for {
-			k := rng.Uint64()>>1 + 1
-			if !seen[k] {
-				buildKeys[i], seen[k] = k, true
-				break
-			}
-		}
+	eng := energy.Default()
+	oooEnergy := eng.OoO(hj.OoOCyclesPerTuple).EnergyJ
+	fmt.Printf("\n%-10s %14s %12s %16s\n", "design", "cycles/tuple", "speedup", "energy/tuple")
+	fmt.Printf("%-10s %14.1f %11.2fx %14.2fnJ\n", "ooo", hj.OoOCyclesPerTuple, 1.0, oooEnergy*1e9)
+	for _, p := range hj.Points {
+		e := eng.Widx(p.CyclesPerTuple).EnergyJ
+		fmt.Printf("%-10s %14.1f %11.2fx %14.2fnJ\n",
+			fmt.Sprintf("widx-%dw", p.Walkers), p.CyclesPerTuple, p.Speedup, e*1e9)
 	}
-	index, err := sys.BuildIndex(core.IndexSpec{
-		Name:   "quickstart",
-		Keys:   buildKeys,
-		Layout: core.LayoutIndirect,
-		Hash:   core.HashRobust,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("index: %d buckets, %.2f nodes/bucket, %.1f KB working set\n",
-		index.Buckets(), index.AvgNodesPerBucket(), float64(index.FootprintBytes())/1024)
-
-	// 3. Probe with 50K outer-relation keys (all of which join).
-	probeKeys := make([]uint64, 50_000)
-	for i := range probeKeys {
-		probeKeys[i] = buildKeys[rng.Intn(len(buildKeys))]
+	if p, ok := zoo.Point(structures.HashJoin, 4); ok {
+		fmt.Printf("\nWidx (4 walkers) speedup over OoO: %.2fx, energy reduction: %.0f%%\n",
+			p.Speedup, 100*(1-eng.Widx(p.CyclesPerTuple).EnergyJ/oooEnergy))
 	}
 
-	// 4. Compare every design: OoO baseline, in-order core, Widx with 1, 2
-	// and 4 walkers.
-	cmp, err := sys.Compare(index, probeKeys)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\n%-10s %14s %12s %10s %10s\n", "design", "cycles/tuple", "speedup", "energy", "matches")
-	for _, name := range []string{"ooo", "in-order", "widx-1w", "widx-2w", "widx-4w"} {
-		r := cmp.Results[name]
-		fmt.Printf("%-10s %14.1f %11.2fx %9.2fmJ %10d\n",
-			name, r.CyclesPerTuple, cmp.IndexSpeedup[name], r.EnergyJ*1e3, r.Matches)
-	}
-	fmt.Printf("\nWidx (4 walkers) speedup over OoO: %.2fx, energy reduction: %.0f%%\n",
-		cmp.IndexSpeedup["widx-4w"], 100*cmp.EnergyReduction["widx-4w"])
-
-	// 5. The system API: co-schedule several agents — here two Widx
-	// accelerators next to an OoO core — on ONE shared LLC, MSHR pool and
-	// memory-bandwidth schedule, each probing its own key stream. This is
-	// the paper's CMP deployment; the per-agent stats attribute the shared
+	// 3. The shared-hierarchy co-run: two Widx accelerators next to an OoO
+	// core on ONE shared LLC, fill-buffer pool and memory-bandwidth
+	// schedule, each probing its own partition of a partitioned hash join.
+	// This is the paper's CMP deployment; every agent is compared against
+	// its own solo run, and the per-agent stats attribute the shared
 	// pressure to its source.
-	shared, err := sys.ProbeShared(index, core.SharedProbeRequest{
-		Agents: []core.AgentSpec{
-			{Name: "widx-a", Design: core.Widx(4)},
-			{Name: "widx-b", Design: core.Widx(4)},
-			{Name: "host", Design: core.OoO()},
-		},
-		Keys: [][]uint64{probeKeys[:15_000], probeKeys[15_000:30_000], probeKeys[30_000:45_000]},
-	})
+	specs, err := sim.ParseAgents("2xwidx:4w+ooo")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nshared-memory co-run (3 agents, one hierarchy):\n")
-	for _, a := range shared.Agents {
-		fmt.Printf("  %-8s %10.1f cycles/tuple, %6d LLC misses, %5d MSHR-stall cycles\n",
-			a.Name, a.CyclesPerTuple, a.MemStats.LLCMisses, a.MemStats.MSHRStallCycles)
+	co, err := cfg.RunCMP(join.Large, specs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nshared-memory co-run (%d agents, one hierarchy):\n", len(co.Agents))
+	for _, a := range co.Agents {
+		fmt.Printf("  %-10s %8.1f cycles/tuple (%.2fx solo), %6d LLC misses, %6d MSHR-stall cycles\n",
+			a.Name, a.CyclesPerTuple, a.Slowdown, a.MemStats.LLCMisses, a.MemStats.MSHRStallCycles)
 	}
 	fmt.Printf("  system: %d cycles, shared MSHR pool full %.0f%% of cycles, %.0f%% off-chip bandwidth\n",
-		shared.SystemCycles, 100*shared.MSHRSaturationShare, 100*shared.BandwidthUtilization)
+		co.SystemCycles, 100*co.MSHRSaturationShare, 100*co.BandwidthUtilization)
 }

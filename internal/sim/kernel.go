@@ -101,7 +101,7 @@ func (c Config) RunKernel(sizes []join.SizeClass) (*KernelExperiment, error) {
 		}
 
 		baseRes, widxRes, ps, err := inner.runPhase(ph,
-			[]cores.Config{oooConfig()}, c.walkerPoints(0))
+			[]cores.Config{cores.OoOConfig()}, c.walkerPoints(widx.SharedDispatcher))
 		if err != nil {
 			return err
 		}
@@ -134,13 +134,7 @@ func (c Config) RunKernel(sizes []join.SizeClass) (*KernelExperiment, error) {
 	var sp1, sp4 []float64
 	for i, size := range sizes {
 		exp.OoOCyclesPerTuple[size] = perSize[i].oooCPT
-		if rep := perSize[i].sampling; rep != nil {
-			if exp.Sampling == nil {
-				exp.Sampling = rep
-			} else {
-				exp.Sampling.Merge("", rep)
-			}
-		}
+		exp.Sampling = mergeSampling(exp.Sampling, "", perSize[i].sampling)
 		for _, point := range perSize[i].points {
 			exp.Points = append(exp.Points, point)
 			if size == sizes[0] && point.Walkers == c.Walkers[0] {

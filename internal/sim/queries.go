@@ -11,10 +11,6 @@ import (
 	"widx/internal/workloads"
 )
 
-// oooConfig and inOrderConfig are the Table 2 baselines.
-func oooConfig() cores.Config     { return cores.OoOConfig() }
-func inOrderConfig() cores.Config { return cores.InOrderConfig() }
-
 // QueryResult is one simulated DSS query (one group of bars in Figures 9 and
 // 10, one row of the breakdown of Figure 2).
 type QueryResult struct {
@@ -74,7 +70,7 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	// All design points — the two baselines and the walker sweep — replay the
 	// same phase on fresh hierarchies and fan out across workers.
 	baseRes, widxRes, ps, err := c.runPhase(ph,
-		[]cores.Config{oooConfig(), inOrderConfig()}, c.walkerPoints(0))
+		[]cores.Config{cores.OoOConfig(), cores.InOrderConfig()}, c.walkerPoints(widx.SharedDispatcher))
 	if err != nil {
 		return nil, err
 	}
@@ -179,17 +175,7 @@ func (c Config) runQuerySet(queries []workloads.QuerySpec) (*SuiteResult, error)
 
 	for _, qr := range results {
 		suite.Queries = append(suite.Queries, qr)
-		if qr.Sampling != nil {
-			if suite.Sampling == nil {
-				// Seed the suite report with the first query's plan header;
-				// metric names carry the per-query context instead.
-				hdr := *qr.Sampling
-				hdr.Metrics = nil
-				hdr.FingerprintVerified = false
-				suite.Sampling = &hdr
-			}
-			suite.Sampling.Merge(queryMetricPrefix(qr.Query), qr.Sampling)
-		}
+		suite.Sampling = mergeSampling(suite.Sampling, queryMetricPrefix(qr.Query), qr.Sampling)
 		for w, sp := range qr.IndexSpeedup {
 			speedups[w] = append(speedups[w], sp)
 		}

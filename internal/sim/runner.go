@@ -245,7 +245,10 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 		if _, err := c.runSpans(ps.plan, 0, a); err != nil {
 			return err
 		}
-		widxRes[j], ps.widxWins[j] = &a.offload, a.wins
+		// Copy the result out: a pointer into the agent would keep its whole
+		// machine reachable until the phase ends.
+		res := a.offload
+		widxRes[j], ps.widxWins[j] = &res, a.wins
 		return nil
 	})
 	if err != nil {

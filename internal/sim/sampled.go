@@ -405,6 +405,24 @@ func (ps *phaseSampling) report(c Config) *sampling.Report {
 	return c.samplingReport(ps.plan, len(ps.widxWins) > 0)
 }
 
+// mergeSampling folds one part's sampling block (a size class, a query, a
+// structure) into the experiment-level block under a metric-name prefix,
+// seeding the header from the first part's plan. Nil parts are skipped, so
+// full-detail runs keep a nil block.
+func mergeSampling(dst *sampling.Report, prefix string, part *sampling.Report) *sampling.Report {
+	if part == nil {
+		return dst
+	}
+	if dst == nil {
+		hdr := *part
+		hdr.Metrics = nil
+		hdr.FingerprintVerified = false
+		dst = &hdr
+	}
+	dst.Merge(prefix, part)
+	return dst
+}
+
 // addSampledPoint records one Widx design point's three headline metric
 // series under the given name prefix: cycles-per-tuple, speedup against the
 // baseline's aligned windows (skipped when base is nil — e.g. sweeps with

@@ -205,7 +205,7 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 			},
 			warmKey: phaseKey,
 		}
-		baseRes, widxRes, ps, err := inner.runPhase(ph, []cores.Config{oooConfig()}, c.walkerPoints(widx.SharedDispatcher))
+		baseRes, widxRes, ps, err := inner.runPhase(ph, []cores.Config{cores.OoOConfig()}, c.walkerPoints(widx.SharedDispatcher))
 		if err != nil {
 			return err
 		}
@@ -243,19 +243,7 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 	}
 	exp := &ZooExperiment{Structures: perKind}
 	for i, kind := range kinds {
-		rep := perKindSampling[i]
-		if rep == nil {
-			continue
-		}
-		if exp.Sampling == nil {
-			// Seed with the first structure's plan header; metric names carry
-			// the per-structure context instead.
-			hdr := *rep
-			hdr.Metrics = nil
-			hdr.FingerprintVerified = false
-			exp.Sampling = &hdr
-		}
-		exp.Sampling.Merge(kind.String()+": ", rep)
+		exp.Sampling = mergeSampling(exp.Sampling, kind.String()+": ", perKindSampling[i])
 	}
 	return exp, nil
 }
