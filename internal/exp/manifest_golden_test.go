@@ -64,7 +64,6 @@ func manifestConfig(sampled bool) sim.Config {
 func TestGoldenManifests(t *testing.T) {
 	for _, c := range manifestCases {
 		for _, mode := range []string{"full", "sampled"} {
-			c, mode := c, mode
 			t.Run(c.file+"."+mode, func(t *testing.T) {
 				e, ok := Lookup(c.name)
 				if !ok {

@@ -568,11 +568,10 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 		a.Spec = spec
 		// Per-tuple figures cover the measured probes only.
 		a.Tuples = plan.MeasuredProbes()
-		a.SoloCycles = solo.cycles
-		a.SoloCyclesPerTuple = float64(solo.cycles) / float64(a.Tuples)
-		a.SoloMemStats = solo.stats
+		a.SoloCycles, a.SoloMemStats = measured(spec, solo)
+		a.SoloCyclesPerTuple = float64(a.SoloCycles) / float64(a.Tuples)
 		soloWins[i] = solo.wins
-		if u := c.Mem.MemBandwidthUtilization(solo.stats.MemBlocks, solo.cycles); u > exp.SoloBandwidthUtilization {
+		if u := c.Mem.MemBandwidthUtilization(a.SoloMemStats.MemBlocks, a.SoloCycles); u > exp.SoloBandwidthUtilization {
 			exp.SoloBandwidthUtilization = u
 		}
 	}
@@ -606,9 +605,8 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	rep := c.samplingReport(plan, verified)
 	for i, co := range agents {
 		a := &exp.Agents[i]
-		a.Cycles = co.cycles
+		a.Cycles, a.MemStats = measured(specs[i], co)
 		a.CyclesPerTuple = float64(a.Cycles) / float64(a.Tuples)
-		a.MemStats = co.stats
 		a.Slowdown = ratio(float64(a.Cycles), float64(a.SoloCycles))
 		a.LLCMissInflation = ratio(float64(a.MemStats.LLCMisses), float64(a.SoloMemStats.LLCMisses))
 		coMisses += a.MemStats.LLCMisses
@@ -627,6 +625,15 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	exp.MSHRSaturationShare = exp.SharedStats.MSHRSaturationShare(c.fillBuffers())
 	exp.BandwidthUtilization = c.Mem.MemBandwidthUtilization(exp.SharedStats.MemBlocks, exp.SystemCycles)
 	return exp, nil
+}
+
+// measured returns a CMP agent's measured cycles and memory activity from
+// the aggregate result of its kind's engine.
+func measured(spec CMPAgentSpec, a *spanAgent) (uint64, mem.Stats) {
+	if spec.Kind == AgentWidx {
+		return a.offload.TotalCycles, a.offload.MemStats
+	}
+	return a.core.TotalCycles, a.core.MemStats
 }
 
 // ratio returns a/b, or 1 when b is zero (no solo activity to inflate).

@@ -50,7 +50,7 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	engRes, engKey, err := c.engineRunKeyed(q, true)
+	engRes, engKey, err := c.engineRun(q, true)
 	if err != nil {
 		return nil, fmt.Errorf("sim: query %s %s: %w", q.Suite, q.Name, err)
 	}
@@ -264,7 +264,7 @@ func (c Config) RunBreakdowns(simulatedOnly bool) (BreakdownRows, error) {
 		q := queries[i]
 		// Breakdown rows read only the engine-level measurements, so the
 		// shared cached result suffices — no address-space clone.
-		engRes, err := c.engineRun(q, false)
+		engRes, _, err := c.engineRun(q, false)
 		if err != nil {
 			return err
 		}
@@ -300,7 +300,7 @@ func (c Config) RunHashingAblation(q workloads.QuerySpec, walkers int) (*Ablatio
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	engRes, engKey, err := c.engineRunKeyed(q, true)
+	engRes, engKey, err := c.engineRun(q, true)
 	if err != nil {
 		return nil, err
 	}

@@ -192,11 +192,8 @@ type spanAgent struct {
 	// only single-agent phases on a fresh machine set it.
 	warmKey string
 
-	// Measured spans only: cycles and memory activity, the engine's own
-	// aggregate result (offload for Widx agents, core for host cores) and
-	// one observation per window.
-	cycles  uint64
-	stats   mem.Stats
+	// Measured spans only: the engine's aggregate result (offload for Widx
+	// agents, core for host cores) and one observation per window.
 	offload widx.OffloadResult
 	core    cores.Result
 	wins    []windowSample
@@ -265,8 +262,6 @@ func (a *spanAgent) finish(e system.Agent, sp sampling.Span) (uint64, []uint64, 
 		return 0, nil, fmt.Errorf("sim: %s: unknown span engine %T", a.name, e)
 	}
 	if measured {
-		a.cycles += cycles
-		a.stats = a.stats.Add(st)
 		a.wins = append(a.wins, windowSample{cycles: cycles, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
 	}
 	return cycles, matches, nil

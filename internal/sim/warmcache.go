@@ -93,12 +93,52 @@ func (c Config) warmStateCached(key string, build func() (*mem.WarmState, error)
 	return warmstate.Get(c.WarmCache, key, load, (*mem.WarmState).ContentHash)
 }
 
-// kernelArtifact is one memoized hash-join kernel build: the master
-// address-space image (never written after build), the index, and the
-// probe traces, generated once inside the build so consumers never read
-// the master concurrently.
-type kernelArtifact struct {
-	mu     sync.Mutex
+// image is one workload build: the master address-space image and the
+// read-only outputs built with it (tables, instances, probe traces).
+type image[T any] struct {
+	mu   sync.Mutex
+	as   *vm.AddressSpace
+	data T
+	// key is the image's warm-cache key ("" when caching is off), which
+	// phase-level warm-state checkpoints chain on.
+	key string
+}
+
+// buildImage builds a workload image, or with the warm cache on fetches it
+// under key — content-hash verified on the image, so the key must name
+// every build input.
+func buildImage[T any](c Config, key string, build func() (*vm.AddressSpace, T, error)) (*image[T], error) {
+	if c.WarmCache == nil {
+		as, data, err := build()
+		return &image[T]{as: as, data: data}, err
+	}
+	return warmstate.Get(c.WarmCache, key, func() (*image[T], error) {
+		as, data, err := build()
+		if err != nil {
+			return nil, err
+		}
+		return &image[T]{as: as, data: data, key: key}, nil
+	}, func(im *image[T]) uint64 { return im.as.ContentHash() })
+}
+
+// space hands out the address space one consumer runs on. Cache off, that
+// is the freshly built master itself; cache on, a private copy-on-write
+// clone of the shared master (which is never written), taken under the
+// mutex because vm.AddressSpace.Clone mutates the parent's sharing
+// bookkeeping.
+func (im *image[T]) space() *vm.AddressSpace {
+	if im.key == "" {
+		return im.as
+	}
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	return im.as.Clone()
+}
+
+// kernelBuild is the output of one hash-join kernel build: the kernel and
+// its probe traces, generated inside the build so consumers never read a
+// shared master concurrently.
+type kernelBuild struct {
 	kernel *join.Kernel
 	traces []hashidx.ProbeTrace
 }
@@ -106,164 +146,89 @@ type kernelArtifact struct {
 // kernelPhase builds (or fetches from the warm cache) the kernel workload
 // for one size class. The key names every input BuildKernel consumes; the
 // probe-sample knob enters through the derived OuterTuples stream length,
-// so two configs that produce the same stream share the build. Cache off
-// reproduces the historical inline path exactly, master image included;
-// cache on hands out a private copy-on-write clone of the master, taken
-// under the artifact's mutex because vm.AddressSpace.Clone mutates the
-// parent's sharing bookkeeping.
+// so two configs that produce the same stream share the build.
 func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 	kcfg := join.DefaultKernelConfig(size, c.Scale)
 	// The probe stream only needs to cover the detailed sample.
 	kcfg.OuterTuples = c.sampleCount(4 * size.Tuples(c.Scale))
-	build := func() (*kernelArtifact, error) {
+	key := warmKey(warmstate.NewFingerprint("kernel").
+		Field("size", kcfg.Size).
+		Field("scale", kcfg.Scale).
+		Field("outer", kcfg.OuterTuples).
+		Field("npb", kcfg.NodesPerBucket).
+		Field("hash", kcfg.Hash).
+		Field("seed", kcfg.Seed))
+	im, err := buildImage(c, key, func() (*vm.AddressSpace, kernelBuild, error) {
 		kernel, err := join.BuildKernel(kcfg)
 		if err != nil {
-			return nil, err
+			return nil, kernelBuild{}, err
 		}
-		return &kernelArtifact{
-			kernel: kernel,
-			traces: kernel.Traces(c.sampleCount(len(kernel.ProbeKeys))),
-		}, nil
+		return kernel.AS, kernelBuild{kernel, kernel.Traces(c.sampleCount(len(kernel.ProbeKeys)))}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var art *kernelArtifact
-	var as *vm.AddressSpace
-	var key string
-	var err error
-	if c.WarmCache == nil {
-		if art, err = build(); err != nil {
-			return nil, err
-		}
-		as = art.kernel.AS
-	} else {
-		key = warmKey(warmstate.NewFingerprint("kernel").
-			Field("size", kcfg.Size).
-			Field("scale", kcfg.Scale).
-			Field("outer", kcfg.OuterTuples).
-			Field("npb", kcfg.NodesPerBucket).
-			Field("hash", kcfg.Hash).
-			Field("seed", kcfg.Seed))
-		art, err = warmstate.Get(c.WarmCache, key, build,
-			func(a *kernelArtifact) uint64 { return a.kernel.AS.ContentHash() })
-		if err != nil {
-			return nil, err
-		}
-		art.mu.Lock()
-		as = art.kernel.AS.Clone()
-		art.mu.Unlock()
-	}
-	k := art.kernel
-	ph := c.hashPhase(as, k.Index, k.ProbeKeyBase, len(k.ProbeKeys), art.traces, key)
+	k := im.data.kernel
+	ph := c.hashPhase(im.space(), k.Index, k.ProbeKeyBase, len(k.ProbeKeys), im.data.traces, im.key)
 	ph.label = size.String()
 	return ph, nil
 }
 
-// engineArtifact is one memoized query-engine run: the full engine result
-// with its master address-space image.
-type engineArtifact struct {
-	mu  sync.Mutex
-	res *engine.Result
-}
-
-// result hands out the artifact. With cloneAS the returned result carries
-// a private copy-on-write clone of the image (for consumers that replay
-// the index phase and allocate result regions); without it the shared
-// result is returned directly and the caller must treat it — AS included —
-// as read-only.
-func (a *engineArtifact) result(cloneAS bool) *engine.Result {
-	if !cloneAS {
-		return a.res
-	}
-	a.mu.Lock()
-	as := a.res.AS.Clone()
-	a.mu.Unlock()
-	cp := *a.res
-	cp.AS = as
-	return &cp
-}
-
 // engineRun executes (or fetches from the warm cache) one query through
-// the engine. The key is the rendered PlanSpec — value-typed, fully
-// derived from the query spec and scale, and the complete input set of
-// engine.Run.
-func (c Config) engineRun(q workloads.QuerySpec, cloneAS bool) (*engine.Result, error) {
-	res, _, err := c.engineRunKeyed(q, cloneAS)
-	return res, err
-}
-
-// engineRunKeyed is engineRun returning the artifact's cache key alongside
-// the result ("" when caching is off), for phase-level warm-state
-// checkpoints to chain on.
-func (c Config) engineRunKeyed(q workloads.QuerySpec, cloneAS bool) (*engine.Result, string, error) {
+// the engine, returning the result and its cache key ("" when caching is
+// off) for phase-level warm-state checkpoints to chain on. The key is the
+// rendered PlanSpec — value-typed, fully derived from the query spec and
+// scale, and the complete input set of engine.Run. With cloneAS the result
+// carries the address space of image.space (for consumers that replay the
+// index phase and allocate result regions); without it the shared result
+// is returned and the caller must treat it — AS included — as read-only.
+func (c Config) engineRun(q workloads.QuerySpec, cloneAS bool) (*engine.Result, string, error) {
 	spec := engine.FromWorkload(q, c.Scale)
-	if c.WarmCache == nil {
-		res, err := engine.Run(spec)
-		return res, "", err
-	}
 	key := warmKey(warmstate.NewFingerprint("engine").
 		Field("spec", fmt.Sprintf("%+v", spec)))
-	art, err := warmstate.Get(c.WarmCache, key, func() (*engineArtifact, error) {
+	im, err := buildImage(c, key, func() (*vm.AddressSpace, *engine.Result, error) {
 		res, err := engine.Run(spec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return &engineArtifact{res: res}, nil
-	}, func(a *engineArtifact) uint64 { return a.res.AS.ContentHash() })
+		return res.AS, res, nil
+	})
 	if err != nil {
 		return nil, "", err
 	}
-	return art.result(cloneAS), key, nil
-}
-
-// cmpWorkloadArtifact is one memoized partitioned CMP workload: the
-// master image plus the per-agent partitions (tables, key columns,
-// program bundles, traces), all read-only after build.
-type cmpWorkloadArtifact struct {
-	mu        sync.Mutex
-	as        *vm.AddressSpace
-	workloads []cmpAgentWorkload
+	if !cloneAS {
+		return im.data, im.key, nil
+	}
+	res := *im.data
+	res.AS = im.space()
+	return &res, im.key, nil
 }
 
 // cmpWorkload builds (or fetches) the partitioned workload for one CMP
 // run and returns the address space the run should use, the per-agent
 // partitions, and the workload's cache key ("" when caching is off) for
 // the warm-state keys to chain on. Each RunCMP invocation receives one
-// private clone — solo runs and the co-run share it sequentially, exactly
+// address space — solo runs and the co-run share it sequentially, exactly
 // like the historical single-image path.
 func (c Config) cmpWorkload(size join.SizeClass, specs []CMPAgentSpec, structure structures.Kind) (*vm.AddressSpace, []cmpAgentWorkload, string, error) {
-	if c.WarmCache == nil {
-		as, ws, err := c.buildCMPWorkload(size, specs, structure)
-		return as, ws, "", err
-	}
 	// The derived stream lengths plus the structure and the spec strings
 	// (which name the partition regions and select bundle vs. traces per
 	// agent) fully determine the image; scale and sample enter through the
 	// lengths.
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.String()
-	}
 	f := warmstate.NewFingerprint("cmpwork").
 		Field("structure", structure).
 		Field("tuples", size.Tuples(c.Scale)).
 		Field("peragent", c.sampleCount(4*size.Tuples(c.Scale)))
-	for i, n := range names {
-		f.Field(fmt.Sprintf("agent%d", i), n)
+	for i, s := range specs {
+		f.Field(fmt.Sprintf("agent%d", i), s.String())
 	}
-	key := warmKey(f)
-	art, err := warmstate.Get(c.WarmCache, key, func() (*cmpWorkloadArtifact, error) {
-		as, ws, err := c.buildCMPWorkload(size, specs, structure)
-		if err != nil {
-			return nil, err
-		}
-		return &cmpWorkloadArtifact{as: as, workloads: ws}, nil
-	}, func(a *cmpWorkloadArtifact) uint64 { return a.as.ContentHash() })
+	im, err := buildImage(c, warmKey(f), func() (*vm.AddressSpace, []cmpAgentWorkload, error) {
+		return c.buildCMPWorkload(size, specs, structure)
+	})
 	if err != nil {
 		return nil, nil, "", err
 	}
-	art.mu.Lock()
-	clone := art.as.Clone()
-	art.mu.Unlock()
-	return clone, art.workloads, key, nil
+	return im.space(), im.data, im.key, nil
 }
 
 // warmSpecField renders the warm-affecting slice of an agent spec: the

@@ -11,7 +11,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"widx/internal/cores"
 	"widx/internal/sampling"
@@ -117,55 +116,28 @@ func (c Config) zooBuildConfig(k structures.Kind, span int) structures.BuildConf
 	}
 }
 
-// zooArtifact is one memoized structure build: the master address-space
-// image and the instance (which is immutable and clone-independent — its
-// addresses are identical in every copy-on-write clone of the master).
-type zooArtifact struct {
-	mu   sync.Mutex
-	as   *vm.AddressSpace
-	inst structures.Instance
-}
-
 // zooPhase builds (or fetches from the warm cache) one structure workload
-// and returns a private copy-on-write clone of its image plus the shared
-// instance. The key names every build input; program options are absent
-// deliberately — they change the generated code, never the image or the
-// reference.
-// The cache key ("" when caching is off) is also returned, for phase-level
-// warm-state checkpoints to chain on.
+// and returns the address space the phase runs on, the instance (immutable
+// and clone-independent — its addresses are identical in every
+// copy-on-write clone of the image) and the image's cache key. The key
+// names every build input; program options are absent deliberately — they
+// change the generated code, never the image or the reference.
 func (c Config) zooPhase(cfg structures.BuildConfig) (*vm.AddressSpace, structures.Instance, string, error) {
-	build := func() (*zooArtifact, error) {
-		as := vm.New()
-		inst, err := structures.Build(as, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &zooArtifact{as: as, inst: inst}, nil
-	}
-	if c.WarmCache == nil {
-		art, err := build()
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return art.as, art.inst, "", nil
-	}
 	key := warmKey(warmstate.NewFingerprint("zoo").
 		Field("structure", cfg.Kind).
 		Field("keys", cfg.Keys).
 		Field("probes", cfg.Probes).
 		Field("span", cfg.Span).
 		Field("seed", cfg.Seed))
-	art, err := warmstate.Get(c.WarmCache, key, build,
-		func(a *zooArtifact) uint64 { return a.as.ContentHash() })
+	im, err := buildImage(c, key, func() (*vm.AddressSpace, structures.Instance, error) {
+		as := vm.New()
+		inst, err := structures.Build(as, cfg)
+		return as, inst, err
+	})
 	if err != nil {
 		return nil, nil, "", err
 	}
-	// Clone under the artifact's lock: vm.AddressSpace.Clone mutates the
-	// parent's sharing bookkeeping.
-	art.mu.Lock()
-	as := art.as.Clone()
-	art.mu.Unlock()
-	return as, art.inst, key, nil
+	return im.space(), im.data, im.key, nil
 }
 
 // RunZoo runs the cross-structure study. Structures fan out across workers
