@@ -231,9 +231,9 @@ func coreAgent(hier *mem.Hierarchy, cfg cores.Config, traces []hashidx.ProbeTrac
 	}}, nil
 }
 
-// finish collects one finished detailed span: its cycles, memory activity
-// and matches (nil for host cores), folding a measured span into the
-// agent's aggregates.
+// finish collects one finished detailed span: its cycles and matches (nil
+// for host cores), folding a measured span into the agent's aggregate
+// result and window observations.
 func (a *spanAgent) finish(e system.Agent, sp sampling.Span) (uint64, []uint64, error) {
 	var cycles uint64
 	var st mem.Stats

@@ -14,6 +14,8 @@ import (
 // reflection — uint64 counters, uint64 and struct slices, nested structs —
 // so a field added to a result type is filled without touching this test,
 // and a field of a kind the accumulators cannot know how to sum fails it.
+// Slices are never empty: mem.Stats.Add turns an empty histogram into nil,
+// a shape the engines' results (built by Stats.Sub) never carry.
 func fillSentinels(t *testing.T, v reflect.Value, path string, next *uint64) {
 	t.Helper()
 	switch v.Kind() {
