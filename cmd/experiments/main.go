@@ -68,42 +68,13 @@ import (
 	"widx/internal/warmstate"
 )
 
-// kvFlag collects repeatable -set k=v flags.
-type kvFlag map[string]string
-
-func (f kvFlag) String() string { return fmt.Sprint(map[string]string(f)) }
-
-func (f kvFlag) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	k = strings.TrimSpace(k)
-	if !ok || k == "" {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	f[k] = v
-	return nil
-}
-
-// axisFlag collects repeatable -sweep key=v1,v2,... flags.
-type axisFlag []exp.Axis
-
-func (f *axisFlag) String() string { return fmt.Sprint([]exp.Axis(*f)) }
-
-func (f *axisFlag) Set(s string) error {
-	ax, err := exp.ParseAxis(s)
-	if err != nil {
-		return err
-	}
-	*f = append(*f, ax)
-	return nil
-}
-
 func main() {
 	list := flag.Bool("list", false, "list the registered experiments and exit")
 	describe := flag.String("describe", "", "print the catalog entry for one experiment (or \"all\") and exit")
 	run := flag.String("run", "all", "experiment to run: all, a registered name, or a historical alias (fig2..fig11, fig5sim)")
-	set := kvFlag{}
+	set := exp.KVFlag{}
 	flag.Var(set, "set", "override one experiment parameter as key=value (repeatable)")
-	var axes axisFlag
+	var axes exp.AxisFlag
 	flag.Var(&axes, "sweep", "sweep one parameter axis as key=v1,v2,... (repeatable; axes form a grid)")
 	jsonOut := flag.Bool("json", false, "print the run manifest (resolved config + params + results) as JSON instead of the text report")
 	outDir := flag.String("out", "", "also write <name>.txt and <name>.json per run into this directory")

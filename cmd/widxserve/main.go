@@ -52,35 +52,6 @@ import (
 	"widx/internal/serve"
 )
 
-// kvFlag collects repeatable -set k=v flags (the cmd/experiments syntax).
-type kvFlag map[string]string
-
-func (f kvFlag) String() string { return fmt.Sprint(map[string]string(f)) }
-
-func (f kvFlag) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	k = strings.TrimSpace(k)
-	if !ok || k == "" {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	f[k] = v
-	return nil
-}
-
-// axisFlag collects repeatable -sweep key=v1,v2,... flags.
-type axisFlag []exp.Axis
-
-func (f *axisFlag) String() string { return fmt.Sprint([]exp.Axis(*f)) }
-
-func (f *axisFlag) Set(s string) error {
-	ax, err := exp.ParseAxis(s)
-	if err != nil {
-		return err
-	}
-	*f = append(*f, ax)
-	return nil
-}
-
 func main() {
 	// Daemon flags.
 	listen := flag.String("listen", "", "serve the HTTP API on this address (daemon mode)")
@@ -93,9 +64,9 @@ func main() {
 	// Client flags.
 	addr := flag.String("addr", "", "widxserve base URL to talk to (client mode)")
 	run := flag.String("run", "", "submit one experiment (or sweep, with -sweep) and wait for its report")
-	set := kvFlag{}
+	set := exp.KVFlag{}
 	flag.Var(set, "set", "override one experiment parameter as key=value (repeatable)")
-	var axes axisFlag
+	var axes exp.AxisFlag
 	flag.Var(&axes, "sweep", "sweep one parameter axis as key=v1,v2,... (repeatable; axes form a grid)")
 	jsonOut := flag.Bool("json", false, "print the run manifest instead of the text report")
 	scale := flag.Float64("scale", 0, "workload scale (0 = server default, which matches the CLI default)")

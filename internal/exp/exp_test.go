@@ -162,6 +162,39 @@ func TestParseAxis(t *testing.T) {
 	}
 }
 
+func TestKVFlag(t *testing.T) {
+	f := KVFlag{}
+	for _, s := range []string{"agents=1xooo+2xwidx:4w", "size=Small"} {
+		if err := f.Set(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f["agents"] != "1xooo+2xwidx:4w" || f["size"] != "Small" {
+		t.Fatalf("KVFlag = %v", f)
+	}
+	for _, bad := range []string{"", "noequals", "=v"} {
+		if err := (KVFlag{}).Set(bad); err == nil {
+			t.Errorf("-set %q should be rejected", bad)
+		}
+	}
+}
+
+func TestAxisFlag(t *testing.T) {
+	var f AxisFlag
+	if err := f.Set("agents=a,b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Set("queue-depth=2,4,8"); err != nil {
+		t.Fatal(err)
+	}
+	if len(f) != 2 || f[0].Key != "agents" || len(f[1].Values) != 3 {
+		t.Fatalf("AxisFlag = %+v", f)
+	}
+	if err := f.Set("bad"); err == nil {
+		t.Error("-sweep without values should be rejected")
+	}
+}
+
 // fakeResult is a deterministic Result for sweep-machinery tests.
 type fakeResult string
 

@@ -106,16 +106,12 @@ func Run(e Experiment, cfg sim.Config, set map[string]string) (*RunOutput, error
 	return &RunOutput{Experiment: e, Params: p, Config: runCfg, Result: res}, nil
 }
 
-// WriteOutput writes data to path, with "-" meaning stdout, ensuring a
-// trailing newline. It is the one sink for every serialized artifact the
-// commands emit (manifests, text reports, widxsim breakdown dumps).
+// WriteOutput writes data to path, ensuring a trailing newline. It is the
+// one sink for every serialized artifact the commands emit (manifests and
+// text reports).
 func WriteOutput(path string, data []byte) error {
 	if len(data) > 0 && data[len(data)-1] != '\n' {
 		data = append(data, '\n')
-	}
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
 	}
 	return os.WriteFile(path, data, 0o644)
 }

@@ -34,6 +34,38 @@ func ParseAxis(s string) (Axis, error) {
 	return ax, nil
 }
 
+// KVFlag collects the repeatable -set key=value flags of the commands.
+type KVFlag map[string]string
+
+func (f KVFlag) String() string { return fmt.Sprint(map[string]string(f)) }
+
+// Set adds one key=value override.
+func (f KVFlag) Set(s string) error {
+	k, v, ok := strings.Cut(s, "=")
+	k = strings.TrimSpace(k)
+	if !ok || k == "" {
+		return fmt.Errorf("want key=value, got %q", s)
+	}
+	f[k] = v
+	return nil
+}
+
+// AxisFlag collects the repeatable -sweep key=v1,v2,... flags of the
+// commands.
+type AxisFlag []Axis
+
+func (f *AxisFlag) String() string { return fmt.Sprint([]Axis(*f)) }
+
+// Set adds one axis in ParseAxis grammar.
+func (f *AxisFlag) Set(s string) error {
+	ax, err := ParseAxis(s)
+	if err != nil {
+		return err
+	}
+	*f = append(*f, ax)
+	return nil
+}
+
 // SweepRun is one grid point of a sweep: the full resolved parameter set of
 // the point and its result.
 type SweepRun struct {

@@ -96,6 +96,12 @@ func (s CMPAgentSpec) String() string {
 	return out
 }
 
+// maxAgents bounds the total agent count of one specification. It sits far
+// above the largest mix the experiments run (eight agents), and it keeps a
+// replication prefix such as "1000000000xooo" — from the command line or a
+// served request — from allocating specs before anything else is checked.
+const maxAgents = 256
+
 // ParseAgents parses a CMP agent specification such as
 // "4xooo+4xwidx:4w:mshrs=5:ways=4": "+"-separated groups, each an optional
 // "Nx" replication prefix, a kind (widx, ooo, inorder), and ":"-separated
@@ -113,18 +119,20 @@ func ParseAgents(spec string) ([]CMPAgentSpec, error) {
 		if group == "" {
 			return nil, fmt.Errorf("sim: empty agent group in %q", spec)
 		}
-		count := 1
+		count, body := 1, group
 		if i := strings.Index(group, "x"); i > 0 {
 			if n, err := strconv.Atoi(group[:i]); err == nil {
 				if n <= 0 {
 					return nil, fmt.Errorf("sim: non-positive agent count in %q", group)
 				}
-				count = n
-				group = group[i+1:]
+				count, body = n, group[i+1:]
 			}
 		}
+		if count > maxAgents-len(out) {
+			return nil, fmt.Errorf("sim: agent group %q brings the total above %d agents", group, maxAgents)
+		}
 		one := CMPAgentSpec{}
-		kind, rest, _ := strings.Cut(group, ":")
+		kind, rest, _ := strings.Cut(body, ":")
 		switch strings.ToLower(kind) {
 		case "widx":
 			one.Kind = AgentWidx

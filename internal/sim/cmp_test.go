@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -51,6 +53,19 @@ func TestParseAgents(t *testing.T) {
 			t.Fatalf("spec %q should not parse", bad)
 		}
 	}
+	// The total agent count is bounded before any spec is allocated, and
+	// the error names the group that crossed the bound.
+	if s, err := ParseAgents(fmt.Sprintf("%dxooo", maxAgents)); err != nil || len(s) != maxAgents {
+		t.Fatalf("%d agents should parse: %d %v", maxAgents, len(s), err)
+	}
+	for _, spec := range []string{fmt.Sprintf("%dxooo", maxAgents+1),
+		fmt.Sprintf("widx:2w+%dxinorder", maxAgents), "1000000000xooo", "9223372036854775807xwidx:4w"} {
+		_, err := ParseAgents(spec)
+		group := spec[strings.LastIndex(spec, "+")+1:]
+		if err == nil || !strings.Contains(err.Error(), group) {
+			t.Fatalf("spec %q: want an error naming %q, got %v", spec, group, err)
+		}
+	}
 	if got := (CMPAgentSpec{Kind: AgentWidx}).String(); got != "widx:4w" {
 		t.Fatalf("default widx spec renders %q", got)
 	}
@@ -78,6 +93,30 @@ func TestParseAgents(t *testing.T) {
 	if err != nil || len(back) != 1 || back[0] != het[1] {
 		t.Fatalf("spec round trip failed: %+v %v", back, err)
 	}
+}
+
+// FuzzParseAgents checks the -agents grammar on arbitrary input: it either
+// fails cleanly or yields specs whose rendered form parses back to the same
+// specs. Its seed corpus is testdata/fuzz/FuzzParseAgents.
+func FuzzParseAgents(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		specs, err := ParseAgents(spec)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(specs))
+		for i, s := range specs {
+			parts[i] = s.String()
+		}
+		rendered := strings.Join(parts, "+")
+		back, err := ParseAgents(rendered)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", spec, rendered, err)
+		}
+		if !reflect.DeepEqual(back, specs) {
+			t.Fatalf("%q renders as %q, which parses to %+v, want %+v", spec, rendered, back, specs)
+		}
+	})
 }
 
 // TestCMPContentionMeasurable is the acceptance experiment: four co-running

@@ -21,9 +21,9 @@ type KernelPoint struct {
 	// Speedup is the Figure 8b speedup over the out-of-order baseline.
 	Speedup float64
 	// Raw is the offload's timing detail (per-walker breakdowns, queue
-	// stalls, memory stats with the MSHR-occupancy histogram) for offline
-	// analysis such as cmd/widxsim's -breakdown-json dump. Its Matches
-	// slice is dropped to avoid retaining per-match payloads.
+	// stalls, memory stats with the MSHR-occupancy histogram), carried in
+	// the -json manifest for offline analysis. Its Matches slice is
+	// dropped to avoid retaining per-match payloads.
 	Raw *widx.OffloadResult
 }
 

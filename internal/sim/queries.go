@@ -27,8 +27,7 @@ type QueryResult struct {
 	WidxCyclesPerTuple map[int]float64
 	WidxBreakdown      map[int]Breakdown
 	// WidxRaw keeps the offload timing detail per walker count for offline
-	// analysis (cmd/widxsim's -breakdown-json dump); match payloads are
-	// stripped.
+	// analysis of the -json manifest; match payloads are stripped.
 	WidxRaw map[int]*widx.OffloadResult
 
 	// Speedups over the OoO baseline (Figure 10).

@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 
 	"widx/internal/model"
-	"widx/internal/widx"
 )
 
 // This file is the machine-readable side of the report pair: every result
-// type's JSON() method feeds the exp registry's per-run manifest, and
-// cmd/widxsim's -breakdown-json dump reuses the same encoding. All encodings
-// go through encodeJSON so indentation and key ordering (Go's deterministic
-// struct-order / sorted-map-key marshaling) are uniform everywhere.
+// type's JSON() method feeds the exp registry's per-run manifest. All
+// encodings go through encodeJSON so indentation and key ordering (Go's
+// deterministic struct-order / sorted-map-key marshaling) are uniform
+// everywhere.
 
 // encodeJSON is the one JSON encoding every experiment result uses.
 func encodeJSON(v any) ([]byte, error) {
@@ -70,68 +69,3 @@ func (m ModelFigures) JSON() ([]byte, error) {
 	}
 	return encodeJSON(payload)
 }
-
-// OffloadDump is the widxsim -breakdown-json schema: one entry per Widx
-// design point carrying what the text report aggregates away — each walker's
-// cycle breakdown and the memory system's time-weighted MSHR-occupancy
-// histogram.
-type OffloadDump struct {
-	Workload string             `json:"workload"`
-	Points   []OffloadDumpPoint `json:"points"`
-}
-
-// OffloadDumpPoint is one Widx design point of an OffloadDump.
-type OffloadDumpPoint struct {
-	Walkers        int     `json:"walkers"`
-	Mode           string  `json:"mode"`
-	Tuples         uint64  `json:"tuples"`
-	TotalCycles    uint64  `json:"total_cycles"`
-	CyclesPerTuple float64 `json:"cycles_per_tuple"`
-	// PerWalker[i] is walker i's aggregate cycle breakdown.
-	PerWalker []OffloadDumpBreakdown `json:"per_walker"`
-	// Dispatcher/producer activity (cycles).
-	DispatcherBusy  uint64 `json:"dispatcher_busy"`
-	DispatcherStall uint64 `json:"dispatcher_stall"`
-	ProducerBusy    uint64 `json:"producer_busy"`
-	// MSHROccupancyCycles[k] is the number of cycles exactly k L1 MSHRs
-	// were live; MSHRSaturated is the share of cycles at the full budget.
-	MSHROccupancyCycles []uint64 `json:"mshr_occupancy_cycles"`
-	MSHRSaturated       float64  `json:"mshr_saturated_share"`
-	PortStallCycles     uint64   `json:"port_stall_cycles"`
-	MSHRStallCycles     uint64   `json:"mshr_stall_cycles"`
-}
-
-// OffloadDumpBreakdown is one walker's aggregate cycle breakdown.
-type OffloadDumpBreakdown struct {
-	Comp uint64 `json:"comp"`
-	Mem  uint64 `json:"mem"`
-	TLB  uint64 `json:"tlb"`
-	Idle uint64 `json:"idle"`
-}
-
-// NewOffloadDumpPoint distills one offload result into a dump point.
-func NewOffloadDumpPoint(walkers int, mode widx.HashingMode, r *widx.OffloadResult) OffloadDumpPoint {
-	p := OffloadDumpPoint{
-		Walkers:             walkers,
-		Mode:                mode.String(),
-		Tuples:              r.Tuples,
-		TotalCycles:         r.TotalCycles,
-		CyclesPerTuple:      r.CyclesPerTuple(),
-		DispatcherBusy:      r.DispatcherBusy,
-		DispatcherStall:     r.DispatcherStall,
-		ProducerBusy:        r.ProducerBusy,
-		MSHROccupancyCycles: r.MemStats.MSHROccupancy,
-		PortStallCycles:     r.MemStats.PortStallCycles,
-		MSHRStallCycles:     r.MemStats.MSHRStallCycles,
-	}
-	if n := len(r.MemStats.MSHROccupancy); n > 0 {
-		p.MSHRSaturated = r.MemStats.MSHRSaturationShare(n - 1)
-	}
-	for _, w := range r.Walkers {
-		p.PerWalker = append(p.PerWalker, OffloadDumpBreakdown{Comp: w.Comp, Mem: w.Mem, TLB: w.TLB, Idle: w.Idle})
-	}
-	return p
-}
-
-// JSON encodes the dump.
-func (d *OffloadDump) JSON() ([]byte, error) { return encodeJSON(d) }

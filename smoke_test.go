@@ -11,8 +11,7 @@ import (
 
 // TestHarnessSmoke runs one small kernel experiment end to end so that the
 // top-level harness (workload build, baseline core, Widx offload, report
-// rendering) is exercised by a plain `go test ./...`, not only by the
-// benchmarks in bench_test.go.
+// rendering) is exercised by a plain `go test ./...`.
 func TestHarnessSmoke(t *testing.T) {
 	cfg := sim.QuickConfig()
 	cfg.Parallelism = runtime.NumCPU()
