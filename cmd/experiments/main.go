@@ -185,23 +185,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (see -list)\n", *run)
 		os.Exit(2)
 	}
-	var out *exp.RunOutput
-	var err error
-	if len(axes) > 0 {
-		if *samplingVerify {
-			fail(fmt.Errorf("-sampling-verify verifies a single run; drop -sweep"))
-		}
-		out, err = exp.RunSweep(e, cfg, set, axes)
-	} else {
-		out, err = exp.Run(e, cfg, set)
+	if *samplingVerify && len(axes) > 0 {
+		fail(fmt.Errorf("-sampling-verify verifies a single run; drop -sweep"))
 	}
+	out, err := exp.RunSweep(e, cfg, set, axes)
 	if err != nil {
 		fail(err)
 	}
 	if err := emit(out, *jsonOut, *outDir); err != nil {
 		fail(err)
 	}
-	if *samplingVerify && len(axes) == 0 {
+	if *samplingVerify {
 		if err := exp.VerifySampled(e, cfg, set, out.Result); err != nil {
 			fail(err)
 		}

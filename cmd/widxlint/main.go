@@ -6,17 +6,11 @@
 // manifest schema (declared parameters are read, read parameters are
 // declared).
 //
-// Standalone (the CI gate):
+// Usage (CI's lint job runs the first form):
 //
 //	go run ./cmd/widxlint ./...
 //	go run ./cmd/widxlint -tests=false ./...          # skip _test.go variants
 //	go run ./cmd/widxlint -detmap ./internal/exp/...  # one analyzer only
-//
-// As a go vet tool (the local workflow — vet caches clean packages, so
-// incremental runs are fast):
-//
-//	go build -o "$(go env GOPATH)/bin/widxlint" ./cmd/widxlint
-//	go vet -vettool=$(which widxlint) ./...
 //
 // Exit status is nonzero iff any diagnostic was reported. Suppress a
 // false positive with `//widxlint:ignore <analyzer> <reason>` on the
@@ -30,23 +24,10 @@ import (
 	"strings"
 
 	"widx/internal/lint"
-	"widx/internal/lint/unitchecker"
 )
 
 func main() {
 	analyzers := lint.Analyzers()
-
-	// cmd/go's vet-tool protocol: -V=full, -flags, or a single *.cfg
-	// positional argument.
-	args := os.Args[1:]
-	if len(args) > 0 {
-		last := args[len(args)-1]
-		if args[0] == "-V=full" || args[0] == "-flags" || strings.HasSuffix(last, ".cfg") {
-			unitchecker.Main("widxlint", args, analyzers)
-			return // unreachable; Main exits
-		}
-	}
-
 	fs := flag.NewFlagSet("widxlint", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: widxlint [flags] packages...\n\nanalyzers:\n")
@@ -58,8 +39,8 @@ func main() {
 		fs.PrintDefaults()
 	}
 	tests := fs.Bool("tests", true, "also analyze _test.go files (test package variants)")
-	enabled := unitchecker.RegisterFlags(fs, analyzers)
-	if err := fs.Parse(args); err != nil {
+	enabled := lint.RegisterFlags(fs, analyzers)
+	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(1)
 	}
 	patterns := fs.Args()
@@ -68,7 +49,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	findings, err := lint.Run(".", *tests, unitchecker.Enabled(analyzers, enabled), patterns...)
+	findings, err := lint.Run(".", *tests, lint.Enabled(analyzers, enabled), patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "widxlint:", err)
 		os.Exit(1)

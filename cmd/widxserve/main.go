@@ -7,9 +7,10 @@
 // content-addressed result store (-store), so resubmitting a sweep — or
 // any sweep sharing points with an earlier one — is served from disk
 // with zero re-simulations. With -workers the daemon is a coordinator:
-// it simulates nothing itself, stripes each sweep grid round-robin
-// across the listed worker daemons, and merges their index-tagged
-// results into a report byte-identical to a single-process run.
+// it simulates nothing itself, stripes each grid round-robin across the
+// listed worker daemons (a single run is a one-point grid), and merges
+// their index-tagged results into a report byte-identical to a
+// single-process run.
 //
 //	widxserve -listen :8091 -store /var/tmp/widx-results
 //	widxserve -listen :8090 -workers http://h1:8091,http://h2:8091

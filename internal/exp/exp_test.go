@@ -2,6 +2,8 @@ package exp
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -274,8 +276,45 @@ func TestSweepGrid(t *testing.T) {
 	}); err == nil {
 		t.Fatal("duplicate axis accepted")
 	}
-	if _, err := RunSweep(e, quickConfig(), nil, nil); err == nil {
-		t.Fatal("empty sweep accepted")
+
+	// No axes plan a one-point grid whose output is the single-run form:
+	// the full resolved params, no sweep block, the point's own result.
+	out, err := RunSweep(e, quickConfig(), map[string]string{"a": "7"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Axes != nil || out.Params["a"] != "7" || out.Params["b"] != "0" || out.Text() != fakeResult("7/0").Text() {
+		t.Fatalf("one-point grid output = axes %v params %v text %q, want the single run a=7", out.Axes, out.Params, out.Text())
+	}
+
+	// The grid bound: 16x16x16 = 4096 points plan, 16x16x17 are rejected
+	// before the grid is expanded.
+	grid := func(sizes ...int) []Axis {
+		var axes []Axis
+		for i, key := range []string{"mshrs", "fill-buffers", "queue-depth"} {
+			ax := Axis{Key: key}
+			for v := 1; v <= sizes[i]; v++ {
+				ax.Values = append(ax.Values, fmt.Sprint(v))
+			}
+			axes = append(axes, ax)
+		}
+		return axes
+	}
+	if pl, err := PlanSweep(e, quickConfig(), nil, grid(16, 16, 16)); err != nil || len(pl.Points) != maxGridPoints {
+		t.Fatalf("4096-point grid: %v", err)
+	}
+	if _, err := PlanSweep(e, quickConfig(), nil, grid(16, 16, 17)); err == nil || !strings.Contains(err.Error(), "4352 points") {
+		t.Fatalf("4352-point grid: %v, want a bound error naming its size", err)
+	}
+}
+
+// A failing single run reports "exp: <name>: ..." with no empty axis label.
+func TestRunErrorForm(t *testing.T) {
+	e := NewExperiment("failing", "always fails", nil, func(cfg sim.Config, p Params) (Result, error) {
+		return nil, errors.New("boom")
+	})
+	if _, err := Run(e, quickConfig(), nil); err == nil || err.Error() != "exp: failing: boom" {
+		t.Fatalf("single-run error = %v, want \"exp: failing: boom\"", err)
 	}
 }
 

@@ -58,7 +58,7 @@ type RunOutput struct {
 	// config parameters were applied (for sweeps: the base set's knobs —
 	// swept config values vary per point and live in each run's params).
 	Config sim.Config
-	// Axes is non-nil for sweep runs.
+	// Axes are the sweep axes; empty for a single run (a one-point grid).
 	Axes []Axis
 	// Result is the run's result; for sweeps a *SweepResult.
 	Result Result
@@ -87,23 +87,11 @@ func (o *RunOutput) Manifest() (*Manifest, error) {
 	return m, nil
 }
 
-// Run resolves the parameter overrides, applies the common config
-// parameters, executes the experiment and returns the result with its
-// manifest inputs.
+// Run executes the experiment once at the resolved overrides: a sweep
+// with no axes, so a single run takes the same plan, run and output path
+// as every grid.
 func Run(e Experiment, cfg sim.Config, set map[string]string) (*RunOutput, error) {
-	p, err := Resolve(e, set)
-	if err != nil {
-		return nil, err
-	}
-	runCfg, err := ApplyConfig(cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.Run(runCfg, p)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", e.Name(), err)
-	}
-	return &RunOutput{Experiment: e, Params: p, Config: runCfg, Result: res}, nil
+	return RunSweep(e, cfg, set, nil)
 }
 
 // WriteOutput writes data to path, ensuring a trailing newline. It is the

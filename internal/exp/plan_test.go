@@ -2,7 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
+	"strings"
 	"testing"
 
 	"widx/internal/sim"
@@ -146,4 +148,67 @@ func TestPlanRunOnPoint(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("onPoint saw %v, want %v", got, want)
 	}
+}
+
+// FuzzPlan checks the -set/-sweep boundary on arbitrary flags: newline-
+// separated -set pairs parsed by KVFlag.Set and axes parsed by
+// AxisFlag.Set, planned over a small experiment. Planning either fails
+// cleanly or yields a grid of exactly the product of the axis lengths (1
+// with no axes), within the bound, whose every point is the base params
+// with exactly its own axis values. Its seed corpus is
+// testdata/fuzz/FuzzPlan.
+func FuzzPlan(f *testing.F) {
+	e := NewExperiment("fuzzgrid", "fuzz grid", []ParamSpec{
+		{Key: "a", Default: "0"}, {Key: "b", Default: "0"},
+	}, func(cfg sim.Config, p Params) (Result, error) {
+		return fakeResult(p.String("a") + "/" + p.String("b")), nil
+	})
+	f.Fuzz(func(t *testing.T, sets, sweeps string) {
+		set := KVFlag{}
+		for _, s := range strings.Split(sets, "\n") {
+			if s != "" && set.Set(s) != nil {
+				return
+			}
+		}
+		var axes AxisFlag
+		for _, s := range strings.Split(sweeps, "\n") {
+			if s != "" && axes.Set(s) != nil {
+				return
+			}
+		}
+		pl, err := PlanSweep(e, quickConfig(), set, axes)
+		if err != nil {
+			return
+		}
+		n := 1
+		for _, ax := range axes {
+			if n *= len(ax.Values); n > maxGridPoints {
+				t.Fatalf("planned grid %v is above the %d-point bound", axes, maxGridPoints)
+			}
+		}
+		if len(pl.Points) != n {
+			t.Fatalf("grid %v has %d points, want %d", axes, len(pl.Points), n)
+		}
+		// Walk the grid as an odometer, last axis fastest: every point is
+		// the resolved base with exactly its own axis values.
+		want, err := Resolve(e, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digits := make([]int, len(axes))
+		for i, p := range pl.Points {
+			for a, ax := range axes {
+				want[ax.Key] = ax.Values[digits[a]]
+			}
+			if !maps.Equal(p, want) {
+				t.Fatalf("grid %v point %d = %v, want %v", axes, i, p, want)
+			}
+			for a := len(axes) - 1; a >= 0; a-- {
+				if digits[a]++; digits[a] < len(axes[a].Values) {
+					break
+				}
+				digits[a] = 0
+			}
+		}
+	})
 }

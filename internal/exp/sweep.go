@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"sort"
 	"strings"
 
@@ -151,13 +152,17 @@ type SweepPlan struct {
 	Points []Params
 }
 
+// maxGridPoints bounds the points of one sweep grid. PlanSweep allocates
+// every point up front and the sweep service plans untrusted requests, so
+// without a bound a few axes of a few hundred values each exhaust memory
+// in one submission. The largest grid the repo runs has 12 points.
+const maxGridPoints = 4096
+
 // PlanSweep validates a sweep request and expands the grid without running
-// anything. RunSweep is PlanSweep + Run + Output; shard executors call the
-// pieces directly to run an index subset.
+// anything. No axes plan a one-point grid: a single run. RunSweep is
+// PlanSweep + Run + Output; shard executors call the pieces directly to run
+// an index subset.
 func PlanSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis) (*SweepPlan, error) {
-	if len(axes) == 0 {
-		return nil, fmt.Errorf("exp: sweep over %s needs at least one axis", e.Name())
-	}
 	base, err := Resolve(e, set)
 	if err != nil {
 		return nil, err
@@ -169,7 +174,7 @@ func PlanSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis)
 	if err != nil {
 		return nil, err
 	}
-	n := 1
+	size := big.NewInt(1) // the product cannot overflow before the bound check
 	seen := map[string]bool{}
 	for _, ax := range axes {
 		if _, known := base[ax.Key]; !known {
@@ -188,8 +193,12 @@ func PlanSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis)
 		if len(ax.Values) == 0 {
 			return nil, fmt.Errorf("exp: sweep axis %q has no values", ax.Key)
 		}
-		n *= len(ax.Values)
+		size.Mul(size, big.NewInt(int64(len(ax.Values))))
 	}
+	if size.Cmp(big.NewInt(maxGridPoints)) > 0 {
+		return nil, fmt.Errorf("exp: sweep over %s has %s points, above the limit of %d", e.Name(), size, maxGridPoints)
+	}
+	n := int(size.Int64())
 
 	// Decode every grid point up front: the dispatch planner wants the full
 	// grid to order execution, and each point's parameter set is fixed by
@@ -259,7 +268,11 @@ func (pl *SweepPlan) Run(cfg sim.Config, indices []int, onPoint func(gridIndex i
 		}
 		res, err := pl.Experiment.Run(runCfg, p)
 		if err != nil {
-			return fmt.Errorf("exp: %s [%s]: %w", pl.Experiment.Name(), SweepRun{Params: p}.label(pl.Axes), err)
+			name := pl.Experiment.Name()
+			if len(pl.Axes) > 0 {
+				name += " [" + SweepRun{Params: p}.label(pl.Axes) + "]"
+			}
+			return fmt.Errorf("exp: %s: %w", name, err)
 		}
 		runs[pos] = SweepRun{Params: p, Result: res}
 		if onPoint != nil {
@@ -277,18 +290,23 @@ func (pl *SweepPlan) Run(cfg sim.Config, indices []int, onPoint func(gridIndex i
 // hits and wire-restored RawResults. The output (and the manifest built
 // from it) is byte-identical to a single-process RunSweep of the same
 // request, which is the sharded sweep service's headline correctness
-// property.
+// property. A one-point grid without axes outputs a single run: the full
+// resolved params, no sweep block, and the point's own result.
 func (pl *SweepPlan) Output(results []Result) (*RunOutput, error) {
 	if len(results) != len(pl.Points) {
 		return nil, fmt.Errorf("exp: sweep over %s has %d points, got %d results", pl.Experiment.Name(), len(pl.Points), len(results))
 	}
-	sweep := &SweepResult{Experiment: pl.Experiment.Name(), Axes: pl.Axes, Runs: make([]SweepRun, len(results))}
+	runs := make([]SweepRun, len(results))
 	for i, res := range results {
 		if res == nil {
 			return nil, fmt.Errorf("exp: sweep over %s is missing the result of grid index %d", pl.Experiment.Name(), i)
 		}
-		sweep.Runs[i] = SweepRun{Params: pl.Points[i], Result: res}
+		runs[i] = SweepRun{Params: pl.Points[i], Result: res}
 	}
+	if len(pl.Axes) == 0 {
+		return &RunOutput{Experiment: pl.Experiment, Params: runs[0].Params, Config: pl.BaseConfig, Result: runs[0].Result}, nil
+	}
+	sweep := &SweepResult{Experiment: pl.Experiment.Name(), Axes: pl.Axes, Runs: runs}
 	// The manifest's top-level params drop the swept keys: their base values
 	// never ran, and every grid point records its own full set.
 	baseParams := pl.Base.clone()
@@ -336,7 +354,8 @@ func sweepOrder(e Experiment, cfg sim.Config, axes []Axis, points []Params) []in
 // and executes every point through the sim worker pool: the grid fans out
 // across cfg.Parallelism workers (each point sharing the budget via
 // InnerConfig) and every point writes its result into its own grid index,
-// so the report is byte-identical at any parallelism level.
+// so the report is byte-identical at any parallelism level. No axes run
+// the experiment once, as a one-point grid.
 func RunSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis) (*RunOutput, error) {
 	pl, err := PlanSweep(e, cfg, set, axes)
 	if err != nil {

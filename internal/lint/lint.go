@@ -2,14 +2,16 @@
 // that machine-check the simulator's two load-bearing invariants —
 // byte-identical output at any -parallel (detmap, nondet) and per-agent
 // stats summing to shared totals (statssum) — plus the experiment manifest
-// schema's honesty (paramuse). cmd/widxlint drives the suite standalone
-// (`go run ./cmd/widxlint ./...`) and as a `go vet -vettool`.
+// schema's honesty (paramuse). cmd/widxlint drives the suite
+// (`go run ./cmd/widxlint ./...`).
 package lint
 
 import (
+	"flag"
 	"fmt"
 	"go/token"
 	"sort"
+	"strings"
 
 	"widx/internal/lint/analysis"
 	"widx/internal/lint/detmap"
@@ -40,8 +42,44 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
+// RegisterFlags registers each analyzer's enable flag (-name) and its
+// sub-flags (-name.flag) on fs, returning the enable map.
+func RegisterFlags(fs *flag.FlagSet, analyzers []*analysis.Analyzer) map[string]*bool {
+	enabled := map[string]*bool{}
+	for _, a := range analyzers {
+		doc, _, _ := strings.Cut(a.Doc, "\n")
+		enabled[a.Name] = fs.Bool(a.Name, false, "enable only the "+a.Name+" analyzer: "+doc)
+		prefix := a.Name + "."
+		a.Flags.VisitAll(func(f *flag.Flag) {
+			fs.Var(f.Value, prefix+f.Name, f.Usage)
+		})
+	}
+	return enabled
+}
+
+// Enabled applies vet's enable-flag semantics: if any -name flag is set,
+// only those analyzers run; otherwise all do.
+func Enabled(analyzers []*analysis.Analyzer, enabled map[string]*bool) []*analysis.Analyzer {
+	any := false
+	for _, on := range enabled {
+		if *on {
+			any = true
+		}
+	}
+	if !any {
+		return analyzers
+	}
+	var out []*analysis.Analyzer
+	for _, a := range analyzers {
+		if *enabled[a.Name] {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // Run loads patterns from dir and applies the given analyzers — the
-// standalone driver's whole job.
+// driver's whole job.
 func Run(dir string, includeTests bool, analyzers []*analysis.Analyzer, patterns ...string) ([]Finding, error) {
 	pkgs, err := loader.Load(dir, includeTests, patterns...)
 	if err != nil {

@@ -5,12 +5,12 @@
 // 95% confidence interval.
 //
 // The interval uses the Student-t distribution, not the normal
-// approximation internal/stats uses for its (large-N) latency percentiles:
-// sampled runs typically measure 8-32 windows, and at those sizes the
-// normal z-value understates the interval by 5-30%. The critical values are
-// the standard two-sided 95% table; between tabulated degrees of freedom
-// the next *smaller* entry is used, which only ever widens the interval
-// (conservative in the direction that keeps the coverage guarantee).
+// approximation: sampled runs typically measure 8-32 windows, and at those
+// sizes the normal z-value understates the interval by 5-30%. The critical
+// values are the standard two-sided 95% table; between tabulated degrees
+// of freedom the next *smaller* entry is used, which only ever widens the
+// interval (conservative in the direction that keeps the coverage
+// guarantee).
 //
 // Everything here is a pure function of its inputs — no randomness, no
 // clocks — because window placement is systematic and the estimate must be

@@ -46,13 +46,14 @@ type SubmitRequest struct {
 	// Set holds parameter overrides (the CLI's repeated -set k=v).
 	Set map[string]string `json:"set,omitempty"`
 	// Sweep lists the sweep axes (the CLI's repeated -sweep k=v1,v2,...);
-	// empty means a single run.
+	// empty means a single run, a one-point grid.
 	Sweep []exp.Axis `json:"sweep,omitempty"`
 	// Config carries the harness-level knobs (the CLI's top-level flags).
 	Config ConfigSpec `json:"config,omitempty"`
-	// Indices restricts a sweep to these grid indices — a coordinator
-	// shard. nil runs the whole grid. Index-restricted jobs expose their
-	// results on /points only (there is no full-grid manifest to build).
+	// Indices restricts the grid to these indices — a coordinator shard;
+	// a single run's grid has the one index 0. nil runs the whole grid.
+	// Index-restricted jobs expose their results on /points only (there is
+	// no full-grid manifest to build).
 	Indices []int `json:"indices,omitempty"`
 }
 

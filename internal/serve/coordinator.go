@@ -11,55 +11,15 @@ import (
 )
 
 // This file is coordinator mode: a widxserve started with -workers does
-// not simulate anything itself. Single runs are forwarded to a worker
-// and their artifacts relayed verbatim; sweeps are planned locally, the
-// grid striped round-robin across workers as index-restricted shard
-// jobs, and the index-tagged points merged back through the same
-// exp.SweepPlan — which is why the merged report is byte-identical to a
-// single-process run: both sides expand the identical grid from the
-// request alone, and results travel as byte-preserved RawResults.
+// not simulate anything itself. Every job's grid is planned locally and
+// striped round-robin across workers as index-restricted shard jobs (a
+// single run is a one-point grid: one index on the first worker), and the
+// index-tagged points are merged back through the same exp.SweepPlan —
+// which is why the merged report is byte-identical to a single-process
+// run: both sides expand the identical grid from the request alone, and
+// results travel as byte-preserved RawResults.
 
-// runCoordinated executes a job by delegating to s.opts.Workers.
-func (s *Server) runCoordinated(j *job) error {
-	if len(j.req.Sweep) == 0 {
-		return s.forwardSingle(j)
-	}
-	return s.shardSweep(j)
-}
-
-// forwardSingle relays a one-point job to the first worker.
-func (s *Server) forwardSingle(j *job) error {
-	j.setTotal(1)
-	c := NewClient(s.opts.Workers[0])
-	st, err := c.Submit(j.ctx, j.req)
-	if err != nil {
-		return err
-	}
-	defer s.reapRemote(j, c, st.ID)
-	st, err = c.Watch(j.ctx, st.ID, func(ev Event) {
-		if ev.Type == "point" {
-			j.mirrorPoint(ev)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if st.State != JobDone {
-		return fmt.Errorf("worker job %s on %s: %s: %s", st.ID, s.opts.Workers[0], st.State, st.Error)
-	}
-	manifest, err := c.Manifest(j.ctx, st.ID)
-	if err != nil {
-		return err
-	}
-	text, err := c.Text(j.ctx, st.ID)
-	if err != nil {
-		return err
-	}
-	j.setArtifacts(manifest, text)
-	return nil
-}
-
-// shardSweep splits a sweep grid round-robin across the workers (worker
+// shardSweep splits a job's grid round-robin across the workers (worker
 // w runs grid indices i with i % W == w), waits for every shard, and
 // merges the index-placed results into the full-grid report.
 func (s *Server) shardSweep(j *job) error {

@@ -195,8 +195,11 @@ func TestShardedSweepByteIdenticalToLocal(t *testing.T) {
 	}
 }
 
-// TestCoordinatorForwardsSingleRun: a one-point job through a coordinator
-// relays the worker's artifacts verbatim.
+// TestCoordinatorForwardsSingleRun: a single run through a coordinator is
+// a one-point grid, run as a one-index shard on the first worker and
+// merged through the coordinator's own plan (the worker's artifacts are
+// not relayed); the merged manifest and report are byte-identical to the
+// local run.
 func TestCoordinatorForwardsSingleRun(t *testing.T) {
 	ctx := testCtx(t)
 	_, w1 := startServer(t, serve.Options{StoreDir: t.TempDir()})
@@ -227,6 +230,13 @@ func TestCoordinatorForwardsSingleRun(t *testing.T) {
 	}
 	if !bytes.Equal(manifest, want) {
 		t.Errorf("forwarded manifest differs from the local run")
+	}
+	text, err := coord.Text(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(text) != local.Text() {
+		t.Errorf("forwarded report differs from the local run")
 	}
 }
 
@@ -531,9 +541,28 @@ func TestSubmitValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown sweep axis accepted")
 	}
-	if _, err := w.Submit(ctx, serve.SubmitRequest{Experiment: "cmp", Indices: []int{0}}); err == nil ||
-		!strings.Contains(err.Error(), "indices need a sweep grid") {
-		t.Errorf("indices without sweep: %v", err)
+	// A single run is a one-point grid: index 0 is its only point.
+	if _, err := w.Submit(ctx, serve.SubmitRequest{Experiment: "cmp", Indices: []int{1}}); err == nil ||
+		!strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-range index on a single run: %v", err)
+	}
+	// A grid above the bound (3 axes x 400 values, 6.4e7 points in a
+	// request body under 10 KB) is rejected before it is expanded, and the
+	// daemon keeps serving.
+	var huge []exp.Axis
+	for _, key := range []string{"mshrs", "fill-buffers", "queue-depth"} {
+		ax := exp.Axis{Key: key}
+		for v := 1; v <= 400; v++ {
+			ax.Values = append(ax.Values, fmt.Sprint(v))
+		}
+		huge = append(huge, ax)
+	}
+	if _, err := w.Submit(ctx, serve.SubmitRequest{Experiment: "cmp", Sweep: huge}); err == nil ||
+		!strings.Contains(err.Error(), "64000000 points") {
+		t.Errorf("oversized grid: %v", err)
+	}
+	if _, err := w.Statusz(ctx); err != nil {
+		t.Errorf("daemon stopped serving after an oversized grid: %v", err)
 	}
 
 	_, curl := startServer(t, serve.Options{Workers: []string{wurl}})

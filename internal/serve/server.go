@@ -21,9 +21,10 @@ type Options struct {
 	// StoreDir roots the persistent result store; empty disables
 	// persistence (every point simulates).
 	StoreDir string
-	// Workers, when non-empty, puts the server in coordinator mode: jobs
-	// are sharded across (sweeps) or forwarded to (single runs) these
-	// base URLs instead of simulating locally.
+	// Workers, when non-empty, puts the server in coordinator mode: every
+	// job's grid is sharded across these base URLs instead of simulating
+	// locally. A single run is a one-point grid, so it runs as a one-index
+	// shard on the first worker.
 	Workers []string
 	// WarmCache shares one in-memory warm-state cache across every job
 	// this process executes (the PR 7 cache, now living as long as the
@@ -182,26 +183,17 @@ func (s *Server) validate(req SubmitRequest) error {
 	if req.Config.SamplePeriod < 0 {
 		return fmt.Errorf("sample_period must be non-negative (0 = server default)")
 	}
-	if len(req.Sweep) == 0 {
-		if len(req.Indices) > 0 {
-			return fmt.Errorf("indices need a sweep grid")
-		}
-		_, err := exp.Resolve(e, req.Set)
-		return err
-	}
 	pl, err := exp.PlanSweep(e, s.config(req.Config), req.Set, req.Sweep)
 	if err != nil {
 		return err
 	}
-	if len(req.Indices) > 0 {
-		if len(s.opts.Workers) > 0 {
-			return fmt.Errorf("a coordinator does not accept shard (indices) jobs")
-		}
-		if err := pl.CheckIndices(req.Indices); err != nil {
-			return err
-		}
+	if len(req.Indices) == 0 {
+		return nil
 	}
-	return nil
+	if len(s.opts.Workers) > 0 {
+		return fmt.Errorf("a coordinator does not accept shard (indices) jobs")
+	}
+	return pl.CheckIndices(req.Indices)
 }
 
 // Submit validates and enqueues a job.
@@ -250,7 +242,7 @@ func (s *Server) executor() {
 		s.logf("serve: job %s running", j.id)
 		var err error
 		if len(s.opts.Workers) > 0 {
-			err = s.runCoordinated(j)
+			err = s.shardSweep(j)
 		} else {
 			err = s.runLocal(j)
 		}
@@ -298,77 +290,16 @@ func (j *job) tryCancel() {
 	j.mu.Unlock()
 }
 
-// runLocal executes a job in this process: single runs and (possibly
-// index-restricted) sweeps, each point first consulted against the
-// persistent result store.
+// runLocal executes a job in this process: its whole grid, or the shard
+// named by req.Indices (a single run is a one-point grid). Each point is
+// first consulted against the persistent result store; the rest run
+// through the plan with per-point persistence and progress.
 func (s *Server) runLocal(j *job) error {
 	e, _ := exp.Lookup(j.req.Experiment)
 	cfg := s.config(j.req.Config)
 	cfg.Ctx = j.ctx
 	cfg.WarmCache = s.warm
 	cfg.WarmStore = s.warmStore
-	if len(j.req.Sweep) == 0 {
-		return s.runSingle(j, e, cfg)
-	}
-	return s.runSweep(j, e, cfg)
-}
-
-// runSingle executes a one-point job.
-func (s *Server) runSingle(j *job, e exp.Experiment, cfg sim.Config) error {
-	j.setTotal(1)
-	p, err := exp.Resolve(e, j.req.Set)
-	if err != nil {
-		return err
-	}
-	key, err := PointKey(s.build, e, cfg, p)
-	if err != nil {
-		return err
-	}
-	env, hit, err := s.store.Lookup(key)
-	if err != nil {
-		return err
-	}
-	var out *exp.RunOutput
-	if hit {
-		runCfg, err := exp.ApplyConfig(cfg, p)
-		if err != nil {
-			return err
-		}
-		out = &exp.RunOutput{Experiment: e, Params: p, Config: runCfg,
-			Result: exp.RawResult{Report: env.Text, Payload: env.Results}}
-	} else {
-		out, err = exp.Run(e, cfg, j.req.Set)
-		if err != nil {
-			return err
-		}
-		raw, err := out.Result.JSON()
-		if err != nil {
-			return err
-		}
-		env = resultEnvelope{Text: out.Text(), Results: raw}
-		if err := s.store.Save(key, env); err != nil {
-			return err
-		}
-		s.simulated.Add(1)
-		s.countSampled(out.Result)
-	}
-	manifest, err := out.Manifest()
-	if err != nil {
-		return err
-	}
-	data, err := manifest.Encode()
-	if err != nil {
-		return err
-	}
-	j.addPoint(PointResult{Index: 0, Params: p, Text: env.Text, Results: env.Results, Cached: hit})
-	j.setArtifacts(data, []byte(out.Text()))
-	return nil
-}
-
-// runSweep executes a sweep job (the whole grid, or the shard named by
-// req.Indices): cached points are restored from the store, the rest run
-// through the plan with per-point persistence and progress.
-func (s *Server) runSweep(j *job, e exp.Experiment, cfg sim.Config) error {
 	pl, err := exp.PlanSweep(e, cfg, j.req.Set, j.req.Sweep)
 	if err != nil {
 		return err

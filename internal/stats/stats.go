@@ -1,22 +1,10 @@
-// Package stats provides small statistical helpers used throughout the
-// simulator and the benchmark harness: means, geometric means, standard
-// deviations, confidence intervals and deterministic pseudo-random number
-// generation for workload synthesis.
-//
-// The package is dependency-free and deliberately simple; it is not a
-// general-purpose statistics library, only what the Widx reproduction needs
-// to report SMARTS-style sampled measurements (mean with a confidence
-// interval) and paper-style geometric-mean speedups.
+// Package stats provides small helpers for the simulator: means (the
+// geometric mean summarises paper-style speedups) and deterministic
+// pseudo-random number generation for workload synthesis. The confidence
+// intervals of sampled runs live in internal/sampling/stats.
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// ErrEmpty is returned by aggregate functions when given no samples.
-var ErrEmpty = errors.New("stats: no samples")
+import "math"
 
 // Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -47,156 +35,4 @@ func GeoMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Variance returns the unbiased sample variance of xs (n-1 denominator).
-// It returns 0 when fewer than two samples are provided.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Min returns the smallest value in xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value in xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. The input slice is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// ConfidenceInterval describes a mean together with its half-width at a given
-// confidence level, in the style of SimFlex/SMARTS sampled measurements
-// ("computed at 95% confidence with an average error of less than 5%").
-type ConfidenceInterval struct {
-	Mean       float64 // sample mean
-	HalfWidth  float64 // half-width of the interval around the mean
-	Confidence float64 // confidence level, e.g. 0.95
-	N          int     // number of samples
-}
-
-// RelativeError returns the half-width as a fraction of the mean. It reports
-// 0 when the mean is 0.
-func (ci ConfidenceInterval) RelativeError() float64 {
-	if ci.Mean == 0 {
-		return 0
-	}
-	return math.Abs(ci.HalfWidth / ci.Mean)
-}
-
-// Low returns the lower bound of the interval.
-func (ci ConfidenceInterval) Low() float64 { return ci.Mean - ci.HalfWidth }
-
-// High returns the upper bound of the interval.
-func (ci ConfidenceInterval) High() float64 { return ci.Mean + ci.HalfWidth }
-
-// zValue maps the supported confidence levels to standard-normal critical
-// values. The simulator only ever asks for 90/95/99%.
-func zValue(confidence float64) float64 {
-	switch {
-	case confidence >= 0.99:
-		return 2.576
-	case confidence >= 0.95:
-		return 1.960
-	case confidence >= 0.90:
-		return 1.645
-	default:
-		return 1.0
-	}
-}
-
-// NewConfidenceInterval computes the normal-approximation confidence interval
-// of the mean of xs at the given confidence level (e.g. 0.95).
-func NewConfidenceInterval(xs []float64, confidence float64) (ConfidenceInterval, error) {
-	if len(xs) == 0 {
-		return ConfidenceInterval{}, ErrEmpty
-	}
-	m := Mean(xs)
-	sd := StdDev(xs)
-	half := zValue(confidence) * sd / math.Sqrt(float64(len(xs)))
-	return ConfidenceInterval{Mean: m, HalfWidth: half, Confidence: confidence, N: len(xs)}, nil
-}
-
-// Normalize divides every element of xs by base and returns the result as a
-// new slice. It is used to produce "normalized to OoO / normalized to Small"
-// style figures. A zero base yields a slice of zeros.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
-// Speedup returns baseline/improved, the conventional speedup metric.
-// It returns +Inf when improved is 0 and 0 when baseline is 0.
-func Speedup(baseline, improved float64) float64 {
-	if improved == 0 {
-		if baseline == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return baseline / improved
 }
