@@ -36,10 +36,11 @@
 // asserts every estimate's interval covers the reference value.
 //
 // The warm-state cache (-warm-cache, default on) shares built tables and
-// warmed hierarchies across runs and grid points that differ only in
-// warm-invariant (timing) knobs; results are byte-identical either way.
-// -warm-cache-verify rebuilds on every hit and cross-checks content hashes
-// (slow; debugs parameter classification). -warm-store DIR persists warm
+// warmed hierarchies across runs and grid points whose content-addressed
+// keys agree — points that differ only in timing knobs; results are
+// byte-identical either way. -warm-cache-verify rebuilds on every hit and
+// cross-checks content hashes (slow; checks that the keys name every
+// warm-affecting input). -warm-store DIR persists warm
 // snapshots (fast-forward checkpoints, CMP warm-ups) under DIR so later
 // processes restore instead of re-warming. -cpuprofile/-memprofile write
 // pprof profiles of the invocation.
@@ -89,7 +90,7 @@ func main() {
 	samplePeriod := flag.Int("sample-period", 256, "measured probes per window")
 	samplingVerify := flag.Bool("sampling-verify", false, "re-run each experiment as a full-detail reference and assert the sampled intervals cover it (implies -sampling)")
 	warmCache := flag.Bool("warm-cache", true, "share built workloads and warmed hierarchies across runs that differ only in timing knobs (results are byte-identical either way)")
-	warmVerify := flag.Bool("warm-cache-verify", false, "rebuild on every warm-cache hit and cross-check content hashes (slow; debugs key classification)")
+	warmVerify := flag.Bool("warm-cache-verify", false, "rebuild on every warm-cache hit and cross-check content hashes (slow; checks that the keys name every warm-affecting input)")
 	warmStore := flag.String("warm-store", "", "persist warm-state snapshots (fast-forward checkpoints, CMP warm-ups) under this directory across processes")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")

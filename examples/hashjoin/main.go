@@ -14,6 +14,7 @@ import (
 
 	"widx/internal/join"
 	"widx/internal/sim"
+	"widx/internal/structures"
 )
 
 func main() {
@@ -21,8 +22,8 @@ func main() {
 	cfg.Scale = 1.0 / 128   // shrink the paper's 128M-tuple Large index
 	cfg.SampleProbes = 8000 // detailed-simulation sample per design
 
-	// Functional check first: the kernel's probe phase and the classic
-	// software join algorithms agree on the match count.
+	// Functional check first: the kernel's probe phase and the native
+	// software join agree on the match count.
 	kernel, err := join.BuildKernel(join.DefaultKernelConfig(join.Small, cfg.Scale))
 	if err != nil {
 		log.Fatal(err)
@@ -51,7 +52,7 @@ func main() {
 	cmpCfg := cfg
 	cmpCfg.Scale = 1.0 / 8 // partitions sized so 4 of them overflow the LLC
 	cmpCfg.SampleProbes = 2000
-	cmpExp, err := cmpCfg.RunCMP(join.Medium, specs)
+	cmpExp, err := cmpCfg.RunCMP(join.Medium, specs, structures.HashJoin)
 	if err != nil {
 		log.Fatal(err)
 	}

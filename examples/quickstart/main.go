@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	co, err := cfg.RunCMP(join.Large, specs)
+	co, err := cfg.RunCMP(join.Large, specs, structures.HashJoin)
 	if err != nil {
 		log.Fatal(err)
 	}

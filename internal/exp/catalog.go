@@ -51,7 +51,7 @@ func init() {
 			"indexing speedup over the OoO baseline.",
 		[]ParamSpec{
 			{Key: "sizes", Default: "Small,Medium,Large", Help: "comma-separated kernel size classes"},
-			{Key: "walkers", Default: "", Help: "comma-separated Widx walker counts", Warm: WarmInvariant},
+			{Key: "walkers", Default: "", Help: "comma-separated Widx walker counts"},
 		},
 		func(cfg sim.Config, p Params) (Result, error) {
 			cfg, err := applyWalkers(cfg, p)
@@ -80,7 +80,7 @@ func init() {
 			"where the simulated MSHR pool actually fills.",
 		[]ParamSpec{
 			{Key: "size", Default: "Medium", Help: "kernel size class the sweep probes"},
-			{Key: "max-walkers", Default: "8", Help: "sweep walker counts 1..max-walkers", Warm: WarmInvariant},
+			{Key: "max-walkers", Default: "8", Help: "sweep walker counts 1..max-walkers"},
 		},
 		func(cfg sim.Config, p Params) (Result, error) {
 			size, err := join.ParseSizeClass(p.String("size"))
@@ -104,7 +104,7 @@ func init() {
 			{Key: "agents", Default: "4xwidx:4w", Help: "agent mix, e.g. 1xooo+2xwidx:4w:mshrs=5:ways=4"},
 			{Key: "size", Default: "Medium", Help: "kernel size class each partition is built at"},
 			{Key: "structure", Default: "hashjoin", Help: "traversal structure every partition is built as"},
-			{Key: "stagger", Default: "0", Help: "arrival stagger: co-running agent i starts at cycle i*stagger", Warm: WarmInvariant},
+			{Key: "stagger", Default: "0", Help: "arrival stagger: co-running agent i starts at cycle i*stagger"},
 		},
 		func(cfg sim.Config, p Params) (Result, error) {
 			specs, err := sim.ParseAgents(p.String("agents"))
@@ -127,7 +127,7 @@ func init() {
 				return nil, fmt.Errorf("exp: parameter stagger=%q: want a non-negative integer", p.String("stagger"))
 			}
 			cfg.Stagger = uint64(stagger)
-			return cfg.RunCMPStructure(size, specs, structure)
+			return cfg.RunCMP(size, specs, structure)
 		}))
 
 	Register(NewExperiment("zoo",
@@ -139,10 +139,10 @@ func init() {
 			"against the OoO baseline, and the match-stream fingerprint.",
 		[]ParamSpec{
 			{Key: "structure", Default: "hashjoin,skiplist,btree,lsm,bfs", Help: "comma-separated traversal structures to run"},
-			{Key: "walkers", Default: "", Help: "comma-separated Widx walker counts", Warm: WarmInvariant},
+			{Key: "walkers", Default: "", Help: "comma-separated Widx walker counts"},
 			{Key: "span", Default: "1", Help: "B+-tree range-scan width (keys per probe)"},
-			{Key: "prefetch-dist", Default: "0", Help: "dispatcher prefetch distance into the probe-key column (keys ahead, 0 = off)", Warm: WarmInvariant},
-			{Key: "touch-walker", Default: "false", Help: "use the TOUCHing walker variant (non-blocking node prefetch ahead of the demand load)", Warm: WarmInvariant},
+			{Key: "prefetch-dist", Default: "0", Help: "dispatcher prefetch distance into the probe-key column (keys ahead, 0 = off)"},
+			{Key: "touch-walker", Default: "false", Help: "use the TOUCHing walker variant (non-blocking node prefetch ahead of the demand load)"},
 		},
 		func(cfg sim.Config, p Params) (Result, error) {
 			cfg, err := applyWalkers(cfg, p)
@@ -185,7 +185,7 @@ func init() {
 		[]ParamSpec{
 			{Key: "suite", Default: "TPC-H", Help: "benchmark suite of the workload query"},
 			{Key: "query", Default: "q20", Help: "workload query name"},
-			{Key: "walkers", Default: "4", Help: "walker count of every design point", Warm: WarmInvariant},
+			{Key: "walkers", Default: "4", Help: "walker count of every design point"},
 		},
 		func(cfg sim.Config, p Params) (Result, error) {
 			suite, err := workloads.ParseSuite(p.String("suite"))

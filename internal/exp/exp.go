@@ -185,11 +185,7 @@ func describeOne(e Experiment) string {
 			if def == "" {
 				def = "(inherit)"
 			}
-			help := s.Help
-			if s.Warm == WarmInvariant {
-				help += " [warm-invariant]"
-			}
-			fmt.Fprintf(&b, "    %-14s default %-22s %s\n", s.Key, def, help)
+			fmt.Fprintf(&b, "    %-14s default %-22s %s\n", s.Key, def, s.Help)
 		}
 	}
 	return b.String()

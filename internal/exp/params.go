@@ -9,55 +9,14 @@ import (
 	"widx/internal/sim"
 )
 
-// WarmClass classifies a parameter for warm-state reuse (sim.Config's
-// WarmCache): does changing the parameter change what a warm-up builds —
-// the workload image, the hash tables, the warmed cache/TLB content — or
-// only how the measured run times it?
-type WarmClass uint8
-
-const (
-	// WarmAffecting parameters change the built workload or the warmed
-	// hierarchy content; design points differing in one must not share
-	// warm state. The zero value on purpose: an unclassified parameter
-	// is treated as affecting, which costs speed, never correctness.
-	WarmAffecting WarmClass = iota
-	// WarmInvariant parameters are timing-side only (MSHR budgets, queue
-	// depths, stagger, walker counts); a sweep over them reuses one
-	// build and warm-up. The classification is asserted, not trusted:
-	// the cache's verify mode rebuilds on hits and fails loudly if a
-	// parameter marked invariant actually leaks into warm content.
-	WarmInvariant
-)
-
-// MarshalText encodes the class by name for any JSON surface.
-func (w WarmClass) MarshalText() ([]byte, error) {
-	if w == WarmInvariant {
-		return []byte("invariant"), nil
-	}
-	return []byte("affecting"), nil
-}
-
-// UnmarshalText decodes the class name, so catalog payloads (the sweep
-// service's /api/v1/experiments) round-trip. Unknown names fall back to
-// affecting, matching the zero value's safe default.
-func (w *WarmClass) UnmarshalText(text []byte) error {
-	if string(text) == "invariant" {
-		*w = WarmInvariant
-	} else {
-		*w = WarmAffecting
-	}
-	return nil
-}
-
 // ParamSpec declares one experiment parameter: its key, its default (the
 // value used when -set does not override it; "" means "inherit from the
-// harness configuration"), a help line for -describe and the README
-// catalog, and its warm-reuse classification.
+// harness configuration") and a help line for -describe and the README
+// catalog.
 type ParamSpec struct {
-	Key     string    `json:"key"`
-	Default string    `json:"default"`
-	Help    string    `json:"help"`
-	Warm    WarmClass `json:"warm,omitempty"`
+	Key     string `json:"key"`
+	Default string `json:"default"`
+	Help    string `json:"help"`
 }
 
 // Params is a fully resolved parameter set: every accepted key is present,
@@ -123,23 +82,17 @@ func (p Params) clone() Params {
 // configuration (the -scale/-sample flags and sim.DefaultConfig) — and
 // exist as parameters so sweeps over scale, sampling effort, MSHR budgets
 // and queue depths need no per-experiment plumbing.
-// The warm classes: scale and sample shape the built workload and probe
-// streams; llc-ways moves the warm-up's LLC inserts (the allocation way
-// mask); mshrs, fill-buffers and queue-depth are pure timing knobs.
 func CommonParams() []ParamSpec {
 	return []ParamSpec{
 		{Key: "scale", Default: "", Help: "workload scale relative to the paper's setup"},
 		{Key: "sample", Default: "", Help: "probes simulated in detail per design (0 = all)"},
-		// The sampled-simulation knobs are timing-side: window placement
-		// changes what is measured, never what is built or warmed — the
-		// fast-forward checkpoints carry their own span-end keyed entries.
-		{Key: "sample-windows", Default: "", Help: "systematic sampling windows (0 = full detail)", Warm: WarmInvariant},
-		{Key: "sample-warmup", Default: "", Help: "detailed unmeasured probes per window", Warm: WarmInvariant},
-		{Key: "sample-period", Default: "", Help: "measured probes per window", Warm: WarmInvariant},
-		{Key: "mshrs", Default: "", Help: "per-agent MSHR count (and the fill-buffer default)", Warm: WarmInvariant},
-		{Key: "fill-buffers", Default: "", Help: "shared fill-buffer count (default: track mshrs)", Warm: WarmInvariant},
+		{Key: "sample-windows", Default: "", Help: "systematic sampling windows (0 = full detail)"},
+		{Key: "sample-warmup", Default: "", Help: "detailed unmeasured probes per window"},
+		{Key: "sample-period", Default: "", Help: "measured probes per window"},
+		{Key: "mshrs", Default: "", Help: "per-agent MSHR count (and the fill-buffer default)"},
+		{Key: "fill-buffers", Default: "", Help: "shared fill-buffer count (default: track mshrs)"},
 		{Key: "llc-ways", Default: "", Help: "LLC allocation ways per Widx agent (0 = unpartitioned)"},
-		{Key: "queue-depth", Default: "", Help: "Widx per-walker dispatch-queue depth", Warm: WarmInvariant},
+		{Key: "queue-depth", Default: "", Help: "Widx per-walker dispatch-queue depth"},
 	}
 }
 
@@ -147,19 +100,6 @@ func CommonParams() []ParamSpec {
 // config knobs followed by the experiment's own specs.
 func AllParams(e Experiment) []ParamSpec {
 	return append(CommonParams(), e.Params()...)
-}
-
-// WarmInvariantKeys lists the parameters of an experiment that are
-// classified timing-side only (WarmInvariant), in declaration order — the
-// axes a warm-cached sweep shares builds and warm-ups across.
-func WarmInvariantKeys(e Experiment) []string {
-	var out []string
-	for _, s := range AllParams(e) {
-		if s.Warm == WarmInvariant {
-			out = append(out, s.Key)
-		}
-	}
-	return out
 }
 
 // Resolve validates a -set style override map against an experiment's
@@ -248,6 +188,12 @@ func ApplyConfig(cfg sim.Config, p Params) (sim.Config, error) {
 		n, err := p.Int("mshrs")
 		if err != nil {
 			return cfg, err
+		}
+		// The topology check would reject 0 too, but as a fill-buffer error
+		// (the shared pool tracks the MSHR count); reject it here so the
+		// error names the parameter.
+		if n <= 0 {
+			return cfg, fmt.Errorf("exp: parameter mshrs=%q: want a positive integer", v)
 		}
 		cfg.Mem.L1MSHRs = n
 	}

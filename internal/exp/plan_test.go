@@ -124,6 +124,32 @@ func TestPlanIndexValidation(t *testing.T) {
 	}
 }
 
+// Planning resolves every point's config, so a bad knob value fails the
+// plan in the run-error form instead of failing its run later.
+func TestPlanRejectsBadKnobs(t *testing.T) {
+	e := NewExperiment("knobs", "test grid", nil, func(cfg sim.Config, p Params) (Result, error) {
+		return fakeResult("ran"), nil
+	})
+	for _, tc := range []struct {
+		set  map[string]string
+		axes []Axis
+		want string
+	}{
+		{set: map[string]string{"mshrs": "0"},
+			want: `exp: knobs: exp: parameter mshrs="0": want a positive integer`},
+		{axes: []Axis{{Key: "mshrs", Values: []string{"4", "0"}}},
+			want: `exp: knobs [mshrs=0]: exp: parameter mshrs="0": want a positive integer`},
+		{axes: []Axis{{Key: "llc-ways", Values: []string{"99"}}},
+			want: "exp: knobs [llc-ways=99]: sim: LLCWays must be in [0, 16]"},
+		{set: map[string]string{"scale": "-1"},
+			want: "exp: knobs: sim: Scale must be positive"},
+	} {
+		if _, err := PlanSweep(e, quickConfig(), tc.set, tc.axes); err == nil || err.Error() != tc.want {
+			t.Errorf("set %v sweep %v: %v, want %q", tc.set, tc.axes, err, tc.want)
+		}
+	}
+}
+
 // The onPoint hook fires once per executed point with its grid index.
 func TestPlanRunOnPoint(t *testing.T) {
 	e := NewExperiment("hookgrid", "test grid", []ParamSpec{

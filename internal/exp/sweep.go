@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
-	"sort"
 	"strings"
 
 	"widx/internal/sim"
@@ -167,13 +166,6 @@ func PlanSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis)
 	if err != nil {
 		return nil, err
 	}
-	// The manifest's resolved config: the base common knobs applied to the
-	// harness config. Swept config knobs vary per point and are recorded in
-	// each run's params instead.
-	baseCfg, err := ApplyConfig(cfg, base)
-	if err != nil {
-		return nil, err
-	}
 	size := big.NewInt(1) // the product cannot overflow before the bound check
 	seen := map[string]bool{}
 	for _, ax := range axes {
@@ -200,9 +192,10 @@ func PlanSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis)
 	}
 	n := int(size.Int64())
 
-	// Decode every grid point up front: the dispatch planner wants the full
-	// grid to order execution, and each point's parameter set is fixed by
-	// its index alone (last axis varies fastest).
+	// Decode every grid point up front — each point's parameter set is fixed
+	// by its index alone (last axis varies fastest) — and resolve its config
+	// now, so a bad knob value fails the plan, in the form its run would
+	// have failed, instead of a queued job.
 	points := make([]Params, n)
 	for i := 0; i < n; i++ {
 		p := base.clone()
@@ -212,7 +205,21 @@ func PlanSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis)
 			p[ax.Key] = ax.Values[rem%len(ax.Values)]
 			rem /= len(ax.Values)
 		}
+		pcfg, err := ApplyConfig(cfg, p)
+		if err == nil {
+			err = pcfg.Validate()
+		}
+		if err != nil {
+			return nil, pointError(e, axes, p, err)
+		}
 		points[i] = p
+	}
+	// The manifest's resolved config: the base common knobs applied to the
+	// harness config. Swept config knobs vary per point and are recorded in
+	// each run's params instead.
+	baseCfg, err := ApplyConfig(cfg, base)
+	if err != nil {
+		return nil, err
 	}
 	return &SweepPlan{Experiment: e, Axes: axes, Base: base, BaseConfig: baseCfg, Points: points}, nil
 }
@@ -236,9 +243,10 @@ func (pl *SweepPlan) CheckIndices(indices []int) error {
 
 // Run executes the grid points named by indices (nil means every point)
 // through the sim worker pool and returns their runs, parallel to indices.
-// Points are dispatched in warm-grouped order when cfg carries a warm cache
-// but every run lands at its own position, so the returned slice — and any
-// report assembled from it — is byte-identical at any parallelism.
+// Every run lands at its own position, so the returned slice — and any
+// report assembled from it — is byte-identical at any parallelism. Points
+// dispatch in grid order: the warm cache builds each warm state once
+// whichever point asks for it first, so order cannot change what is built.
 // onPoint, when non-nil, is called once per completed point with its grid
 // index, from worker goroutines (the caller synchronizes); it is the
 // progress and persistence hook of the serve layer.
@@ -258,9 +266,7 @@ func (pl *SweepPlan) Run(cfg sim.Config, indices []int, onPoint func(gridIndex i
 	}
 	runs := make([]SweepRun, len(indices))
 	inner := cfg.InnerConfig(len(indices))
-	order := sweepOrder(pl.Experiment, cfg, pl.Axes, subset)
-	if err := cfg.RunTasks(len(indices), func(slot int) error {
-		pos := order[slot]
+	if err := cfg.RunTasks(len(indices), func(pos int) error {
 		p := subset[pos]
 		runCfg, err := ApplyConfig(inner, p)
 		if err != nil {
@@ -268,11 +274,7 @@ func (pl *SweepPlan) Run(cfg sim.Config, indices []int, onPoint func(gridIndex i
 		}
 		res, err := pl.Experiment.Run(runCfg, p)
 		if err != nil {
-			name := pl.Experiment.Name()
-			if len(pl.Axes) > 0 {
-				name += " [" + SweepRun{Params: p}.label(pl.Axes) + "]"
-			}
-			return fmt.Errorf("exp: %s: %w", name, err)
+			return pointError(pl.Experiment, pl.Axes, p, err)
 		}
 		runs[pos] = SweepRun{Params: p, Result: res}
 		if onPoint != nil {
@@ -283,6 +285,17 @@ func (pl *SweepPlan) Run(cfg sim.Config, indices []int, onPoint func(gridIndex i
 		return nil, err
 	}
 	return runs, nil
+}
+
+// pointError wraps a grid point's failure in the run-error form: "exp:
+// <name>: …" for a single run, "exp: <name> [<axis assignment>]: …" for a
+// sweep point.
+func pointError(e Experiment, axes []Axis, p Params, err error) error {
+	name := e.Name()
+	if len(axes) > 0 {
+		name += " [" + SweepRun{Params: p}.label(axes) + "]"
+	}
+	return fmt.Errorf("exp: %s: %w", name, err)
 }
 
 // Output assembles the full-grid RunOutput from per-index results —
@@ -314,40 +327,6 @@ func (pl *SweepPlan) Output(results []Result) (*RunOutput, error) {
 		delete(baseParams, ax.Key)
 	}
 	return &RunOutput{Experiment: pl.Experiment, Params: baseParams, Config: pl.BaseConfig, Axes: pl.Axes, Result: sweep}, nil
-}
-
-// sweepOrder plans the dispatch order of a sweep grid. Without a warm
-// cache the grid runs in index order. With one, points are grouped by
-// their warm-affecting axis assignment (stable within a group, groups in
-// grid order), so one build and warm-up — done by the group's first point,
-// memoized under the warm cache's content-addressed key — serves the whole
-// warm-invariant row before the grid moves to the next warm state.
-// Dispatch order is pure scheduling: every point still writes its result
-// to its own grid index, so reports are byte-identical either way.
-func sweepOrder(e Experiment, cfg sim.Config, axes []Axis, points []Params) []int {
-	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
-	}
-	if cfg.WarmCache == nil {
-		return order
-	}
-	invariant := map[string]bool{}
-	for _, key := range WarmInvariantKeys(e) {
-		invariant[key] = true
-	}
-	sig := make([]string, len(points))
-	for i, p := range points {
-		var parts []string
-		for _, ax := range axes {
-			if !invariant[ax.Key] {
-				parts = append(parts, ax.Key+"="+p[ax.Key])
-			}
-		}
-		sig[i] = strings.Join(parts, " ")
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sig[order[a]] < sig[order[b]] })
-	return order
 }
 
 // RunSweep expands the axes into a full-factorial grid over the experiment

@@ -1,69 +1,13 @@
 package exp
 
 import (
-	"strings"
 	"testing"
 
-	"widx/internal/sim"
 	"widx/internal/warmstate"
 )
 
-// TestWarmInvariantClassification pins the parameter classification the
-// sweep planner and the warm cache rely on: timing-side knobs are marked
-// invariant, everything that shapes the workload or the warm-up is not.
-func TestWarmInvariantClassification(t *testing.T) {
-	e, _ := Lookup("cmp")
-	got := strings.Join(WarmInvariantKeys(e), ",")
-	if got != "sample-windows,sample-warmup,sample-period,mshrs,fill-buffers,queue-depth,stagger" {
-		t.Fatalf("cmp warm-invariant keys = %q", got)
-	}
-	// Workload-shaping knobs must stay warm-affecting.
-	for _, s := range AllParams(e) {
-		switch s.Key {
-		case "scale", "sample", "llc-ways", "agents", "size":
-			if s.Warm != WarmAffecting {
-				t.Errorf("%s misclassified as warm-invariant", s.Key)
-			}
-		}
-	}
-	// The catalog marker renders in the describe output.
-	text, err := Describe("cmp")
-	if err != nil || !strings.Contains(text, "[warm-invariant]") {
-		t.Fatalf("describe misses the warm-invariant marker: %v\n%s", err, text)
-	}
-}
-
-// TestSweepOrderGroupsWarmRows checks the planner: with a warm cache the
-// dispatch order clusters grid points sharing a warm-affecting assignment
-// (one warm-up serves the whole warm-invariant row), stable within a
-// group; without one the grid runs in index order.
-func TestSweepOrderGroupsWarmRows(t *testing.T) {
-	e := NewExperiment("order", "planner test", []ParamSpec{
-		{Key: "load", Default: "0"},
-		{Key: "depth", Default: "0", Warm: WarmInvariant},
-	}, func(cfg sim.Config, p Params) (Result, error) { return fakeResult(p["load"] + p["depth"]), nil })
-	// depth varies slowest, load fastest: consecutive grid indices
-	// alternate warm rows, so grouping must permute.
-	axes := []Axis{{Key: "depth", Values: []string{"2", "4"}}, {Key: "load", Values: []string{"a", "b"}}}
-	points := make([]Params, 4)
-	for i := range points {
-		points[i] = Params{"depth": axes[0].Values[i/2], "load": axes[1].Values[i%2]}
-	}
-	cfg := quickConfig()
-	if got := sweepOrder(e, cfg, axes, points); got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 {
-		t.Fatalf("cache-off order permuted: %v", got)
-	}
-	cfg.WarmCache = warmstate.New()
-	got := sweepOrder(e, cfg, axes, points)
-	// Warm-affecting signature is load alone: load=a at indices 0,2 and
-	// load=b at 1,3; grouped and stable.
-	if got[0] != 0 || got[1] != 2 || got[2] != 1 || got[3] != 3 {
-		t.Fatalf("warm-cached order does not group warm rows: %v", got)
-	}
-}
-
-// TestSweepWarmCacheByteIdentity is the tentpole's acceptance check at the
-// sweep layer: a warm-invariant sweep over the real cmp experiment with
+// TestSweepWarmCacheByteIdentity is the warm cache's acceptance check at
+// the sweep layer: a timing-knob sweep over the real cmp experiment with
 // the cache enabled produces byte-identical reports to a cache-off run,
 // at parallelism 1 and 8, while actually hitting the cache.
 func TestSweepWarmCacheByteIdentity(t *testing.T) {
@@ -88,15 +32,15 @@ func TestSweepWarmCacheByteIdentity(t *testing.T) {
 			t.Fatalf("warm-cached sweep (p=%d) diverges from cache-off:\n%s\nvs\n%s", p, got, want)
 		}
 		if hits, _ := cache.Stats(); hits == 0 {
-			t.Fatalf("p=%d: warm-invariant sweep never hit the cache", p)
+			t.Fatalf("p=%d: timing-knob sweep never hit the cache", p)
 		}
 	}
 }
 
-// TestSweepWarmCacheVerify runs warm-invariant and warm-affecting sweeps
-// with verify mode on: every hit rebuilds and cross-checks content, so a
-// parameter misclassified as invariant would fail here (the exp-layer
-// half of the classification guard; the mutation drill lives in
+// TestSweepWarmCacheVerify runs a timing-knob sweep and a warm-affecting
+// sweep with verify mode on: every hit rebuilds and cross-checks content,
+// so a warm-affecting knob missing from the sim's keys would fail here (the
+// exp-layer half of the key guard; the mutation drill lives in
 // internal/sim).
 func TestSweepWarmCacheVerify(t *testing.T) {
 	e, _ := Lookup("cmp")
@@ -106,7 +50,7 @@ func TestSweepWarmCacheVerify(t *testing.T) {
 	cfg.WarmCache.SetVerify(true)
 	set := map[string]string{"size": "Small", "agents": "widx:2w"}
 	if _, err := RunSweep(e, cfg, set, []Axis{{Key: "queue-depth", Values: []string{"2", "4", "8"}}}); err != nil {
-		t.Fatalf("verified warm-invariant sweep: %v", err)
+		t.Fatalf("verified timing-knob sweep: %v", err)
 	}
 	if hits, _ := cfg.WarmCache.Stats(); hits == 0 {
 		t.Fatal("verify sweep produced no hits; nothing was verified")

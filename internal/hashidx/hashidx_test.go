@@ -258,30 +258,6 @@ func TestBulkProbeAndMisses(t *testing.T) {
 	}
 }
 
-func TestInterleavedProbeMatchesBulkProbe(t *testing.T) {
-	for _, layout := range []Layout{LayoutInline, LayoutIndirect} {
-		tbl, keys := buildTable(t, layout, HashRobust, 800, 256)
-		probes := append([]uint64{}, keys...)
-		probes = append(probes, 0xABCDEF, 0x123456) // misses
-		want := tbl.BulkProbe(probes)
-		for _, width := range []int{0, 1, 2, 4, 8} {
-			steps := 0
-			got := tbl.InterleavedProbe(probes, width, func(slot int, s TraceStep) {
-				if s.NodeAddr == 0 {
-					t.Fatal("step with zero node address")
-				}
-				steps++
-			})
-			if got != want {
-				t.Fatalf("layout=%v width=%d: interleaved found %d, bulk found %d", layout, width, got, want)
-			}
-			if steps == 0 {
-				t.Fatal("no steps observed")
-			}
-		}
-	}
-}
-
 func TestFootprintTracksLayout(t *testing.T) {
 	inline, _ := buildTable(t, LayoutInline, HashRobust, 1024, 1024)
 	indirect, _ := buildTable(t, LayoutIndirect, HashRobust, 1024, 1024)

@@ -218,109 +218,3 @@ func (t *Table) BulkProbe(keys []uint64) (found int) {
 	}
 	return found
 }
-
-// InterleavedProbe is the software analogue of Widx's parallel walkers: it
-// processes groups of `width` probes in a round-robin, state-machine fashion
-// (the AMAC / group-prefetching style), advancing each in-flight probe by one
-// node visit per turn. Functionally it returns the same match count as
-// BulkProbe; its purpose is to expose inter-key parallelism to timing models
-// and to serve as the software baseline for the ablation benchmarks.
-//
-// The onStep callback, if non-nil, is invoked for every node visit in
-// interleaved order with the in-flight slot index, so a timing model can
-// issue the corresponding memory accesses with overlapping lifetimes.
-func (t *Table) InterleavedProbe(keys []uint64, width int, onStep func(slot int, step TraceStep)) (found int) {
-	if width <= 0 {
-		width = 1
-	}
-	type slotState struct {
-		active  bool
-		key     uint64
-		node    uint64
-		matched bool
-	}
-	slots := make([]slotState, width)
-	next := 0
-
-	refill := func(s *slotState) bool {
-		if next >= len(keys) {
-			s.active = false
-			return false
-		}
-		key := keys[next]
-		next++
-		idx := BucketIndex(HashOf(t.cfg.Hash, key), t.buckets)
-		*s = slotState{active: true, key: key, node: t.bucketAddrChecked(idx)}
-		return true
-	}
-
-	for i := range slots {
-		if !refill(&slots[i]) {
-			break
-		}
-	}
-
-	active := 0
-	for i := range slots {
-		if slots[i].active {
-			active++
-		}
-	}
-	for active > 0 {
-		for i := range slots {
-			s := &slots[i]
-			if !s.active {
-				continue
-			}
-			done, step := t.advance(s.node, s.key)
-			if onStep != nil {
-				onStep(i, step)
-			}
-			if step.Matched && !s.matched {
-				s.matched = true
-				found++
-			}
-			if done {
-				if !refill(s) {
-					active--
-				}
-				continue
-			}
-			s.node = t.nextNode(s.node)
-		}
-	}
-	return found
-}
-
-// bucketAddrChecked returns the bucket header address for an index already
-// reduced by the bucket mask.
-func (t *Table) bucketAddrChecked(idx uint64) uint64 {
-	return t.bucketBase + idx*t.nodeSize
-}
-
-// advance performs one node visit for the interleaved prober and reports
-// whether the chain ends at this node.
-func (t *Table) advance(node, key uint64) (done bool, step TraceStep) {
-	switch t.cfg.Layout {
-	case LayoutInline:
-		nodeKey := t.as.Read64(node + InlineKeyOffset)
-		step = TraceStep{NodeAddr: node, CompareOps: 1, Matched: nodeKey == key && nodeKey != EmptyKey}
-		return t.as.Read64(node+InlineNextOffset) == 0, step
-	default:
-		ref := t.as.Read64(node + IndirectRefOffset)
-		if ref == 0 {
-			return true, TraceStep{NodeAddr: node, CompareOps: 1}
-		}
-		nodeKey := t.as.Read64(ref)
-		step = TraceStep{NodeAddr: node, KeyFetchAddr: ref, CompareOps: 1 + indirectAddrOps, Matched: nodeKey == key}
-		return t.as.Read64(node+IndirectNextOffset) == 0, step
-	}
-}
-
-// nextNode returns the next node in the chain (zero at the end).
-func (t *Table) nextNode(node uint64) uint64 {
-	if t.cfg.Layout == LayoutInline {
-		return t.as.Read64(node + InlineNextOffset)
-	}
-	return t.as.Read64(node + IndirectNextOffset)
-}

@@ -1,8 +1,7 @@
-// Package join implements the hash-join workloads of the evaluation: the
+// Package join implements the hash-join workload of the evaluation: the
 // optimized "no partitioning" hash-join kernel the paper uses for Figure 8
-// (with its Small / Medium / Large index sizes), plus the alternative join
-// algorithms discussed in Section 7 — a radix-partitioned hash join and a
-// sort-merge join — as functional baselines.
+// (with its Small / Medium / Large index sizes), plus a map-based native
+// join as its functional reference.
 //
 // The kernel lays its hash index out in the simulated address space via
 // internal/hashidx, so the same build can be probed three ways: functionally
@@ -12,7 +11,6 @@ package join
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"widx/internal/hashidx"
@@ -256,8 +254,8 @@ func (k *Kernel) Traces(limit int) []hashidx.ProbeTrace {
 func (k *Kernel) FootprintBytes() uint64 { return k.Index.FootprintBytes() }
 
 // HashJoinNative is a straightforward Go map-based hash join returning the
-// number of (build, probe) matches; it is the functional reference the other
-// algorithms are checked against.
+// number of (build, probe) matches; it is the functional reference the
+// kernel's probe phase is checked against.
 func HashJoinNative(build, probe []uint64) int {
 	ht := make(map[uint64]int, len(build))
 	for _, k := range build {
@@ -266,67 +264,6 @@ func HashJoinNative(build, probe []uint64) int {
 	matches := 0
 	for _, k := range probe {
 		matches += ht[k]
-	}
-	return matches
-}
-
-// RadixPartitionJoin is the hardware-conscious alternative discussed in
-// Section 7: both inputs are partitioned by the low bits of the key so each
-// partition's hash table is cache-resident, then partitions are joined
-// independently. Functionally it must agree with HashJoinNative.
-func RadixPartitionJoin(build, probe []uint64, radixBits int) int {
-	if radixBits <= 0 {
-		radixBits = 6
-	}
-	parts := 1 << radixBits
-	mask := uint64(parts - 1)
-	buildParts := make([][]uint64, parts)
-	probeParts := make([][]uint64, parts)
-	for _, k := range build {
-		p := k & mask
-		buildParts[p] = append(buildParts[p], k)
-	}
-	for _, k := range probe {
-		p := k & mask
-		probeParts[p] = append(probeParts[p], k)
-	}
-	matches := 0
-	for p := 0; p < parts; p++ {
-		matches += HashJoinNative(buildParts[p], probeParts[p])
-	}
-	return matches
-}
-
-// SortMergeJoin is the SIMD-friendly alternative of the sort-vs-hash debate
-// (Section 7): both sides are sorted and merged. It returns the same match
-// count as HashJoinNative for multiset semantics.
-func SortMergeJoin(build, probe []uint64) int {
-	b := append([]uint64(nil), build...)
-	p := append([]uint64(nil), probe...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
-
-	matches := 0
-	i, j := 0, 0
-	for i < len(b) && j < len(p) {
-		switch {
-		case b[i] < p[j]:
-			i++
-		case b[i] > p[j]:
-			j++
-		default:
-			// Count the run lengths of equal keys on both sides.
-			v := b[i]
-			bi := i
-			for i < len(b) && b[i] == v {
-				i++
-			}
-			pj := j
-			for j < len(p) && p[j] == v {
-				j++
-			}
-			matches += (i - bi) * (j - pj)
-		}
 	}
 	return matches
 }

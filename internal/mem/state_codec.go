@@ -110,8 +110,14 @@ func (d *stateDecoder) boolean() bool {
 		return false
 	}
 	b := d.buf[0]
+	// Any other byte would decode but re-encode differently: the payload
+	// is not canonical.
+	if b > 1 {
+		d.err = fmt.Errorf("mem: warm-state flag byte %d, want 0 or 1", b)
+		return false
+	}
 	d.buf = d.buf[1:]
-	return b != 0
+	return b == 1
 }
 
 // count reads a length field and bounds it by the remaining payload, so a
@@ -125,14 +131,20 @@ func (d *stateDecoder) count(perItem int) int {
 	return int(n)
 }
 
+// cacheEntryBytes is one encoded cache entry: a valid flag, a tag and an
+// LRU stamp.
+const cacheEntryBytes = 1 + 8 + 8
+
 func (d *stateDecoder) cache() *CacheState {
-	st := &CacheState{
-		sets:      d.count(1),
-		ways:      int(d.word()),
-		blockBits: uint(d.word()),
-		clock:     d.word(),
-	}
+	sets, ways := d.word(), d.word()
+	st := &CacheState{sets: int(sets), ways: int(ways), blockBits: uint(d.word()), clock: d.word()}
 	if d.err != nil {
+		return st
+	}
+	// Bound sets x ways by the remaining payload before allocating; the
+	// division keeps the check itself from overflowing.
+	if ways != 0 && sets > uint64(len(d.buf)/cacheEntryBytes)/ways {
+		d.err = fmt.Errorf("mem: warm-state payload declares %d x %d cache entries with %d bytes left", sets, ways, len(d.buf))
 		return st
 	}
 	n := st.sets * st.ways
@@ -158,8 +170,16 @@ func (d *stateDecoder) tlb() *TLBState {
 		return st
 	}
 	st.pages = make(map[uint64]uint64, n)
+	var prev uint64
 	for i := 0; i < n && d.err == nil; i++ {
 		vpn := d.word()
+		// The encoder writes pages in strictly ascending order; anything
+		// else (a duplicate, a swap) decodes to a map that re-encodes
+		// differently, so it is not a canonical payload.
+		if d.err == nil && i > 0 && vpn <= prev {
+			d.err = fmt.Errorf("mem: warm-state TLB page %#x follows %#x, want ascending", vpn, prev)
+		}
+		prev = vpn
 		st.pages[vpn] = d.word()
 	}
 	return st

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -223,4 +224,20 @@ func TestWarmStateCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s payload decoded without error", name)
 		}
 	}
+}
+
+// FuzzDecodeWarmState feeds arbitrary bytes to the warm-state codec, the
+// boundary every -warm-store entry crosses: decoding either fails cleanly
+// or yields a snapshot that re-encodes to the input byte for byte. Its seed
+// corpus is testdata/fuzz/FuzzDecodeWarmState.
+func FuzzDecodeWarmState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ws, err := DecodeWarmState(data)
+		if err != nil {
+			return
+		}
+		if got := ws.EncodeBinary(); !bytes.Equal(got, data) {
+			t.Fatalf("payload re-encodes to different bytes:\n got %x\nwant %x", got, data)
+		}
+	})
 }

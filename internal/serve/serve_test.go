@@ -497,9 +497,7 @@ func TestSampledRequestDistinctAndCounted(t *testing.T) {
 
 // TestExperimentsCatalogRoundTrip: the catalog endpoint decodes on the
 // client side and preserves every registered experiment's parameter
-// specs — including the warm classification, which marshals by name and
-// must unmarshal back (the bug this pins: WarmClass without
-// UnmarshalText broke `widxserve -list`).
+// specs, so `widxserve -list` shows exactly what -describe does.
 func TestExperimentsCatalogRoundTrip(t *testing.T) {
 	ctx := testCtx(t)
 	_, url := startServer(t, serve.Options{})
@@ -563,6 +561,28 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := w.Statusz(ctx); err != nil {
 		t.Errorf("daemon stopped serving after an oversized grid: %v", err)
+	}
+	// Bad knob values fail when the grid is planned, in the form their run
+	// would have failed, rather than as a queued-then-failed job.
+	for _, bad := range []struct {
+		name string
+		req  serve.SubmitRequest
+		want string
+	}{
+		{"-set mshrs=0", serve.SubmitRequest{Experiment: "kernel", Set: map[string]string{"mshrs": "0"}},
+			`exp: kernel: exp: parameter mshrs="0"`},
+		{"-set llc-ways=99", serve.SubmitRequest{Experiment: "kernel", Set: map[string]string{"llc-ways": "99"}},
+			"exp: kernel: sim: LLCWays"},
+		{"-set scale=-1", serve.SubmitRequest{Experiment: "kernel", Set: map[string]string{"scale": "-1"}},
+			"exp: kernel: sim: Scale"},
+		{"config.scale: -1", serve.SubmitRequest{Experiment: "kernel", Config: serve.ConfigSpec{Scale: -1}},
+			"exp: kernel: sim: Scale"},
+		{"-sweep scale=x,y", serve.SubmitRequest{Experiment: "kernel", Sweep: []exp.Axis{{Key: "scale", Values: []string{"x", "y"}}}},
+			`exp: kernel [scale=x]: exp: parameter scale="x"`},
+	} {
+		if _, err := w.Submit(ctx, bad.req); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: %v, want a rejection containing %q", bad.name, err, bad.want)
+		}
 	}
 
 	_, curl := startServer(t, serve.Options{Workers: []string{wurl}})

@@ -29,6 +29,7 @@ import (
 	"widx/internal/stats"
 	"widx/internal/structures"
 	"widx/internal/vm"
+	"widx/internal/warmstate"
 	"widx/internal/widx"
 )
 
@@ -250,14 +251,16 @@ func (e *CMPExperiment) SampledMetricValues() map[string]float64 {
 }
 
 // cmpAgentWorkload is one agent's private partition of the CMP workload:
-// its structure's resident regions (for LLC warming), its probe-key column,
-// the software reference's probe traces and match stream, and — for Widx
-// agents — the program bundle pointing at a private result region. Traces
-// are built for every agent kind (host cores replay them; sampled runs warm
-// fast-forward spans from them), and ref carries the reference output Widx
-// agents fast-forward through and fingerprint-verify against.
+// the agent's spec, its structure's resident regions (for LLC warming), its
+// probe-key column, the software reference's probe traces and match stream,
+// and — for Widx agents — the program bundle pointing at a private result
+// region. Traces are built for every agent kind (host cores replay them;
+// sampled runs warm fast-forward spans from them), and ref carries the
+// reference output Widx agents fast-forward through and fingerprint-verify
+// against.
 type cmpAgentWorkload struct {
 	name    string
+	spec    CMPAgentSpec
 	regions [][2]uint64
 	keyBase uint64
 	keys    int
@@ -285,7 +288,7 @@ func (c Config) buildCMPWorkload(size join.SizeClass, specs []CMPAgentSpec, stru
 	out := make([]cmpAgentWorkload, len(specs))
 	for i, spec := range specs {
 		w := &out[i]
-		w.name = fmt.Sprintf("%s.%d", spec, i)
+		w.name, w.spec = fmt.Sprintf("%s.%d", spec, i), spec
 		if structure != structures.HashJoin {
 			if err := c.buildCMPStructurePartition(as, w, spec, structure, buildN, perAgent, i); err != nil {
 				return nil, nil, err
@@ -377,17 +380,6 @@ func (c Config) buildCMPStructurePartition(as *vm.AddressSpace, w *cmpAgentWorkl
 	return nil
 }
 
-// warmPartition installs the agent's partition into the shared LLC (and its
-// pages into the agent's private TLB) — the warmed-checkpoint steady state
-// the paper measures from. Solo, one partition fits the LLC it has to
-// itself, so warming order is immaterial.
-func warmPartition(hier *mem.Hierarchy, w *cmpAgentWorkload) {
-	cur := newBlockCursor(hier, w)
-	for addr, ok := cur.next(); ok; addr, ok = cur.next() {
-		hier.WarmLLCOnly(addr)
-	}
-}
-
 // blockCursor streams the block-aligned addresses of one agent's partition
 // in region order, so warming needs O(1) state per agent instead of a
 // materialized address list (full-scale partitions run to millions of
@@ -423,14 +415,16 @@ func (c *blockCursor) next() (uint64, bool) {
 	return 0, false
 }
 
-// warmPartitionsInterleaved warms every co-running agent's partition into the
-// one shared LLC round-robin, one block at a time across agents. Warming the
-// partitions whole in agent order leaves the first agents' partitions
-// partially evicted once the aggregate working set overflows the LLC — a
-// start-state asymmetry the co-run then measures as contention that depends
-// on the agent index, not the contention itself. Interleaving spreads the
-// capacity pressure evenly, so identical agents start from identical
-// (statistically) warm states.
+// warmPartitionsInterleaved installs every co-running agent's partition into
+// the one shared LLC (and its pages into the agent's private TLB) — the
+// warmed-checkpoint steady state the paper measures from — round-robin, one
+// block at a time across agents. Warming the partitions whole in agent order
+// leaves the first agents' partitions partially evicted once the aggregate
+// working set overflows the LLC — a start-state asymmetry the co-run then
+// measures as contention that depends on the agent index, not the
+// contention itself. Interleaving spreads the capacity pressure evenly, so
+// identical agents start from identical (statistically) warm states. With
+// one agent it is a plain walk of the partition.
 func warmPartitionsInterleaved(hiers []*mem.Hierarchy, ws []cmpAgentWorkload) {
 	cursors := make([]*blockCursor, len(ws))
 	for i := range ws {
@@ -465,15 +459,15 @@ func (c Config) cmpAgentSpec(top mem.Topology, name string, spec CMPAgentSpec) m
 	return as
 }
 
-// cmpAgent wires one agent spec onto a hierarchy view: a Widx accelerator
-// over the partition's key column, fingerprint-checked against its
-// reference matches, or a host core replaying its traces.
-func (c Config) cmpAgent(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressSpace, w *cmpAgentWorkload) (*spanAgent, error) {
+// cmpAgent wires one partition's agent onto a hierarchy view: a Widx
+// accelerator over the partition's key column, fingerprint-checked against
+// its reference matches, or a host core replaying its traces.
+func (c Config) cmpAgent(hier *mem.Hierarchy, as *vm.AddressSpace, w *cmpAgentWorkload) (*spanAgent, error) {
 	var a *spanAgent
 	var err error
-	switch spec.Kind {
+	switch w.spec.Kind {
 	case AgentWidx:
-		walkers := spec.Walkers
+		walkers := w.spec.Walkers
 		if walkers == 0 {
 			walkers = 4
 		}
@@ -483,43 +477,66 @@ func (c Config) cmpAgent(hier *mem.Hierarchy, spec CMPAgentSpec, as *vm.AddressS
 		a.ref = w.ref
 	case AgentOoO, AgentInOrder:
 		cfg := cores.OoOConfig()
-		if spec.Kind == AgentInOrder {
+		if w.spec.Kind == AgentInOrder {
 			cfg = cores.InOrderConfig()
 		}
 		if a, err = coreAgent(hier, cfg, w.traces); err != nil {
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("sim: unknown agent kind %v", spec.Kind)
+		return nil, fmt.Errorf("sim: unknown agent kind %v", w.spec.Kind)
 	}
 	a.name, a.traces = w.name, w.traces
 	return a, nil
+}
+
+// runTogether runs the partitions ws of one CMP workload together on a
+// fresh shared level and returns the level, the agents (parallel to ws) and
+// the cycle the run ended. Every partition's agent attaches with its own
+// private spec; the partitions are warmed round-robin block-interleaved (so
+// the steady-state capacity pressure of a partitioned join lands on every
+// agent evenly rather than evicting the partitions warmed first), through
+// the warm cache chained on workloadKey; then plan executes on the system
+// scheduler's event heap in globally monotonic cycle order, agent i
+// arriving Stagger*i cycles late in every detailed round. A solo reference
+// is runTogether on one partition: the agent alone on an uncontended level.
+func (c Config) runTogether(plan sampling.Plan, as *vm.AddressSpace, workloadKey string, ws []cmpAgentWorkload) (*mem.SharedLevel, []*spanAgent, uint64, error) {
+	sl := c.newSharedLevel()
+	hiers := make([]*mem.Hierarchy, len(ws))
+	for i := range ws {
+		hiers[i] = sl.NewAgent(c.cmpAgentSpec(sl.Topology(), ws[i].name, ws[i].spec))
+	}
+	var f *warmstate.Fingerprint
+	if workloadKey != "" {
+		f = warmstate.NewFingerprint("cmpwarm").Field("workload", workloadKey)
+		for _, w := range ws {
+			f.Field("part", w.name)
+		}
+	}
+	if err := c.warmed(f, hiers, func(hs []*mem.Hierarchy) { warmPartitionsInterleaved(hs, ws) }); err != nil {
+		return nil, nil, 0, err
+	}
+	agents := make([]*spanAgent, len(ws))
+	for i := range ws {
+		var err error
+		if agents[i], err = c.cmpAgent(hiers[i], as, &ws[i]); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	cycles, err := c.runSpans(plan, c.Stagger, agents...)
+	return sl, agents, cycles, err
 }
 
 // RunCMP co-schedules one index-probe stream per agent on a single shared
 // memory level, runs each stream solo on an uncontended hierarchy for
 // reference, and reports the contention metrics: per-agent and system-level
 // cycles, LLC miss inflation, shared-MSHR saturation share and off-chip
-// bandwidth utilization. Each agent probes its own partition's hash table
-// (partitioned hash join), so the co-run's aggregate working set is K
-// partitions against one LLC.
-func (c Config) RunCMP(size join.SizeClass, specs []CMPAgentSpec) (*CMPExperiment, error) {
-	return c.runCMP(size, specs, structures.HashJoin, true)
-}
-
-// RunCMPStructure is RunCMP with every partition built as the given zoo
-// structure: the same co-scheduling, warming and contention metrics, but
-// the streams traverse skip lists, B+-trees, LSM levels or BFS frontiers
-// instead of hash-bucket chains.
-func (c Config) RunCMPStructure(size join.SizeClass, specs []CMPAgentSpec, structure structures.Kind) (*CMPExperiment, error) {
-	return c.runCMP(size, specs, structure, true)
-}
-
-// runCMP is RunCMP with the warming policy explicit: interleavedWarm selects
-// round-robin block-interleaved warming (the production policy); false warms
-// whole partitions in agent order, kept only so tests can quantify the
-// start-state asymmetry the interleaved policy removes.
-func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure structures.Kind, interleavedWarm bool) (*CMPExperiment, error) {
+// bandwidth utilization. Each agent probes its own partition, built as the
+// given traversal structure (structures.HashJoin is the paper's partitioned
+// hash join; the zoo structures swap in skip lists, B+-trees, LSM levels or
+// BFS frontiers), so the co-run's aggregate working set is K partitions
+// against one LLC.
+func (c Config) RunCMP(size join.SizeClass, specs []CMPAgentSpec, structure structures.Kind) (*CMPExperiment, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -550,64 +567,38 @@ func (c Config) runCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	soloWins := make([][]windowSample, k)
 	verified := false
 
-	// Solo reference runs: each agent alone on a fresh, uncontended
-	// hierarchy with its own partition warmed and the same private spec
-	// (MSHRs, way partition) it will co-run with, so the slowdown isolates
-	// contention from the agent's own provisioning. Runs are sequential —
-	// agents share the workload's address space (Widx producers store into
-	// it), and the runs are seconds-scale.
+	// Solo reference runs: each agent's partition run together with no
+	// other, with the same private spec (MSHRs, way partition) it will
+	// co-run with, so the slowdown isolates contention from the agent's own
+	// provisioning. Runs are sequential — agents share the workload's
+	// address space (Widx producers store into it), and the runs are
+	// seconds-scale.
 	for i, spec := range specs {
-		sl := c.newSharedLevel()
-		hier := sl.NewAgent(c.cmpAgentSpec(sl.Topology(), workloads[i].name, spec))
-		if err := c.warmCMPSolo(hier, workloadKey, &workloads[i], i); err != nil {
-			return nil, err
-		}
-		solo, err := c.cmpAgent(hier, spec, as, &workloads[i])
+		_, solo, _, err := c.runTogether(plan, as, workloadKey, workloads[i:i+1])
 		if err != nil {
 			return nil, err
 		}
-		solo.name += " solo"
-		if _, err := c.runSpans(plan, 0, solo); err != nil {
-			return nil, err
-		}
-		verified = verified || solo.ref != nil
+		verified = verified || solo[0].ref != nil
 		a := &exp.Agents[i]
 		a.Name = workloads[i].name
 		a.Spec = spec
 		// Per-tuple figures cover the measured probes only.
 		a.Tuples = plan.MeasuredProbes()
-		a.SoloCycles, a.SoloMemStats = measured(spec, solo)
+		a.SoloCycles, a.SoloMemStats = measured(spec, solo[0])
 		a.SoloCyclesPerTuple = float64(a.SoloCycles) / float64(a.Tuples)
-		soloWins[i] = solo.wins
+		soloWins[i] = solo[0].wins
 		if u := c.Mem.MemBandwidthUtilization(a.SoloMemStats.MemBlocks, a.SoloCycles); u > exp.SoloBandwidthUtilization {
 			exp.SoloBandwidthUtilization = u
 		}
 	}
 
-	// The co-run: every agent on one shared level, all partitions warmed
-	// round-robin block-interleaved (so the steady-state capacity pressure
-	// of a partitioned join lands on every agent evenly rather than evicting
-	// the partitions warmed first), merged by the system scheduler's event
-	// heap in globally monotonic cycle order. Under a staggered arrival
-	// agent i starts each detailed round Stagger*i cycles late, and the
-	// system drains when the last agent finishes.
-	sl := c.newSharedLevel()
-	hiers := make([]*mem.Hierarchy, k)
-	for i := range specs {
-		hiers[i] = sl.NewAgent(c.cmpAgentSpec(sl.Topology(), workloads[i].name, specs[i]))
-	}
-	if err := c.warmCMPCoRun(sl, hiers, workloadKey, workloads, interleavedWarm); err != nil {
+	// The co-run: every partition together on one shared level; the system
+	// drains when the last agent finishes.
+	sl, agents, systemCycles, err := c.runTogether(plan, as, workloadKey, workloads)
+	if err != nil {
 		return nil, err
 	}
-	agents := make([]*spanAgent, k)
-	for i, spec := range specs {
-		if agents[i], err = c.cmpAgent(hiers[i], spec, as, &workloads[i]); err != nil {
-			return nil, err
-		}
-	}
-	if exp.SystemCycles, err = c.runSpans(plan, c.Stagger, agents...); err != nil {
-		return nil, err
-	}
+	exp.SystemCycles = systemCycles
 
 	var coMisses, soloMisses uint64
 	rep := c.samplingReport(plan, verified)

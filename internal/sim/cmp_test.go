@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"widx/internal/join"
+	"widx/internal/mem"
 	"widx/internal/structures"
 	"widx/internal/warmstate"
 )
@@ -133,7 +134,7 @@ func TestCMPContentionMeasurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := cfg.RunCMP(join.Medium, specs)
+	exp, err := cfg.RunCMP(join.Medium, specs, structures.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,51 +197,62 @@ func TestCMPContentionMeasurable(t *testing.T) {
 	}
 }
 
-// TestCMPWarmingInterleavedSymmetric quantifies the warming fix: with four
-// identical agents, whole-partition warming in agent order leaves the first
-// partitions partially evicted before the co-run even starts, so the
-// per-agent LLC-miss inflation depends on the agent index. Round-robin
-// block-interleaved warming (the production policy) must shrink that
-// asymmetry.
+// TestCMPWarmingInterleavedSymmetric quantifies the warming fix on the
+// warm-up itself: with four identical partitions overflowing the LLC,
+// warming them whole one at a time leaves the first partitions evicted
+// before the co-run even starts, so how much of its partition an agent
+// starts with depends on its index. Round-robin block-interleaved warming
+// (the production policy) must shrink the spread of per-partition LLC
+// residency.
 func TestCMPWarmingInterleavedSymmetric(t *testing.T) {
 	cfg := cmpQuickConfig()
-	// Four Medium/8 partitions aggregate to ~1.5x the LLC, so warming order
-	// decides which blocks survive to the start of the co-run.
+	// Four Medium/8 partitions aggregate to about twice the LLC, so warming
+	// order decides which blocks survive to the start of the co-run.
 	cfg.Scale = 1.0 / 8
 	cfg.SampleProbes = 2000
 	specs, err := ParseAgents("4xwidx:4w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread := func(exp *CMPExperiment) float64 {
-		minInf, maxInf := exp.Agents[0].LLCMissInflation, exp.Agents[0].LLCMissInflation
-		for _, a := range exp.Agents[1:] {
-			if a.LLCMissInflation < minInf {
-				minInf = a.LLCMissInflation
-			}
-			if a.LLCMissInflation > maxInf {
-				maxInf = a.LLCMissInflation
-			}
-		}
-		return maxInf - minInf
-	}
-	interleaved, err := cfg.runCMP(join.Medium, specs, structures.HashJoin, true)
+	_, ws, err := cfg.buildCMPWorkload(join.Medium, specs, structures.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agentOrder, err := cfg.runCMP(join.Medium, specs, structures.HashJoin, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	si, sa := spread(interleaved), spread(agentOrder)
-	t.Logf("LLC-miss inflation spread across identical agents: interleaved %.3f, agent-order %.3f", si, sa)
-	for _, exp := range []*CMPExperiment{interleaved, agentOrder} {
-		for _, a := range exp.Agents {
-			t.Logf("  %s: inflation %.2fx slowdown %.2fx", a.Name, a.LLCMissInflation, a.Slowdown)
+	// spread warms the partitions into one fresh level and returns the
+	// max-min spread of the fraction of each partition's blocks resident
+	// in the LLC afterwards.
+	spread := func(policy string, warm func(hiers []*mem.Hierarchy)) float64 {
+		sl := cfg.newSharedLevel()
+		hiers := make([]*mem.Hierarchy, len(ws))
+		for i := range ws {
+			hiers[i] = sl.NewAgent(cfg.cmpAgentSpec(sl.Topology(), ws[i].name, ws[i].spec))
 		}
+		warm(hiers)
+		lo, hi := 1.0, 0.0
+		for i := range ws {
+			var resident, blocks int
+			cur := newBlockCursor(hiers[i], &ws[i])
+			for addr, ok := cur.next(); ok; addr, ok = cur.next() {
+				blocks++
+				if sl.LLC().Contains(addr) {
+					resident++
+				}
+			}
+			r := float64(resident) / float64(blocks)
+			t.Logf("  %s: %s resident %.3f", policy, ws[i].name, r)
+			lo, hi = min(lo, r), max(hi, r)
+		}
+		return hi - lo
 	}
+	si := spread("interleaved", func(hs []*mem.Hierarchy) { warmPartitionsInterleaved(hs, ws) })
+	sa := spread("one at a time", func(hs []*mem.Hierarchy) {
+		for i := range hs {
+			warmPartitionsInterleaved(hs[i:i+1], ws[i:i+1])
+		}
+	})
+	t.Logf("LLC residency spread across identical partitions: interleaved %.3f, one at a time %.3f", si, sa)
 	if si >= sa {
-		t.Fatalf("interleaved warming should shrink the per-agent inflation asymmetry: %.3f vs %.3f", si, sa)
+		t.Fatalf("interleaved warming should shrink the per-partition residency asymmetry: %.3f vs %.3f", si, sa)
 	}
 }
 
@@ -253,7 +265,7 @@ func TestCMPHeterogeneousAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := cfg.RunCMP(join.Medium, specs)
+	exp, err := cfg.RunCMP(join.Medium, specs, structures.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +291,7 @@ func TestCMPDeterministic(t *testing.T) {
 	cfg.SampleProbes = 600
 	specs, _ := ParseAgents("ooo+inorder+2xwidx:2w")
 	run := func() *CMPExperiment {
-		exp, err := cfg.RunCMP(join.Small, specs)
+		exp, err := cfg.RunCMP(join.Small, specs, structures.HashJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +326,7 @@ func TestCMPSharedHierarchyRaceClean(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			exp, err := cfg.RunCMP(join.Small, specs)
+			exp, err := cfg.RunCMP(join.Small, specs, structures.HashJoin)
 			if err != nil {
 				errs[g] = err
 				return
@@ -400,12 +412,12 @@ func TestCMPWayPartitionProtectsHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open, err := cfg.RunCMP(join.Medium, specs)
+	open, err := cfg.RunCMP(join.Medium, specs, structures.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.LLCWays = 4 // fence both Widx agents into 4 of the 16 ways
-	fenced, err := cfg.RunCMP(join.Medium, specs)
+	fenced, err := cfg.RunCMP(join.Medium, specs, structures.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +439,7 @@ func TestCMPWayPartitionProtectsHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSpec, err := cfg.RunCMP(join.Medium, overridden)
+	viaSpec, err := cfg.RunCMP(join.Medium, overridden, structures.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,13 +465,13 @@ func TestCMPStaggeredArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	together, err := cfg.RunCMP(join.Medium, specs)
+	together, err := cfg.RunCMP(join.Medium, specs, structures.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Serialize: agent 1 starts only after agent 0 has surely finished.
 	cfg.Stagger = together.Agents[0].SoloCycles * 2
-	apart, err := cfg.RunCMP(join.Medium, specs)
+	apart, err := cfg.RunCMP(join.Medium, specs, structures.HashJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +516,7 @@ func TestCMPRejectsOutOfRangeOverrides(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s should parse (bounds are topology-dependent): %v", spec, err)
 		}
-		if _, err := cfg.RunCMP(join.Small, specs); err == nil {
+		if _, err := cfg.RunCMP(join.Small, specs, structures.HashJoin); err == nil {
 			t.Fatalf("RunCMP accepted out-of-range override %s", spec)
 		} else if !strings.Contains(err.Error(), "LLCWays") {
 			t.Fatalf("unexpected error for %s: %v", spec, err)
@@ -522,7 +534,7 @@ func TestCMPStructureWorkloads(t *testing.T) {
 	cfg.SampleProbes = 300
 	specs, _ := ParseAgents("ooo+widx:2w")
 	for _, kind := range structures.Kinds() {
-		exp, err := cfg.RunCMPStructure(join.Small, specs, kind)
+		exp, err := cfg.RunCMP(join.Small, specs, kind)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -553,7 +565,7 @@ func TestCMPStructureDeterministic(t *testing.T) {
 	cfg := cmpQuickConfig()
 	cfg.SampleProbes = 300
 	specs, _ := ParseAgents("inorder+widx:2w")
-	base, err := cfg.RunCMPStructure(join.Small, specs, structures.SkipList)
+	base, err := cfg.RunCMP(join.Small, specs, structures.SkipList)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +573,7 @@ func TestCMPStructureDeterministic(t *testing.T) {
 	warm.WarmCache = warmstate.New()
 	warm.WarmCache.SetVerify(true)
 	for pass := 0; pass < 2; pass++ {
-		exp, err := warm.RunCMPStructure(join.Small, specs, structures.SkipList)
+		exp, err := warm.RunCMP(join.Small, specs, structures.SkipList)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}

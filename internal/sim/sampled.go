@@ -120,27 +120,11 @@ func ffWarm(hier *mem.Hierarchy, traces []hashidx.ProbeTrace) {
 // depend on the detailed execution before them and warm inline, as does
 // every span of an agent without a phase key.
 func (c Config) ffSpan(hier *mem.Hierarchy, phaseKey string, traces []hashidx.ProbeTrace, sp sampling.Span) error {
-	if c.WarmCache == nil || phaseKey == "" || sp.Start != 0 {
-		ffWarm(hier, traces[sp.Start:sp.End])
-		return nil
+	var f *warmstate.Fingerprint
+	if phaseKey != "" && sp.Start == 0 {
+		f = warmstate.NewFingerprint("ffwarm").Field("phase", phaseKey).Field("end", sp.End)
 	}
-	spec := hier.Spec()
-	key := warmKey(warmstate.NewFingerprint("ffwarm").
-		Field("phase", phaseKey).
-		Field("end", sp.End).
-		Field("shared", c.warmSharedField()).
-		Field("spec", warmSpecField(spec)))
-	st, err := c.warmStateCached(key, func() (*mem.WarmState, error) {
-		tsl := c.newSharedLevel()
-		th := tsl.NewAgent(spec)
-		ffWarm(th, traces[:sp.End])
-		return tsl.CaptureWarmState(), nil
-	})
-	if err != nil {
-		return err
-	}
-	hier.Shared().RestoreWarmState(st)
-	return nil
+	return c.warmed(f, []*mem.Hierarchy{hier}, func(hs []*mem.Hierarchy) { ffWarm(hs[0], traces[sp.Start:sp.End]) })
 }
 
 // matchRef is a software-reference match stream with per-probe bounds:

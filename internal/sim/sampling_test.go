@@ -88,7 +88,7 @@ func TestSampledVerifyAgainstFullRun(t *testing.T) {
 	check("query", func(c Config) (SamplingReporter, error) { return c.RunQuery(q) })
 	check("walkerutil", func(c Config) (SamplingReporter, error) { return c.RunWalkerUtilization(join.Small, 2) })
 	check("zoo", func(c Config) (SamplingReporter, error) { return c.RunZoo(zooOpt) })
-	check("cmp", func(c Config) (SamplingReporter, error) { return c.RunCMP(join.Small, specs) })
+	check("cmp", func(c Config) (SamplingReporter, error) { return c.RunCMP(join.Small, specs, structures.HashJoin) })
 }
 
 // TestSampledDeterministicAcrossParallelism pins the determinism contract
@@ -125,7 +125,7 @@ func TestSampledDeterministicAcrossParallelism(t *testing.T) {
 	check("kernel", func(c Config) (any, error) { return c.RunKernel([]join.SizeClass{join.Small}) })
 	check("query", func(c Config) (any, error) { return c.RunQuery(q) })
 	check("zoo", func(c Config) (any, error) { return c.RunZoo(zooOpt) })
-	check("cmp", func(c Config) (any, error) { return c.RunCMP(join.Small, specs) })
+	check("cmp", func(c Config) (any, error) { return c.RunCMP(join.Small, specs, structures.HashJoin) })
 }
 
 // TestUnsampledManifestUnchanged locks the compatibility guarantee: with

@@ -6,8 +6,10 @@
 // artifacts — built kernels and engine runs (address-space images, hash
 // tables, probe traces) and warmed cache/TLB content — are memoized under
 // content-addressed keys (internal/warmstate) and handed out as private
-// copy-on-write clones or geometry-checked snapshot restores, so a
-// warm-invariant sweep pays for each distinct build and warm-up once.
+// copy-on-write clones or geometry-checked snapshot restores, so a sweep
+// pays for each distinct build and warm-up once. The keys alone decide
+// what is shared: no parameter is classified, and the points of a sweep
+// that differ only in timing knobs land on the same keys.
 //
 // Correctness contract: with the cache enabled, every experiment produces
 // byte-identical reports to a cache-off run at any parallelism. Three
@@ -15,9 +17,10 @@
 //
 //   - Cache keys name every warm-affecting input (workload spec and size,
 //     scale, sample-derived stream lengths, warm-relevant topology
-//     geometry, warming policy) through the Fingerprint builder. Timing
-//     knobs are deliberately absent; warm content is independent of them
-//     (internal/mem/state.go), which is the property being exploited.
+//     geometry, the partitions warmed together) through the Fingerprint
+//     builder. Timing knobs are deliberately absent; warm content is
+//     independent of them (internal/mem/state.go), which is the property
+//     being exploited.
 //   - Consumers never touch a cached master: address spaces are handed
 //     out as copy-on-write clones (taken under the artifact's mutex —
 //     Clone mutates the parent's sharing bookkeeping), warmed hierarchies
@@ -247,66 +250,30 @@ func (c Config) warmSharedField() string {
 	return fmt.Sprintf("llc=%d/%d,block=%d", c.Mem.LLCSizeBytes, c.Mem.LLCAssoc, c.Mem.L1BlockBytes)
 }
 
-// warmCMPSolo warms one agent's partition into its uncontended hierarchy,
-// through the warm cache when enabled: the snapshot is captured once from
-// a throwaway machine of identical warm-relevant geometry and restored
-// into every consumer's level. The throwaway keeps the build closure
-// self-contained, so verify-mode rebuilds replay the warm-up from scratch
-// rather than re-capturing a level that has since executed.
-func (c Config) warmCMPSolo(hier *mem.Hierarchy, workloadKey string, w *cmpAgentWorkload, agentIdx int) error {
-	if c.WarmCache == nil || workloadKey == "" {
-		warmPartition(hier, w)
-		return nil
-	}
-	spec := hier.Spec()
-	key := warmKey(warmstate.NewFingerprint("cmpwarmsolo").
-		Field("workload", workloadKey).
-		Field("agent", agentIdx).
-		Field("shared", c.warmSharedField()).
-		Field("spec", warmSpecField(spec)))
-	st, err := c.warmStateCached(key, func() (*mem.WarmState, error) {
-		tsl := c.newSharedLevel()
-		th := tsl.NewAgent(spec)
-		warmPartition(th, w)
-		return tsl.CaptureWarmState(), nil
-	})
-	if err != nil {
-		return err
-	}
-	hier.Shared().RestoreWarmState(st)
-	return nil
-}
-
-// warmCMPCoRun warms every co-running agent's partition into the one
-// shared level, through the warm cache when enabled. The key chains on
-// the workload key and names the warming policy plus every agent's
-// warm-relevant geometry in attachment order, because the interleaved
-// policy's eviction pattern depends on all of them together.
-func (c Config) warmCMPCoRun(sl *mem.SharedLevel, hiers []*mem.Hierarchy, workloadKey string, ws []cmpAgentWorkload, interleaved bool) error {
-	warm := func(hs []*mem.Hierarchy) {
-		if interleaved {
-			warmPartitionsInterleaved(hs, ws)
-		} else {
-			for i := range hs {
-				warmPartition(hs[i], &ws[i])
-			}
-		}
-	}
-	if c.WarmCache == nil || workloadKey == "" {
+// warmed runs warm over the agents of one shared level (hiers, in
+// attachment order); every warm-up in the package goes through here.
+// Callers pass a non-nil f only for a warm-up of a fresh level, whose
+// result is a pure function of f's inputs. With the cache on, that
+// warm-up is a snapshot keyed by f completed with the level's
+// warm-relevant geometry — the shared field, then agent0, agent1, ... in
+// attachment order, since a shared LLC's eviction pattern depends on every
+// agent together. The snapshot is captured once from a throwaway level of
+// identical warm-relevant geometry and restored into every consumer's
+// level; the throwaway keeps the build closure self-contained, so
+// verify-mode rebuilds replay the warm-up from scratch rather than
+// re-capturing a level that has since executed.
+func (c Config) warmed(f *warmstate.Fingerprint, hiers []*mem.Hierarchy, warm func([]*mem.Hierarchy)) error {
+	if c.WarmCache == nil || f == nil {
 		warm(hiers)
 		return nil
 	}
 	specs := make([]mem.AgentSpec, len(hiers))
-	f := warmstate.NewFingerprint("cmpwarm").
-		Field("workload", workloadKey).
-		Field("interleaved", interleaved).
-		Field("shared", c.warmSharedField())
+	f.Field("shared", c.warmSharedField())
 	for i, h := range hiers {
 		specs[i] = h.Spec()
 		f.Field(fmt.Sprintf("agent%d", i), warmSpecField(specs[i]))
 	}
-	key := warmKey(f)
-	st, err := c.warmStateCached(key, func() (*mem.WarmState, error) {
+	st, err := c.warmStateCached(warmKey(f), func() (*mem.WarmState, error) {
 		tsl := c.newSharedLevel()
 		ths := make([]*mem.Hierarchy, len(specs))
 		for i := range specs {
@@ -318,6 +285,6 @@ func (c Config) warmCMPCoRun(sl *mem.SharedLevel, hiers []*mem.Hierarchy, worklo
 	if err != nil {
 		return err
 	}
-	sl.RestoreWarmState(st)
+	hiers[0].Shared().RestoreWarmState(st)
 	return nil
 }

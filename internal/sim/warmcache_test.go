@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"widx/internal/join"
+	"widx/internal/structures"
 	"widx/internal/warmstate"
 	"widx/internal/workloads"
 )
@@ -72,7 +73,7 @@ func TestWarmCacheByteIdentity(t *testing.T) {
 		}
 
 		check("kernel", func(c Config) (any, error) { return c.RunKernel([]join.SizeClass{join.Small}) })
-		check("cmp", func(c Config) (any, error) { return c.RunCMP(join.Small, specs) })
+		check("cmp", func(c Config) (any, error) { return c.RunCMP(join.Small, specs, structures.HashJoin) })
 		check("query", func(c Config) (any, error) { return c.RunQuery(q) })
 		check("walkerutil", func(c Config) (any, error) { return c.RunWalkerUtilization(join.Small, 2) })
 
@@ -86,7 +87,7 @@ func TestWarmCacheByteIdentity(t *testing.T) {
 // with verify mode on: every hit re-runs the build and cross-checks the
 // artifact content hash, so this asserts both that the fingerprints
 // capture every warm-affecting input and that builds and warm-ups are
-// deterministic. This is the runtime warm-classification guard.
+// deterministic. This is the runtime guard on the keys.
 func TestWarmCacheVerifyHonestKeys(t *testing.T) {
 	c := warmTestConfig()
 	c.WarmCache = warmstate.New()
@@ -99,7 +100,7 @@ func TestWarmCacheVerifyHonestKeys(t *testing.T) {
 		if _, err := c.RunKernel([]join.SizeClass{join.Small}); err != nil {
 			t.Fatalf("round %d kernel: %v", round, err)
 		}
-		if _, err := c.RunCMP(join.Small, specs); err != nil {
+		if _, err := c.RunCMP(join.Small, specs, structures.HashJoin); err != nil {
 			t.Fatalf("round %d cmp: %v", round, err)
 		}
 		if _, err := c.RunQuery(workloads.SimulatedQueries()[0]); err != nil {
@@ -112,10 +113,9 @@ func TestWarmCacheVerifyHonestKeys(t *testing.T) {
 }
 
 // TestWarmCacheVerifyCatchesMisclassification is the mutation drill for
-// the classification guard: the key hook strips the kernel fingerprint's
-// probe-stream length — simulating a warm-affecting parameter that was
-// misclassified as warm-invariant — so two configs that must not share a
-// build collide on one key. Verify mode has to turn the poisoned hit
+// the key guard: the key hook strips the kernel fingerprint's probe-stream
+// length — simulating a warm-affecting input missing from the key — so two
+// configs that must not share a build collide on one key. Verify mode has to turn the poisoned hit
 // into an error rather than silently reusing the wrong workload.
 func TestWarmCacheVerifyCatchesMisclassification(t *testing.T) {
 	warmKeyHook = func(k string) string {

@@ -25,8 +25,8 @@ func TestKindTextRoundTrip(t *testing.T) {
 }
 
 func TestKindJSONRoundTrip(t *testing.T) {
-	// The WarmClass lesson: the enum must survive a full JSON encode/decode
-	// cycle inside a struct, the way manifests and the serve catalog use it.
+	// The enum must survive a full JSON encode/decode cycle inside a
+	// struct, the way manifests and the serve catalog use it.
 	type doc struct {
 		Structure Kind `json:"structure"`
 	}

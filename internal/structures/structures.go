@@ -94,9 +94,9 @@ func (k Kind) MarshalText() ([]byte, error) {
 	return []byte(k.String()), nil
 }
 
-// UnmarshalText decodes a kind name, so manifests round-trip (the WarmClass
-// lesson: a JSON-surfaced enum without UnmarshalText breaks the first
-// client that decodes what it encoded).
+// UnmarshalText decodes a kind name, so manifests round-trip: a
+// JSON-surfaced enum without UnmarshalText breaks the first client that
+// decodes what it encoded.
 func (k *Kind) UnmarshalText(text []byte) error {
 	parsed, err := ParseKind(string(text))
 	if err != nil {
