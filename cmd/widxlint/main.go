@@ -2,15 +2,17 @@
 // byte-identical output at any -parallel (no map-iteration order in
 // anything emitted, no wall-clock/ambient-randomness/environment reads in
 // the simulation core), per-agent stats summing to shared totals (every
-// field covered by the mem.Stats Add/Sub pair), and an honest experiment
+// field covered by the mem.Stats Add/Sub pair), an honest experiment
 // manifest schema (declared parameters are read, read parameters are
-// declared).
+// declared), and no internal/ declaration that only tests reference
+// (deadcode, one pass over the whole module).
 //
 // Usage (CI's lint job runs the first form):
 //
 //	go run ./cmd/widxlint ./...
 //	go run ./cmd/widxlint -tests=false ./...          # skip _test.go variants
 //	go run ./cmd/widxlint -detmap ./internal/exp/...  # one analyzer only
+//	go run ./cmd/widxlint -deadcode ./...             # dead-code check only
 //
 // Exit status is nonzero iff any diagnostic was reported. Suppress a
 // false positive with `//widxlint:ignore <analyzer> <reason>` on the

@@ -1,8 +1,6 @@
 // Package colstore is a minimal column-oriented storage layer in the spirit
 // of MonetDB: tables are collections of equal-length typed columns, queries
-// operate on column vectors and produce row-identifier lists, and data for
-// join columns can be materialized into the simulated address space so the
-// hash index and the timing models see realistic memory layouts.
+// operate on column vectors and produce row-identifier lists.
 //
 // The package also contains the synthetic data generators used in place of
 // the licensed TPC-H and TPC-DS data sets: uniform and zipfian value
@@ -12,10 +10,8 @@ package colstore
 
 import (
 	"fmt"
-	"sort"
 
 	"widx/internal/stats"
-	"widx/internal/vm"
 )
 
 // Column is a named vector of 64-bit values. All values are stored as uint64;
@@ -25,14 +21,10 @@ type Column struct {
 	Values []uint64
 }
 
-// Len returns the number of rows in the column.
-func (c *Column) Len() int { return len(c.Values) }
-
 // Table is a named collection of equal-length columns.
 type Table struct {
 	Name    string
 	columns map[string]*Column
-	order   []string
 	rows    int
 }
 
@@ -54,17 +46,7 @@ func (t *Table) AddColumn(name string, values []uint64) error {
 			name, len(values), t.Name, t.rows)
 	}
 	t.columns[name] = &Column{Name: name, Values: values}
-	t.order = append(t.order, name)
 	return nil
-}
-
-// MustAddColumn is AddColumn for table-construction literals; it panics on
-// error.
-func (t *Table) MustAddColumn(name string, values []uint64) *Table {
-	if err := t.AddColumn(name, values); err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // Column returns the named column.
@@ -86,34 +68,8 @@ func (t *Table) MustColumn(name string) *Column {
 	return c
 }
 
-// Columns returns the column names in insertion order.
-func (t *Table) Columns() []string {
-	out := make([]string, len(t.order))
-	copy(out, t.order)
-	return out
-}
-
 // Rows returns the number of rows.
 func (t *Table) Rows() int { return t.rows }
-
-// Materialize writes the named column into the simulated address space as a
-// dense 64-bit array and returns its base address. This is how probe-side key
-// columns and build-side base columns become visible to the memory-hierarchy
-// timing model.
-func (t *Table) Materialize(as *vm.AddressSpace, column string) (uint64, error) {
-	c, err := t.Column(column)
-	if err != nil {
-		return 0, err
-	}
-	if c.Len() == 0 {
-		return 0, fmt.Errorf("colstore: cannot materialize empty column %q", column)
-	}
-	base := as.AllocAligned(t.Name+"."+column, uint64(c.Len())*8)
-	for i, v := range c.Values {
-		as.Write64(base+uint64(i)*8, v)
-	}
-	return base, nil
-}
 
 // Generator produces synthetic column data deterministically from a seed.
 type Generator struct {
@@ -123,15 +79,6 @@ type Generator struct {
 // NewGenerator returns a generator with the given seed.
 func NewGenerator(seed uint64) *Generator {
 	return &Generator{rng: stats.NewRNG(seed)}
-}
-
-// Sequential returns 0..n-1 offset by start, the natural surrogate-key column.
-func (g *Generator) Sequential(n int, start uint64) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = start + uint64(i)
-	}
-	return out
 }
 
 // Uniform returns n values drawn uniformly from [lo, hi).
@@ -207,13 +154,5 @@ func Gather(c *Column, rows []uint32) []uint64 {
 	for i, r := range rows {
 		out[i] = c.Values[r]
 	}
-	return out
-}
-
-// SortedCopy returns the values sorted ascending (used by the sort operator
-// and the sort-merge join baseline).
-func SortedCopy(values []uint64) []uint64 {
-	out := append([]uint64(nil), values...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -3,8 +3,6 @@ package colstore
 import (
 	"testing"
 	"testing/quick"
-
-	"widx/internal/vm"
 )
 
 func TestTableConstruction(t *testing.T) {
@@ -24,12 +22,8 @@ func TestTableConstruction(t *testing.T) {
 	if err := tbl.AddColumn("c", []uint64{1, 2}); err == nil {
 		t.Fatal("mismatched row count accepted")
 	}
-	cols := tbl.Columns()
-	if len(cols) != 2 || cols[0] != "a" || cols[1] != "b" {
-		t.Fatalf("columns = %v", cols)
-	}
 	c, err := tbl.Column("a")
-	if err != nil || c.Len() != 3 {
+	if err != nil || len(c.Values) != 3 {
 		t.Fatal("column lookup failed")
 	}
 	if _, err := tbl.Column("zzz"); err == nil {
@@ -46,45 +40,10 @@ func TestTableConstruction(t *testing.T) {
 		}()
 		tbl.MustColumn("zzz")
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("MustAddColumn should panic on error")
-			}
-		}()
-		tbl.MustAddColumn("a", []uint64{9, 9, 9})
-	}()
-}
-
-func TestMaterialize(t *testing.T) {
-	tbl := NewTable("m").MustAddColumn("k", []uint64{10, 20, 30, 40})
-	as := vm.New()
-	base, err := tbl.Materialize(as, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []uint64{10, 20, 30, 40} {
-		if got := as.Read64(base + uint64(i)*8); got != want {
-			t.Fatalf("materialized[%d] = %d, want %d", i, got, want)
-		}
-	}
-	if _, err := tbl.Materialize(as, "missing"); err == nil {
-		t.Fatal("materializing a missing column succeeded")
-	}
-	empty := NewTable("e").MustAddColumn("x", nil)
-	if _, err := empty.Materialize(as, "x"); err == nil {
-		t.Fatal("materializing an empty column succeeded")
-	}
 }
 
 func TestGeneratorDistributions(t *testing.T) {
 	g := NewGenerator(42)
-	seq := g.Sequential(5, 100)
-	for i, v := range seq {
-		if v != uint64(100+i) {
-			t.Fatalf("Sequential wrong: %v", seq)
-		}
-	}
 	uni := g.Uniform(10000, 10, 20)
 	for _, v := range uni {
 		if v < 10 || v >= 20 {
@@ -143,7 +102,7 @@ func TestGeneratorPanics(t *testing.T) {
 	}
 }
 
-func TestSelectGatherSort(t *testing.T) {
+func TestSelectGather(t *testing.T) {
 	c := &Column{Name: "x", Values: []uint64{5, 1, 9, 3, 7}}
 	rows := SelectRows(c, func(v uint64) bool { return v >= 5 })
 	if len(rows) != 3 || rows[0] != 0 || rows[1] != 2 || rows[2] != 4 {
@@ -152,15 +111,6 @@ func TestSelectGatherSort(t *testing.T) {
 	vals := Gather(c, rows)
 	if len(vals) != 3 || vals[0] != 5 || vals[1] != 9 || vals[2] != 7 {
 		t.Fatalf("Gather = %v", vals)
-	}
-	sorted := SortedCopy(c.Values)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] > sorted[i] {
-			t.Fatalf("SortedCopy not sorted: %v", sorted)
-		}
-	}
-	if c.Values[0] != 5 {
-		t.Fatal("SortedCopy mutated the input")
 	}
 }
 

@@ -181,9 +181,6 @@ func New(cfg Config, hier *mem.Hierarchy) (*Core, error) {
 	return &Core{cfg: cfg, hier: hier}, nil
 }
 
-// Config returns the core's configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // probeInstructions estimates the retired instruction count of one probe in
 // compiled software, before any expansion is applied by the caller.
 func probeInstructions(tr hashidx.ProbeTrace) float64 {

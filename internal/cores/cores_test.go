@@ -75,9 +75,6 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Config().Kind != OutOfOrder {
-		t.Fatal("config accessor wrong")
-	}
 	if _, err := c.RunProbes(nil, 0); err == nil {
 		t.Fatal("empty probe list accepted")
 	}

@@ -13,8 +13,6 @@
 // the Widx units plus an active-cache term.
 package energy
 
-import "fmt"
-
 // Params carries the power and area constants of the model. Power is in
 // watts, area in mm², frequency in GHz.
 type Params struct {
@@ -62,21 +60,6 @@ func Default() Params {
 
 		FrequencyGHz: 2.0,
 	}
-}
-
-// Validate reports unusable parameter sets.
-func (p Params) Validate() error {
-	switch {
-	case p.OoONominalWatts <= 0 || p.InOrderWatts <= 0 || p.WidxUnitWatts <= 0:
-		return fmt.Errorf("energy: powers must be positive")
-	case p.OoOIdleFraction < 0 || p.OoOIdleFraction > 1:
-		return fmt.Errorf("energy: idle fraction out of range")
-	case p.WidxUnits <= 0:
-		return fmt.Errorf("energy: WidxUnits must be positive")
-	case p.FrequencyGHz <= 0:
-		return fmt.Errorf("energy: frequency must be positive")
-	}
-	return nil
 }
 
 // WidxTotalWatts is the power of the full Widx widget (all units).

@@ -251,7 +251,6 @@ func Run(spec PlanSpec) (*Result, error) {
 	// 6. Post-join operators.
 	sortJoinCycles := 0.0
 	if spec.Sort && len(matchedValues) > 1 {
-		_ = colstore.SortedCopy(matchedValues)
 		n := float64(len(matchedValues))
 		sortJoinCycles += n * math.Log2(n) * sortCyclesPerCompare
 	}
@@ -299,21 +298,4 @@ func bucketCountFor(rows int, nodesPerBucket float64) uint64 {
 		buckets <<= 1
 	}
 	return buckets
-}
-
-// NativeJoinAggregate computes the reference answer of the engine's canonical
-// query with plain Go maps: the sum of dimension values for every probe key
-// that joins. Tests use it to check the engine end to end.
-func NativeJoinAggregate(dimKeys, dimValues, probeKeys []uint64) (matches int, sum uint64) {
-	m := make(map[uint64]uint64, len(dimKeys))
-	for i, k := range dimKeys {
-		m[k] = dimValues[i]
-	}
-	for _, k := range probeKeys {
-		if v, ok := m[k]; ok {
-			matches++
-			sum += v
-		}
-	}
-	return matches, sum
 }

@@ -179,6 +179,23 @@ func TestFromWorkload(t *testing.T) {
 	}
 }
 
+// NativeJoinAggregate computes the reference answer of the engine's canonical
+// query with plain Go maps: the sum of dimension values for every probe key
+// that joins. Tests use it to check the engine end to end.
+func NativeJoinAggregate(dimKeys, dimValues, probeKeys []uint64) (matches int, sum uint64) {
+	m := make(map[uint64]uint64, len(dimKeys))
+	for i, k := range dimKeys {
+		m[k] = dimValues[i]
+	}
+	for _, k := range probeKeys {
+		if v, ok := m[k]; ok {
+			matches++
+			sum += v
+		}
+	}
+	return matches, sum
+}
+
 func TestNativeJoinAggregate(t *testing.T) {
 	matches, sum := NativeJoinAggregate(
 		[]uint64{1, 2, 3},

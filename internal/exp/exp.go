@@ -14,7 +14,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"widx/internal/sim"
@@ -111,16 +110,6 @@ func Names() []string {
 	for i, e := range ordered {
 		out[i] = e.Name()
 	}
-	return out
-}
-
-// AllNames returns every accepted -run spelling: primary names and aliases.
-func AllNames() []string {
-	out := make([]string, 0, len(byName))
-	for n := range byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 

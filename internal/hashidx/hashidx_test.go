@@ -92,8 +92,8 @@ func buildTable(t *testing.T, layout Layout, hash HashKind, n int, buckets uint6
 
 func TestBuildAndProbeInline(t *testing.T) {
 	tbl, keys := buildTable(t, LayoutInline, HashRobust, 1000, 0)
-	if tbl.NumKeys() != 1000 {
-		t.Fatalf("NumKeys = %d", tbl.NumKeys())
+	if tbl.numKeys != 1000 {
+		t.Fatalf("numKeys = %d", tbl.numKeys)
 	}
 	for i, k := range keys {
 		r := tbl.Probe(k)
@@ -192,11 +192,8 @@ func TestChainStatsSmallBucketCount(t *testing.T) {
 	if tbl.MaxChain() < 8 {
 		t.Fatalf("max chain = %d, expected long chains with 4 buckets", tbl.MaxChain())
 	}
-	if avg := tbl.AvgNodesPerBucket(); avg < 8 || avg > 32 {
-		t.Fatalf("avg nodes/bucket = %v", avg)
-	}
-	if tbl.OverflowNodes() != 64-4 {
-		t.Fatalf("overflow nodes = %d, want 60", tbl.OverflowNodes())
+	if tbl.numNodes != 64-4 {
+		t.Fatalf("overflow nodes = %d, want 60", tbl.numNodes)
 	}
 }
 
@@ -209,15 +206,16 @@ func TestProbeTraceShape(t *testing.T) {
 	if r.Trace.HashOps != HashOps(HashSimple) {
 		t.Fatal("trace hash ops wrong")
 	}
-	if r.Trace.BucketAddr != tbl.BucketAddr(BucketIndex(SimpleHash(keys[0]), tbl.Buckets())) {
+	if r.Trace.BucketAddr != tbl.BucketAddr(BucketIndex(SimpleHash(keys[0]), tbl.BucketMask()+1)) {
 		t.Fatal("trace bucket address wrong")
 	}
 	if len(r.Trace.Steps) != r.NodesVisited {
 		t.Fatal("trace steps inconsistent with nodes visited")
 	}
-	// MemOps = key fetch + node loads (+ indirect fetches, none here).
-	if got := r.Trace.MemOps(); got != r.NodesVisited+1 {
-		t.Fatalf("MemOps = %d, want %d", got, r.NodesVisited+1)
+	for _, s := range r.Trace.Steps {
+		if s.KeyFetchAddr != 0 {
+			t.Fatal("inline layout should fetch no indirect keys")
+		}
 	}
 }
 
@@ -229,9 +227,9 @@ func TestProbeEmptyBucket(t *testing.T) {
 	}
 	// Find a key whose bucket is guaranteed empty: try candidates until the
 	// bucket differs from key 5's bucket and the probe visits one node.
-	target := BucketIndex(RobustHash(5), tbl.Buckets())
+	target := BucketIndex(RobustHash(5), tbl.BucketMask()+1)
 	for k := uint64(100); k < 200; k++ {
-		if BucketIndex(RobustHash(k), tbl.Buckets()) != target {
+		if BucketIndex(RobustHash(k), tbl.BucketMask()+1) != target {
 			r := tbl.Probe(k)
 			if r.Found {
 				t.Fatal("empty bucket probe found a match")

@@ -41,21 +41,6 @@ type ProbeTrace struct {
 	Steps []TraceStep
 }
 
-// MemOps returns the number of memory operations on the probe's critical
-// path, including the key fetch from the input column if present.
-func (tr ProbeTrace) MemOps() int {
-	n := len(tr.Steps)
-	for _, s := range tr.Steps {
-		if s.KeyFetchAddr != 0 {
-			n++
-		}
-	}
-	if tr.KeyAddr != 0 {
-		n++
-	}
-	return n
-}
-
 // ProbeResult is the functional outcome of one probe.
 type ProbeResult struct {
 	// Found reports whether at least one node matched.

@@ -85,10 +85,9 @@ type Table struct {
 	// Base key column for the indirect layout.
 	keyColBase uint64
 
-	numKeys    uint64
-	numNodes   uint64 // overflow nodes allocated (beyond bucket headers)
-	maxChain   int
-	chainTotal uint64 // total nodes visited if every bucket were walked once
+	numKeys  uint64
+	numNodes uint64 // overflow nodes allocated (beyond bucket headers)
+	maxChain int
 }
 
 // nextPow2 returns the smallest power of two >= v (and at least 1).
@@ -229,16 +228,11 @@ func (t *Table) allocNode() (uint64, error) {
 	return addr, nil
 }
 
-// computeChainStats walks every bucket once to record chain statistics.
+// computeChainStats walks every bucket once to record the longest chain.
 func (t *Table) computeChainStats() {
 	t.maxChain = 0
-	t.chainTotal = 0
 	for b := uint64(0); b < t.buckets; b++ {
-		n := t.chainLength(b)
-		if n > t.maxChain {
-			t.maxChain = n
-		}
-		t.chainTotal += uint64(n)
+		t.maxChain = max(t.maxChain, t.chainLength(b))
 	}
 }
 
@@ -274,12 +268,6 @@ func (t *Table) chainLength(b uint64) int {
 // Config returns the configuration the table was built with.
 func (t *Table) Config() Config { return t.cfg }
 
-// AddressSpace returns the address space holding the index.
-func (t *Table) AddressSpace() *vm.AddressSpace { return t.as }
-
-// Buckets returns the bucket count.
-func (t *Table) Buckets() uint64 { return t.buckets }
-
 // BucketBase returns the virtual address of the bucket header array.
 func (t *Table) BucketBase() uint64 { return t.bucketBase }
 
@@ -290,12 +278,16 @@ func (t *Table) BucketMask() uint64 { return t.buckets - 1 }
 func (t *Table) NodeSize() uint64 { return t.nodeSize }
 
 // BucketAddr returns the address of bucket b's header node.
+//
+//widxlint:ignore deadcode used by the widx tests
 func (t *Table) BucketAddr(b uint64) uint64 {
 	return t.bucketBase + (b&t.BucketMask())*t.nodeSize
 }
 
 // KeyColumnBase returns the base address of the key column (indirect layout
 // only; zero otherwise).
+//
+//widxlint:ignore deadcode used by the widx tests
 func (t *Table) KeyColumnBase() uint64 { return t.keyColBase }
 
 // Regions returns the address ranges [start, end) the index occupies: the
@@ -313,28 +305,8 @@ func (t *Table) Regions() [][2]uint64 {
 	return r
 }
 
-// NumKeys returns the number of keys inserted.
-func (t *Table) NumKeys() uint64 { return t.numKeys }
-
-// OverflowNodes returns the number of nodes allocated beyond bucket headers.
-func (t *Table) OverflowNodes() uint64 { return t.numNodes }
-
 // MaxChain returns the longest bucket chain (in nodes).
 func (t *Table) MaxChain() int { return t.maxChain }
-
-// AvgNodesPerBucket returns the average chain length over occupied buckets.
-func (t *Table) AvgNodesPerBucket() float64 {
-	occupied := uint64(0)
-	for b := uint64(0); b < t.buckets; b++ {
-		if t.chainLength(b) > 0 {
-			occupied++
-		}
-	}
-	if occupied == 0 {
-		return 0
-	}
-	return float64(t.chainTotal) / float64(occupied)
-}
 
 // FootprintBytes returns the index's resident working set: bucket headers,
 // allocated overflow nodes and (for the indirect layout) the key column.

@@ -1,7 +1,6 @@
 package isa
 
 import (
-	"encoding/binary"
 	"fmt"
 )
 
@@ -172,130 +171,4 @@ func (cb *ControlBlock) SizeBytes() int {
 		n += 16 * len(sec.Consts)
 	}
 	return n
-}
-
-// MarshalBinary serializes the control block to a flat byte image: for each
-// section a small header (kind, counts) followed by register preloads and
-// instruction words, all little-endian. The format exists so the simulated
-// virtual memory can hold a real control block for Widx to load.
-func (cb *ControlBlock) MarshalBinary() ([]byte, error) {
-	var buf []byte
-	put64 := func(v uint64) {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put64(uint64(len(cb.Sections)))
-	for _, sec := range cb.Sections {
-		put64(uint64(sec.Kind))
-		put64(uint64(len(sec.InputRegs)))
-		put64(uint64(len(sec.OutputRegs)))
-		put64(uint64(len(sec.Consts)))
-		put64(uint64(len(sec.Words)))
-		for _, r := range sec.InputRegs {
-			put64(uint64(r))
-		}
-		for _, r := range sec.OutputRegs {
-			put64(uint64(r))
-		}
-		// Deterministic order for the const map keeps the image reproducible.
-		for r := Reg(0); int(r) < NumRegs; r++ {
-			if v, ok := sec.Consts[r]; ok {
-				put64(uint64(r))
-				put64(v)
-			}
-		}
-		for _, w := range sec.Words {
-			put64(w)
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary parses a byte image produced by MarshalBinary. Section
-// names are not part of the binary image and come back empty.
-func (cb *ControlBlock) UnmarshalBinary(data []byte) error {
-	off := 0
-	get64 := func() (uint64, error) {
-		if off+8 > len(data) {
-			return 0, fmt.Errorf("isa: truncated control block image")
-		}
-		v := binary.LittleEndian.Uint64(data[off : off+8])
-		off += 8
-		return v, nil
-	}
-	nsec, err := get64()
-	if err != nil {
-		return err
-	}
-	if nsec == 0 || nsec > 64 {
-		return fmt.Errorf("isa: implausible section count %d", nsec)
-	}
-	cb.Sections = nil
-	for s := uint64(0); s < nsec; s++ {
-		kind, err := get64()
-		if err != nil {
-			return err
-		}
-		if kind >= uint64(NumUnitKinds) {
-			return fmt.Errorf("isa: invalid unit kind %d in control block", kind)
-		}
-		nin, err := get64()
-		if err != nil {
-			return err
-		}
-		nout, err := get64()
-		if err != nil {
-			return err
-		}
-		nconst, err := get64()
-		if err != nil {
-			return err
-		}
-		nwords, err := get64()
-		if err != nil {
-			return err
-		}
-		sec := ControlSection{Kind: UnitKind(kind), Consts: map[Reg]uint64{}}
-		for i := uint64(0); i < nin; i++ {
-			v, err := get64()
-			if err != nil {
-				return err
-			}
-			sec.InputRegs = append(sec.InputRegs, Reg(v))
-		}
-		for i := uint64(0); i < nout; i++ {
-			v, err := get64()
-			if err != nil {
-				return err
-			}
-			sec.OutputRegs = append(sec.OutputRegs, Reg(v))
-		}
-		for i := uint64(0); i < nconst; i++ {
-			r, err := get64()
-			if err != nil {
-				return err
-			}
-			v, err := get64()
-			if err != nil {
-				return err
-			}
-			if r >= uint64(NumRegs) {
-				return fmt.Errorf("isa: invalid preload register %d", r)
-			}
-			sec.Consts[Reg(r)] = v
-		}
-		for i := uint64(0); i < nwords; i++ {
-			w, err := get64()
-			if err != nil {
-				return err
-			}
-			sec.Words = append(sec.Words, w)
-		}
-		cb.Sections = append(cb.Sections, sec)
-	}
-	if off != len(data) {
-		return fmt.Errorf("isa: %d trailing bytes in control block image", len(data)-off)
-	}
-	return nil
 }

@@ -33,15 +33,6 @@ type Reg uint8
 // constants loaded from the control block.
 const NumRegs = 32
 
-// R returns the i-th register and panics if i is out of range. It exists so
-// program builders fail fast instead of silently wrapping register numbers.
-func R(i int) Reg {
-	if i < 0 || i >= NumRegs {
-		panic(fmt.Sprintf("isa: register %d out of range", i))
-	}
-	return Reg(i)
-}
-
 // Valid reports whether the register index is architecturally valid.
 func (r Reg) Valid() bool { return int(r) < NumRegs }
 

@@ -140,8 +140,6 @@ func (c KernelConfig) Validate() error {
 // Kernel is a built hash-join kernel instance: the build-side index resident
 // in a simulated address space plus the probe-side key column.
 type Kernel struct {
-	cfg KernelConfig
-
 	AS    *vm.AddressSpace
 	Index *hashidx.Table
 
@@ -216,7 +214,6 @@ func BuildKernel(cfg KernelConfig) (*Kernel, error) {
 	resultBase := as.AllocAligned("kernel.results", uint64(outerN)*8+64)
 
 	return &Kernel{
-		cfg:          cfg,
 		AS:           as,
 		Index:        idx,
 		BuildKeys:    buildKeys,
@@ -225,9 +222,6 @@ func BuildKernel(cfg KernelConfig) (*Kernel, error) {
 		ResultBase:   resultBase,
 	}, nil
 }
-
-// Config returns the kernel's configuration.
-func (k *Kernel) Config() KernelConfig { return k.cfg }
 
 // SoftwareProbe runs the probe phase functionally and returns the number of
 // probes that found a match (all of them, for the kernel's workload).
@@ -248,10 +242,6 @@ func (k *Kernel) Traces(limit int) []hashidx.ProbeTrace {
 	}
 	return out
 }
-
-// FootprintBytes returns the index working-set size, the quantity that puts
-// Small, Medium and Large on different levels of the cache hierarchy.
-func (k *Kernel) FootprintBytes() uint64 { return k.Index.FootprintBytes() }
 
 // HashJoinNative is a straightforward Go map-based hash join returning the
 // number of (build, probe) matches; it is the functional reference the

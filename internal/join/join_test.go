@@ -64,14 +64,11 @@ func TestBuildKernelSmall(t *testing.T) {
 		t.Fatalf("SoftwareProbe found %d of %d", found, len(k.ProbeKeys))
 	}
 	// The chain depth target of ~2 nodes per bucket is respected.
-	if avg := k.Index.AvgNodesPerBucket(); avg > 3.0 {
+	if avg := float64(len(k.BuildKeys)) / float64(k.Index.BucketMask()+1); avg > 3.0 {
 		t.Fatalf("average nodes per bucket = %v, want ~2", avg)
 	}
-	if k.FootprintBytes() == 0 {
+	if k.Index.FootprintBytes() == 0 {
 		t.Fatal("zero footprint")
-	}
-	if k.Config().Size != Small {
-		t.Fatal("config accessor wrong")
 	}
 }
 
@@ -86,10 +83,10 @@ func TestSizeClassFootprintOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k.FootprintBytes() <= prev {
-			t.Fatalf("%v footprint %d not larger than previous %d", size, k.FootprintBytes(), prev)
+		if k.Index.FootprintBytes() <= prev {
+			t.Fatalf("%v footprint %d not larger than previous %d", size, k.Index.FootprintBytes(), prev)
 		}
-		prev = k.FootprintBytes()
+		prev = k.Index.FootprintBytes()
 	}
 }
 

@@ -35,6 +35,8 @@ import (
 
 // Run applies the analyzer to each fixture package under dir/src and
 // reports mismatches between expected and actual diagnostics on t.
+//
+//widxlint:ignore deadcode used by the analyzers' fixture tests
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {

@@ -2,14 +2,16 @@
 // that machine-check the simulator's two load-bearing invariants —
 // byte-identical output at any -parallel (detmap, nondet) and per-agent
 // stats summing to shared totals (statssum) — plus the experiment manifest
-// schema's honesty (paramuse). cmd/widxlint drives the suite
-// (`go run ./cmd/widxlint ./...`).
+// schema's honesty (paramuse) and the module-level deadcode check (no
+// internal/ declaration that only tests reference). cmd/widxlint drives the
+// suite (`go run ./cmd/widxlint ./...`).
 package lint
 
 import (
 	"flag"
 	"fmt"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,6 +26,7 @@ import (
 // Analyzers returns the full widxlint suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
+		Deadcode,
 		detmap.Analyzer,
 		nondet.Analyzer,
 		paramuse.Analyzer,
@@ -79,13 +82,22 @@ func Enabled(analyzers []*analysis.Analyzer, enabled map[string]*bool) []*analys
 }
 
 // Run loads patterns from dir and applies the given analyzers — the
-// driver's whole job.
+// driver's whole job. Deadcode, if given, runs once over the module.
 func Run(dir string, includeTests bool, analyzers []*analysis.Analyzer, patterns ...string) ([]Finding, error) {
 	pkgs, err := loader.Load(dir, includeTests, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	return RunPackages(pkgs, analyzers)
+	perPackage := slices.DeleteFunc(slices.Clone(analyzers), func(a *analysis.Analyzer) bool { return a == Deadcode })
+	out, err := RunPackages(pkgs, perPackage)
+	if err != nil || !slices.Contains(analyzers, Deadcode) {
+		return out, err
+	}
+	more, err := runDeadcode(dir, pkgs)
+	if err != nil {
+		return nil, err
+	}
+	return sortFindings(append(out, more...)), nil
 }
 
 // RunPackages applies every analyzer to every loaded package and returns
@@ -114,6 +126,11 @@ func RunPackages(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Find
 			}
 		}
 	}
+	return sortFindings(out), nil
+}
+
+// sortFindings orders findings by position, then message.
+func sortFindings(out []Finding) []Finding {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -127,5 +144,5 @@ func RunPackages(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Find
 		}
 		return a.Message < b.Message
 	})
-	return out, nil
+	return out
 }

@@ -106,6 +106,29 @@ func Load(dir string, includeTests bool, patterns ...string) ([]*Package, error)
 	return loaded, nil
 }
 
+// ModulePackages lists the import paths of every package in the main
+// module of dir, tests aside.
+func ModulePackages(dir string) ([]string, error) {
+	module, err := goList(dir, "-m")
+	if err != nil {
+		return nil, err
+	}
+	return goList(dir, module[0]+"/...")
+}
+
+// goList runs `go list args...` in dir and returns its output lines.
+func goList(dir string, args ...string) ([]string, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("loader: go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return strings.Fields(string(out)), nil
+}
+
 // selectTargets picks the packages to analyze from a -deps listing: the
 // non-dependency packages, minus generated test mains, with each plain
 // package dropped in favor of its in-package test variant when one exists

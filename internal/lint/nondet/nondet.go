@@ -125,9 +125,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// InCore exposes the package-scoping predicate for tests.
-var InCore = inCore
-
 // inCore reports whether an import path is inside the configured
 // deterministic core. Test-variant paths ("p [p.test]") match as p.
 func inCore(path string) bool {

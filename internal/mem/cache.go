@@ -24,14 +24,13 @@ type Cache struct {
 	lru   []uint64
 	clock uint64
 
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	hits   uint64
+	misses uint64
 }
 
 // NewCache builds a cache with the given capacity, associativity and block
 // size (all in bytes). It panics on a geometry that does not divide evenly;
-// Config.Validate catches this earlier for user-supplied configurations.
+// Topology.Validate catches this earlier for user-supplied configurations.
 func NewCache(name string, sizeBytes, assoc, blockBytes int) *Cache {
 	// Blocks must be at least two bytes so block addresses keep bit 0
 	// clear, which the tag storage repurposes as the valid bit.
@@ -66,12 +65,6 @@ func NewCache(name string, sizeBytes, assoc, blockBytes int) *Cache {
 // invalid entry.
 const tagValid uint64 = 1
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // setIndex maps a byte address to its set.
 func (c *Cache) setIndex(addr uint64) int {
 	return int((addr >> c.blockBits) & c.setMask)
@@ -84,8 +77,8 @@ func (c *Cache) block(addr uint64) uint64 {
 
 // Lookup probes the cache for the block containing addr. On a hit the LRU
 // state is updated and true is returned; counters are updated either way.
-// Lookup does not allocate on a miss — call Insert for that — so callers can
-// model no-allocate operations (e.g. prefetch probes that get dropped).
+// Lookup does not allocate on a miss — call InsertWays for that — so callers
+// can model no-allocate operations (e.g. prefetch probes that get dropped).
 func (c *Cache) Lookup(addr uint64) bool {
 	base := c.setIndex(addr) * c.ways
 	want := c.block(addr) | tagValid
@@ -103,7 +96,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 }
 
 // Contains reports whether the block containing addr is present without
-// updating LRU state or counters (used by tests and diagnostics).
+// updating LRU state or counters.
+//
+//widxlint:ignore deadcode used by the sim tests (TestCMPWarmingInterleavedSymmetric)
 func (c *Cache) Contains(addr uint64) bool {
 	base := c.setIndex(addr) * c.ways
 	want := c.block(addr) | tagValid
@@ -115,20 +110,16 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Insert allocates the block containing addr, evicting the LRU way of its set
-// if necessary. It returns the evicted block address and whether an eviction
-// of a valid block occurred.
-func (c *Cache) Insert(addr uint64) (evicted uint64, didEvict bool) {
-	return c.InsertWays(addr, 0)
-}
-
-// InsertWays is Insert restricted to an allocation-way partition: the block
-// may only be placed in (and evict from) the ways whose bit is set in mask,
-// the way-partitioning discipline CMP QoS schemes use to fence agents'
-// working sets. A zero mask means all ways. A block already resident in any
-// way — inside or outside the partition — only has its LRU state refreshed:
-// partitions restrict allocation, not residency, exactly like hardware
-// way-masking, so lookups still hit partition-external ways.
+// InsertWays allocates the block containing addr, evicting the LRU way of
+// its set if necessary, and returns the evicted block address and whether an
+// eviction of a valid block occurred. Allocation is restricted to a way
+// partition: the block may only be placed in (and evict from) the ways
+// whose bit is set in mask, the way-partitioning discipline CMP QoS schemes
+// use to fence agents' working sets. A zero mask means all ways. A block
+// already resident in any way — inside or outside the partition — only has
+// its LRU state refreshed: partitions restrict allocation, not residency,
+// exactly like hardware way-masking, so lookups still hit
+// partition-external ways.
 func (c *Cache) InsertWays(addr uint64, mask uint64) (evicted uint64, didEvict bool) {
 	base := c.setIndex(addr) * c.ways
 	want := c.block(addr) | tagValid
@@ -171,57 +162,11 @@ func (c *Cache) InsertWays(addr uint64, mask uint64) (evicted uint64, didEvict b
 	evicted = tags[victim] &^ tagValid
 	tags[victim] = want
 	lru[victim] = c.clock
-	c.evictions++
 	return evicted, true
 }
 
-// Invalidate removes the block containing addr if present, returning whether
-// it was present. Used by tests and by workload warm-up control.
-func (c *Cache) Invalidate(addr uint64) bool {
-	base := c.setIndex(addr) * c.ways
-	want := c.block(addr) | tagValid
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == want {
-			// Clearing the valid bit leaves the block address behind,
-			// exactly the stale tag an invalidated way has always kept.
-			c.tags[base+w] &^= tagValid
-			return true
-		}
-	}
-	return false
-}
-
-// Reset clears all cache content and counters. Stale block addresses stay
-// behind in the tag words (with the valid bit cleared), matching what an
-// invalidated way keeps.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] &^= tagValid
-		c.lru[i] = 0
-	}
-	c.clock, c.hits, c.misses, c.evictions = 0, 0, 0, 0
-}
-
-// ResetCounters clears the hit/miss/eviction counters but keeps content,
-// which is how measurement phases start after cache warm-up.
+// ResetCounters clears the hit/miss counters but keeps content, which is
+// how measurement phases start after cache warm-up.
 func (c *Cache) ResetCounters() {
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
-
-// Hits returns the number of hits since the last counter reset.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the number of misses since the last counter reset.
-func (c *Cache) Misses() uint64 { return c.misses }
-
-// Evictions returns the number of valid-block evictions since the last reset.
-func (c *Cache) Evictions() uint64 { return c.evictions }
-
-// MissRatio returns misses / (hits + misses), or 0 with no accesses.
-func (c *Cache) MissRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(total)
+	c.hits, c.misses = 0, 0
 }

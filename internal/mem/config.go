@@ -110,15 +110,6 @@ func (c Config) MemBandwidthUtilization(blocks, cycles uint64) float64 {
 	return c.Topology().Shared.MemBandwidthUtilization(blocks, cycles)
 }
 
-// Validate reports configuration errors that would make the model
-// meaningless (zero sizes, non-power-of-two blocks, zero or absurd
-// latencies and similar). It validates the symmetric topology the flat
-// configuration denotes, so Config and Topology accept exactly the same
-// machines.
-func (c Config) Validate() error {
-	return c.Topology().Validate()
-}
-
 type configError string
 
 func errConfig(s string) error      { return configError(s) }

@@ -85,14 +85,6 @@ type Result struct {
 	TLBReadyCycle uint64
 }
 
-// Latency is the total observed latency from the requested cycle.
-func (r Result) Latency(requested uint64) uint64 {
-	if r.CompleteCycle < requested {
-		return 0
-	}
-	return r.CompleteCycle - requested
-}
-
 // mshrEntry tracks one outstanding miss. It occupies one of the owner's
 // private MSHRs and one shared fill buffer from the allocation cycle
 // (start) until the fill returns (complete). owner is the agent whose miss
@@ -274,16 +266,9 @@ func (s Stats) MeanMSHROccupancy() float64 {
 	return float64(weighted) / float64(total)
 }
 
-// L1MissRatio returns L1 misses over all cache lookups.
-func (s Stats) L1MissRatio() float64 {
-	total := s.L1Hits + s.L1Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.L1Misses) / float64(total)
-}
-
 // LLCMissRatio returns LLC misses over LLC lookups.
+//
+//widxlint:ignore deadcode used by bench/widxbench
 func (s Stats) LLCMissRatio() float64 {
 	total := s.LLCHits + s.LLCMisses
 	if total == 0 {
@@ -295,20 +280,13 @@ func (s Stats) LLCMissRatio() float64 {
 // NewHierarchy builds a single-agent machine from the flat configuration:
 // one agent view with the symmetric topology's default spec in front of a
 // private shared level. It panics on an invalid configuration; call
-// cfg.Validate first when the configuration is user-supplied. Multi-agent
-// and heterogeneous machines are built with NewSharedLevel +
+// cfg.Topology().Validate first when the configuration is user-supplied.
+// Multi-agent and heterogeneous machines are built with NewSharedLevel +
 // SharedLevel.NewAgent.
 func NewHierarchy(cfg Config) *Hierarchy {
 	top := cfg.Topology()
 	return NewSharedLevel(top).NewAgent(top.Agent("agent0"))
 }
-
-// SetStrictOrder toggles the debug assertion that Access requests arrive in
-// monotonically non-decreasing cycle order across all agents of the shared
-// level. The stepped execution core guarantees this ordering by construction;
-// enabling the assertion makes any scheduler regression fail loudly instead
-// of silently corrupting resource accounting.
-func (h *Hierarchy) SetStrictOrder(on bool) { h.shared.SetStrictOrder(on) }
 
 // Spec returns the agent's private spec.
 func (h *Hierarchy) Spec() AgentSpec { return h.spec }
@@ -347,15 +325,6 @@ func (h *Hierarchy) Name() string { return h.spec.Name }
 // Shared returns the shared level this agent view is attached to.
 func (h *Hierarchy) Shared() *SharedLevel { return h.shared }
 
-// L1 exposes the agent's private L1 cache model (for warm-up and tests).
-func (h *Hierarchy) L1() *Cache { return h.l1 }
-
-// LLC exposes the shared LLC model (for warm-up and tests).
-func (h *Hierarchy) LLC() *Cache { return h.shared.llc }
-
-// TLB exposes the agent's private TLB model (for warm-up and tests).
-func (h *Hierarchy) TLB() *TLB { return h.tlb }
-
 // Stats returns a copy of the agent's counters accumulated since the last
 // reset, with the agent's private MSHR-occupancy histogram attached (the
 // shared fill-buffer histogram lives on SharedLevel.Stats()).
@@ -363,31 +332,6 @@ func (h *Hierarchy) Stats() Stats {
 	s := h.stats
 	s.MSHROccupancy = append([]uint64(nil), h.occHist...)
 	return s
-}
-
-// ResetCounters clears the agent's activity counters and the shared level's
-// (but not cache/TLB contents, resource schedules or in-flight misses),
-// marking the start of a measurement phase. The occupancy histograms
-// re-anchor at the phase's first access. The cycle clock continues across
-// the reset — restarting cycle numbering requires a fresh machine, since
-// outstanding fills and resource reservations live on the old timebase.
-//
-// With multiple agents attached to the shared level, prefer scoping
-// measurements with Stats snapshots and Stats.Sub, or reset the whole system
-// at once with SharedLevel.ResetCounters: resetting through one agent clears
-// the shared counters under the others.
-func (h *Hierarchy) ResetCounters() {
-	h.resetPrivateCounters()
-	h.shared.resetSharedCounters()
-}
-
-// resetPrivateCounters clears the agent-private half of the counters.
-func (h *Hierarchy) resetPrivateCounters() {
-	h.stats = Stats{}
-	h.occHist = make([]uint64, h.spec.MSHRs+1)
-	h.occStarted = false
-	h.l1.ResetCounters()
-	h.tlb.ResetCounters()
 }
 
 // recordOccupancy advances the agent's private MSHR-occupancy histogram to
@@ -568,27 +512,4 @@ func (h *Hierarchy) WarmLLCOnly(addr uint64) {
 	h.tlb.WarmPage(addr)
 	h.shared.llc.ResetCounters()
 	h.tlb.ResetCounters()
-}
-
-// AMAT returns the average memory access time implied by the agent's
-// counters and configured latencies, in cycles. It is used by reports and
-// sanity checks; the timing itself never uses AMAT (it uses per-access
-// latencies).
-func (h *Hierarchy) AMAT() float64 {
-	s := h.stats
-	shared := h.shared.top.Shared
-	accesses := s.L1Hits + s.L1Misses
-	if accesses == 0 {
-		return float64(h.spec.L1LatencyCyc)
-	}
-	l1HitRate := float64(s.L1Hits) / float64(accesses)
-	llcLookups := s.LLCHits + s.LLCMisses
-	llcMissRate := 0.0
-	if llcLookups > 0 {
-		llcMissRate = float64(s.LLCMisses) / float64(llcLookups)
-	}
-	l1Lat := float64(h.spec.L1LatencyCyc)
-	llcLat := float64(shared.InterconnectCyc + shared.LLCLatencyCyc)
-	memLat := float64(shared.MemLatencyCycles())
-	return l1Lat + (1-l1HitRate)*(llcLat+llcMissRate*memLat)
 }

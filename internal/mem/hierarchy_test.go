@@ -5,9 +5,14 @@ import (
 	"testing/quick"
 )
 
+// Test-only accessors of an agent's private models and the shared LLC.
+func (h *Hierarchy) L1() *Cache  { return h.l1 }
+func (h *Hierarchy) LLC() *Cache { return h.shared.llc }
+func (h *Hierarchy) TLB() *TLB   { return h.tlb }
+
 func TestDefaultConfigMatchesTable2(t *testing.T) {
 	cfg := DefaultConfig()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Topology().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.FrequencyGHz != 2.0 {
@@ -56,7 +61,7 @@ func TestConfigValidateRejectsBadConfigs(t *testing.T) {
 	for name, mutate := range mutations {
 		cfg := DefaultConfig()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.Topology().Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
 	}
@@ -261,45 +266,17 @@ func TestTLBMissDelaysAccess(t *testing.T) {
 	}
 }
 
-func TestStatsRatiosAndAMAT(t *testing.T) {
-	h := NewHierarchy(DefaultConfig())
-	// No accesses: AMAT equals the L1 latency and ratios are zero.
-	if h.AMAT() != 2 {
-		t.Fatalf("idle AMAT = %v", h.AMAT())
-	}
+func TestStatsLLCMissRatio(t *testing.T) {
 	var s Stats
-	if s.L1MissRatio() != 0 || s.LLCMissRatio() != 0 {
-		t.Fatal("zero stats should have zero ratios")
+	if s.LLCMissRatio() != 0 {
+		t.Fatal("zero stats should have a zero ratio")
 	}
-
+	h := NewHierarchy(DefaultConfig())
 	h.WarmBlock(0x1000)
 	h.Access(0x1000, 0, Load)   // L1 hit
 	h.Access(0x555000, 0, Load) // memory miss
-	st := h.Stats()
-	if st.L1MissRatio() != 0.5 {
-		t.Fatalf("L1 miss ratio = %v", st.L1MissRatio())
-	}
-	if st.LLCMissRatio() != 1.0 {
+	if st := h.Stats(); st.LLCMissRatio() != 1.0 {
 		t.Fatalf("LLC miss ratio = %v", st.LLCMissRatio())
-	}
-	amat := h.AMAT()
-	if amat <= 2 || amat > 200 {
-		t.Fatalf("AMAT = %v out of plausible range", amat)
-	}
-
-	h.ResetCounters()
-	if h.Stats().Loads != 0 || h.L1().Hits() != 0 {
-		t.Fatal("ResetCounters incomplete")
-	}
-}
-
-func TestResultLatency(t *testing.T) {
-	r := Result{CompleteCycle: 150}
-	if r.Latency(100) != 50 {
-		t.Fatalf("latency = %d", r.Latency(100))
-	}
-	if r.Latency(200) != 0 {
-		t.Fatal("latency should clamp at zero")
 	}
 }
 
@@ -350,12 +327,12 @@ func TestPropertyLocalityConverges(t *testing.T) {
 				cycle = r.CompleteCycle + 1
 			}
 		}
-		h.ResetCounters()
+		warm := h.Stats()
 		for off := uint64(0); off < 8*1024; off += 64 {
 			r := h.Access(base+off, cycle, Load)
 			cycle = r.CompleteCycle + 1
 		}
-		return h.Stats().L1MissRatio() == 0
+		return h.Stats().Sub(warm).L1Misses == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -113,13 +113,10 @@ func (sl *SharedLevel) NewAgent(spec AgentSpec) *Hierarchy {
 // built from plus the default private spec new agents inherit.
 func (sl *SharedLevel) Topology() Topology { return sl.top }
 
-// LLC exposes the shared LLC model (for warm-up and tests).
+// LLC exposes the shared LLC model.
+//
+//widxlint:ignore deadcode used by the sim tests (TestCMPWarmingInterleavedSymmetric)
 func (sl *SharedLevel) LLC() *Cache { return sl.llc }
-
-// Agents returns the attached agent views in attachment order.
-func (sl *SharedLevel) Agents() []*Hierarchy {
-	return append([]*Hierarchy(nil), sl.agents...)
-}
 
 // SetStrictOrder toggles the debug assertion that Access requests — from all
 // agents combined — arrive in monotonically non-decreasing cycle order. The
@@ -137,58 +134,6 @@ func (sl *SharedLevel) Stats() Stats {
 	s := sl.stats
 	s.MSHROccupancy = append([]uint64(nil), sl.occHist...)
 	return s
-}
-
-// AgentStats is one agent's labeled counter view, for contention reports
-// that attribute shared-resource pressure to its source.
-type AgentStats struct {
-	Name  string
-	Stats Stats
-}
-
-// AgentStatsAll returns every agent's labeled counters in attachment order.
-// Summing any shared-resource field (LLC hits/misses, combined misses,
-// MemBlocks, MSHR and fill-buffer stalls) over the result reproduces
-// Stats(); the occupancy histograms differ by design (per-agent MSHR tier
-// vs. shared fill-buffer tier).
-func (sl *SharedLevel) AgentStatsAll() []AgentStats {
-	out := make([]AgentStats, len(sl.agents))
-	for i, a := range sl.agents {
-		out[i] = AgentStats{Name: a.spec.Name, Stats: a.Stats()}
-	}
-	return out
-}
-
-// SystemStats returns the sum of every agent's counters (private and shared
-// alike), with the shared fill-buffer occupancy histogram attached.
-func (sl *SharedLevel) SystemStats() Stats {
-	var sum Stats
-	for _, a := range sl.agents {
-		sum = sum.Add(a.stats)
-	}
-	sum.MSHROccupancy = append([]uint64(nil), sl.occHist...)
-	return sum
-}
-
-// ResetCounters clears the shared-resource counters and every attached
-// agent's private counters (but not cache/TLB contents, resource schedules or
-// in-flight misses), marking the start of a measurement phase for the whole
-// system. The occupancy histograms re-anchor at the phase's first access.
-func (sl *SharedLevel) ResetCounters() {
-	sl.resetSharedCounters()
-	for _, a := range sl.agents {
-		a.resetPrivateCounters()
-	}
-}
-
-// resetSharedCounters clears the shared-level half of the counters. The
-// occupancy histogram lives only in occHist; Stats() attaches a copy of it,
-// so sl.stats itself never carries one.
-func (sl *SharedLevel) resetSharedCounters() {
-	sl.stats = Stats{}
-	sl.occHist = make([]uint64, sl.top.Shared.FillBuffers+1)
-	sl.occStarted = false
-	sl.llc.ResetCounters()
 }
 
 // checkOrder applies the strict-order assertion and advances the global

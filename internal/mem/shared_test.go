@@ -57,21 +57,6 @@ func TestSharedLevelPerAgentAttribution(t *testing.T) {
 		t.Fatalf("shared totals != per-agent sums:\nshared %+v\na %+v\nb %+v", ss, as, bs)
 	}
 
-	// Labeled sub-views carry the agent names in attachment order.
-	labeled := sl.AgentStatsAll()
-	if len(labeled) != 2 || labeled[0].Name != "a" || labeled[1].Name != "b" {
-		t.Fatalf("labeled views wrong: %+v", labeled)
-	}
-	if labeled[0].Stats.LLCMisses != as.LLCMisses {
-		t.Fatal("labeled view does not match the agent's stats")
-	}
-
-	// SystemStats sums private counters too.
-	sys := sl.SystemStats()
-	if sys.Loads != as.Loads+bs.Loads || sys.L1Misses != as.L1Misses+bs.L1Misses {
-		t.Fatalf("system stats do not sum the agents: %+v", sys)
-	}
-
 	// Each agent carries its own private MSHR-occupancy histogram; the
 	// shared fill-buffer histogram lives on the shared level's view.
 	if len(as.MSHROccupancy) != cfg.L1MSHRs+1 || len(ss.MSHROccupancy) != cfg.L1MSHRs+1 {
@@ -161,7 +146,7 @@ func TestSharedLevelStrictOrderAcrossAgents(t *testing.T) {
 	b.Access(0x2000, 50, Load) // behind agent a's request: must panic
 }
 
-// TestSharedLevelAgentNaming covers default names and the Agents accessor.
+// TestSharedLevelAgentNaming covers default names and attachment order.
 func TestSharedLevelAgentNaming(t *testing.T) {
 	top := DefaultTopology()
 	sl := NewSharedLevel(top)
@@ -170,31 +155,16 @@ func TestSharedLevelAgentNaming(t *testing.T) {
 	if h0.Name() != "agent0" || h1.Name() != "widx" {
 		t.Fatalf("names: %q, %q", h0.Name(), h1.Name())
 	}
-	if ags := sl.Agents(); len(ags) != 2 || ags[0] != h0 || ags[1] != h1 {
-		t.Fatal("Agents() wrong")
+	if len(sl.agents) != 2 || sl.agents[0] != h0 || sl.agents[1] != h1 {
+		t.Fatal("agents not kept in attachment order")
 	}
 	if h0.Shared() != sl || h1.LLC() != sl.LLC() {
 		t.Fatal("shared-level plumbing wrong")
 	}
 	// The single-agent shorthand is one agent on a private level.
 	h := NewHierarchy(DefaultConfig())
-	if h.Name() != "agent0" || len(h.Shared().Agents()) != 1 {
+	if h.Name() != "agent0" || len(h.Shared().agents) != 1 {
 		t.Fatal("NewHierarchy should attach one agent to a private level")
-	}
-}
-
-// TestSharedLevelResetScopes checks that a whole-system reset clears every
-// agent's private counters along with the shared ones.
-func TestSharedLevelResetScopes(t *testing.T) {
-	top := DefaultTopology()
-	sl := NewSharedLevel(top)
-	a := sl.NewAgent(top.Agent("a"))
-	b := sl.NewAgent(top.Agent("b"))
-	a.Access(0x1000, 0, Load)
-	b.Access(0x2000, 10, Load)
-	sl.ResetCounters()
-	if a.Stats().Loads != 0 || b.Stats().Loads != 0 || sl.Stats().LLCMisses != 0 {
-		t.Fatal("system reset left counters behind")
 	}
 }
 

@@ -74,7 +74,7 @@ func (c *Cache) RestoreState(st *CacheState) {
 	}
 	copy(c.lru, st.lru)
 	c.clock = st.clock
-	c.hits, c.misses, c.evictions = 0, 0, 0
+	c.hits, c.misses = 0, 0
 }
 
 // hashInto folds the snapshot's content into an FNV digest.

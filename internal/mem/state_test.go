@@ -59,8 +59,8 @@ func driveHet(sl *SharedLevel, agents []*Hierarchy) string {
 		}
 	}
 	out := ""
-	for _, v := range sl.AgentStatsAll() {
-		out += fmt.Sprintf("%s: %+v\n", v.Name, v.Stats)
+	for _, a := range sl.agents {
+		out += fmt.Sprintf("%s: %+v\n", a.Name(), a.Stats())
 	}
 	out += fmt.Sprintf("shared: %+v\n", sl.Stats())
 	return out

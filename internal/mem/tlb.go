@@ -112,27 +112,5 @@ func (t *TLB) WarmPage(addr uint64) {
 	t.insert(addr >> t.pageBits)
 }
 
-// Hits returns the TLB hit count since the last reset.
-func (t *TLB) Hits() uint64 { return t.hits }
-
-// Misses returns the TLB miss count since the last reset.
-func (t *TLB) Misses() uint64 { return t.misses }
-
-// MissRatio returns misses / (hits + misses), or 0 with no accesses.
-func (t *TLB) MissRatio() float64 {
-	total := t.hits + t.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.misses) / float64(total)
-}
-
 // ResetCounters clears hit/miss counters but keeps TLB content.
 func (t *TLB) ResetCounters() { t.hits, t.misses = 0, 0 }
-
-// Reset clears content, counters and outstanding walks.
-func (t *TLB) Reset() {
-	t.pages = make(map[uint64]uint64, t.entries)
-	t.walks = nil
-	t.clock, t.hits, t.misses = 0, 0, 0
-}

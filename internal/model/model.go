@@ -190,19 +190,6 @@ func (p Params) WalkerUtilization(llcMiss float64, walkers int, nodesPerBucket f
 	return u
 }
 
-// MaxWalkersPerDispatcher returns the largest walker count a single
-// dispatcher keeps at or above the given utilization target.
-func (p Params) MaxWalkersPerDispatcher(llcMiss, nodesPerBucket, target float64) int {
-	n := 0
-	for p.WalkerUtilization(llcMiss, n+1, nodesPerBucket) >= target {
-		n++
-		if n >= 64 {
-			break
-		}
-	}
-	return n
-}
-
 // RecommendedWalkers combines the three constraints of Section 3.2 at the
 // given LLC miss ratio: the practical walker count per accelerator.
 func (p Params) RecommendedWalkers(llcMiss float64) int {

@@ -163,12 +163,12 @@ func TestMaxWalkersPerDispatcher(t *testing.T) {
 	// The paper's summary: a single dispatcher suffices for four walkers in
 	// practical settings (here: half the accesses missing the LLC, 2-node
 	// buckets, 90% utilization target).
-	if n := p.MaxWalkersPerDispatcher(0.5, 2, 0.9); n < 4 {
-		t.Fatalf("dispatcher should feed at least 4 walkers, got %d", n)
+	if u := p.WalkerUtilization(0.5, 4, 2); u < 0.9 {
+		t.Fatalf("dispatcher should keep 4 walkers 90%% busy, got %v", u)
 	}
 	// Shallow buckets on an L1-resident index: fewer walkers are kept busy.
-	if n := p.MaxWalkersPerDispatcher(0.0, 1, 0.9); n > 3 {
-		t.Fatalf("L1-resident shallow buckets should limit the dispatcher, got %d", n)
+	if u := p.WalkerUtilization(0.0, 4, 1); u >= 0.9 {
+		t.Fatalf("L1-resident shallow buckets should limit the dispatcher, got %v", u)
 	}
 }
 

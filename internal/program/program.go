@@ -40,7 +40,6 @@ const (
 	RegKey        = isa.Reg(3) // output: the probe key value
 	RegHashTmp    = isa.Reg(4)
 	RegIdxTmp     = isa.Reg(5)
-	RegAddrTmp    = isa.Reg(6)
 
 	// Walker registers (input r1/r2 reuse the names below).
 	RegNode    = isa.Reg(1) // input: current node address
@@ -62,7 +61,6 @@ const (
 	RegPrimeConst = isa.Reg(14)
 	RegBucketBase = isa.Reg(21)
 	RegBucketMask = isa.Reg(22)
-	RegKeyColBase = isa.Reg(23)
 )
 
 // Spec describes the index an offload targets, in the terms the programming
@@ -321,10 +319,4 @@ func Build(s Spec) (*Bundle, error) {
 // ForTable generates the program bundle for a built index and result region.
 func ForTable(t *hashidx.Table, resultBase uint64) (*Bundle, error) {
 	return Build(SpecForTable(t, resultBase))
-}
-
-// ControlBlock serializes the bundle into the Widx control block the host
-// core points the accelerator at (Section 4.3).
-func (b *Bundle) ControlBlock() (*isa.ControlBlock, error) {
-	return isa.BuildControlBlock(b.Dispatcher, b.Walker, b.Producer)
 }

@@ -142,7 +142,7 @@ func TestBuildBundleAndControlBlock(t *testing.T) {
 	if len(b.Walker.OutputRegs) != len(b.Producer.InputRegs) {
 		t.Fatal("walker/producer queue arity mismatch")
 	}
-	cb, err := b.ControlBlock()
+	cb, err := isa.BuildControlBlock(b.Dispatcher, b.Walker, b.Producer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,16 +61,6 @@ func (r *Report) Add(name string, windows []float64) {
 	r.Metrics = append(r.Metrics, Metric{Name: name, Estimate: stats.Estimate95(windows)})
 }
 
-// Metric returns the named metric.
-func (r *Report) Metric(name string) (Metric, bool) {
-	for _, m := range r.Metrics {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Metric{}, false
-}
-
 // Merge appends another report's metrics under a name prefix, keeping the
 // plan header of r. It is how a suite-level report aggregates per-query
 // reports; the parts must come from runs of the same plan shape.

@@ -132,17 +132,6 @@ func NewPlan(probes uint64, windows int, warmup, period uint64) Plan {
 	return p
 }
 
-// Sampled reports whether the plan actually fast-forwards anything (false
-// for full and degraded plans).
-func (p Plan) Sampled() bool {
-	for _, s := range p.Spans {
-		if s.Kind == FastForward {
-			return true
-		}
-	}
-	return false
-}
-
 // MeasuredProbes returns the number of probes inside measure spans.
 func (p Plan) MeasuredProbes() uint64 {
 	var n uint64
@@ -156,6 +145,8 @@ func (p Plan) MeasuredProbes() uint64 {
 
 // DetailedProbes returns the number of probes simulated in detail
 // (warmup + measure spans).
+//
+//widxlint:ignore deadcode used by bench/widxbench
 func (p Plan) DetailedProbes() uint64 {
 	var n uint64
 	for _, s := range p.Spans {
@@ -179,26 +170,6 @@ func (p Plan) Run(ff func(Span) error, detailed func(Span) error) error {
 		if err := cb(s); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Validate checks the plan's structural invariants (contiguous, ordered,
-// covering). It exists for tests and debugging; NewPlan's output always
-// passes.
-func (p Plan) Validate() error {
-	var cursor uint64
-	for i, s := range p.Spans {
-		if s.Start != cursor {
-			return fmt.Errorf("sampling: span %d starts at %d, want %d (gap or overlap)", i, s.Start, cursor)
-		}
-		if s.End <= s.Start {
-			return fmt.Errorf("sampling: span %d is empty or inverted [%d, %d)", i, s.Start, s.End)
-		}
-		cursor = s.End
-	}
-	if cursor != p.Probes {
-		return fmt.Errorf("sampling: spans cover [0, %d), want [0, %d)", cursor, p.Probes)
 	}
 	return nil
 }

@@ -1,8 +1,28 @@
 package sampling
 
 import (
+	"fmt"
 	"testing"
 )
+
+// Validate checks the plan's structural invariants (contiguous, ordered,
+// covering); NewPlan's output always passes.
+func (p Plan) Validate() error {
+	var cursor uint64
+	for i, s := range p.Spans {
+		if s.Start != cursor {
+			return fmt.Errorf("sampling: span %d starts at %d, want %d (gap or overlap)", i, s.Start, cursor)
+		}
+		if s.End <= s.Start {
+			return fmt.Errorf("sampling: span %d is empty or inverted [%d, %d)", i, s.Start, s.End)
+		}
+		cursor = s.End
+	}
+	if cursor != p.Probes {
+		return fmt.Errorf("sampling: spans cover [0, %d), want [0, %d)", cursor, p.Probes)
+	}
+	return nil
+}
 
 // checkPlan validates structural invariants shared by every plan.
 func checkPlan(t *testing.T, p Plan) {
@@ -36,7 +56,7 @@ func checkPlan(t *testing.T, p Plan) {
 func TestNewPlanSystematic(t *testing.T) {
 	p := NewPlan(1000, 4, 10, 40)
 	checkPlan(t, p)
-	if p.Degraded || !p.Sampled() {
+	if p.Degraded || p.DetailedProbes() == p.Probes {
 		t.Fatalf("plan should sample: %+v", p)
 	}
 	if got, want := p.MeasuredProbes(), uint64(160); got != want {
@@ -96,7 +116,7 @@ func TestNewPlanDegradesWhenTooShort(t *testing.T) {
 			if !p.Degraded {
 				t.Fatalf("plan should degrade: %+v", p)
 			}
-			if p.Sampled() {
+			if p.DetailedProbes() != p.Probes {
 				t.Error("degraded plan must not fast-forward")
 			}
 			if p.Windows != 1 || len(p.Spans) != 1 || p.Spans[0].Kind != Measure || p.Spans[0].Len() != c.probes {
@@ -114,7 +134,7 @@ func TestNewPlanExactFill(t *testing.T) {
 	if p.Degraded {
 		t.Fatalf("exact-fill plan must not degrade: %+v", p)
 	}
-	if p.Sampled() {
+	if p.DetailedProbes() != p.Probes {
 		t.Error("exact-fill plan has no fast-forward spans")
 	}
 	if got, want := p.DetailedProbes(), uint64(100); got != want {
@@ -125,7 +145,7 @@ func TestNewPlanExactFill(t *testing.T) {
 func TestNewPlanWindowsOff(t *testing.T) {
 	p := NewPlan(500, 0, 10, 40)
 	checkPlan(t, p)
-	if p.Degraded || p.Sampled() || p.Windows != 1 {
+	if p.Degraded || p.DetailedProbes() != p.Probes || p.Windows != 1 {
 		t.Fatalf("windows=0 must be a plain full plan, got %+v", p)
 	}
 }
@@ -189,7 +209,7 @@ func TestReportMerge(t *testing.T) {
 	if !base.FingerprintVerified {
 		t.Error("merge must propagate fingerprint verification")
 	}
-	if m, ok := base.Metric("q19: cycles-per-tuple"); !ok || m.Mean != 4 {
-		t.Errorf("merged metric missing or wrong: %+v ok=%v", m, ok)
+	if len(base.Metrics) != 1 || base.Metrics[0].Name != "q19: cycles-per-tuple" || base.Metrics[0].Mean != 4 {
+		t.Errorf("merged metric missing or wrong: %+v", base.Metrics)
 	}
 }

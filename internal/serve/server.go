@@ -120,10 +120,6 @@ func (s *Server) Close() {
 	s.idle.Wait()
 }
 
-// Store exposes the persistent result store (tests verify its integrity
-// after cancellations).
-func (s *Server) Store() *ResultStore { return s.store }
-
 // Build returns the build fingerprint cache keys are scoped to.
 func (s *Server) Build() string { return s.build }
 

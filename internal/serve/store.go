@@ -62,9 +62,6 @@ func NewResultStore(dir string) (*ResultStore, error) {
 	return &ResultStore{disk: disk}, nil
 }
 
-// Enabled reports whether the store persists anything.
-func (s *ResultStore) Enabled() bool { return s.disk != nil }
-
 // Lookup returns the stored envelope for key, if any.
 func (s *ResultStore) Lookup(key string) (resultEnvelope, bool, error) {
 	var env resultEnvelope
@@ -106,14 +103,6 @@ func (s *ResultStore) Stats() *StoreStats {
 		n = -1
 	}
 	return &StoreStats{Hits: hits, Misses: misses, Entries: n}
-}
-
-// Verify checks every committed entry's integrity (no partial entries).
-func (s *ResultStore) Verify() error {
-	if s.disk == nil {
-		return nil
-	}
-	return s.disk.Verify()
 }
 
 // PointKey is the content address of one experiment point. cfg must be

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -201,5 +205,99 @@ func TestSampledWarmStoreCrossProcess(t *testing.T) {
 	hits, _ := reopened.Stats()
 	if hits == 0 {
 		t.Error("second process saw no disk hits; fast-forward checkpoints did not survive the process boundary")
+	}
+}
+
+// TestWarmStoreCorruptEntryRebuilt corrupts every persisted warm state the
+// way a bad disk would, keeping the entry's JSON well formed: a flipped
+// bit in the LLC block-size word (payload offset 32), which would make the
+// restore panic, and a cleared LLC valid flag, which would decode and
+// silently change the report. The rerun must count one store miss per
+// corrupted entry, rebuild and overwrite it, and report exactly what a
+// run without the store does.
+func TestWarmStoreCorruptEntryRebuilt(t *testing.T) {
+	specs, err := ParseAgents("widx:2w+ooo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(store *warmstate.DiskStore) string {
+		c := cmpQuickConfig()
+		if store != nil {
+			c.WarmCache = warmstate.New()
+			c.WarmStore = store
+		}
+		r, err := c.RunCMP(join.Small, specs, structures.HashJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultJSON(t, r)
+	}
+	want := run(nil)
+	edits := map[string]func(payload []byte){
+		"llc block bits": func(p []byte) { p[32] ^= 1 },
+		"llc valid flag": func(p []byte) {
+			// The LLC's per-way records (valid byte, tag, LRU) start
+			// after magic, version, sets, ways, block bits and clock.
+			for off := 48; off < len(p); off += 17 {
+				if p[off] == 1 {
+					p[off] = 0
+					return
+				}
+			}
+		},
+	}
+	for name, edit := range edits {
+		dir := t.TempDir()
+		store, err := warmstate.OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(store)
+		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupted := 0
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct {
+				Key   string `json:"key"`
+				Value []byte `json:"value"`
+				CRC   uint32 `json:"crc"`
+			}
+			if err := json.Unmarshal(data, &e); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(e.Value, []byte("widxwarm")) {
+				continue
+			}
+			edit(e.Value)
+			if data, err = json.Marshal(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(f, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corrupted++
+		}
+		if corrupted == 0 {
+			t.Fatalf("%s: the first run stored no warm state", name)
+		}
+		reopened, err := warmstate.OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run(reopened); got != want {
+			t.Errorf("%s: rerun over the corrupted store diverges from a cold run\ncold:  %s\nrerun: %s", name, want, got)
+		}
+		if _, misses := reopened.Stats(); misses != uint64(corrupted) {
+			t.Errorf("%s: %d store misses, want one per corrupted entry (%d)", name, misses, corrupted)
+		}
+		if err := reopened.Verify(); err != nil {
+			t.Errorf("%s: corrupted entries were not overwritten: %v", name, err)
+		}
 	}
 }

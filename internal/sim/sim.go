@@ -149,6 +149,8 @@ func DefaultConfig() Config {
 // QuickConfig returns a much smaller configuration used by unit tests. Tests
 // run with the strict memory-order assertion enabled so any scheduler
 // regression fails loudly.
+//
+//widxlint:ignore deadcode used by the root smoke test and the exp tests
 func QuickConfig() Config {
 	return Config{
 		Scale:          1.0 / 512,

@@ -71,15 +71,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomly permutes the first n elements using the provided
-// swap function, mirroring math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Zipf draws values in [0, n) following an approximate Zipfian distribution
 // with exponent s (s > 0). It uses a precomputed cumulative table, so it is
 // intended for moderate n (the workload generators use it for skewed key

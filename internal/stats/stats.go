@@ -7,6 +7,8 @@ package stats
 import "math"
 
 // Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
+//
+//widxlint:ignore deadcode used by the workloads tests
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

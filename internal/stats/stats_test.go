@@ -129,19 +129,6 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
-func TestRNGShuffle(t *testing.T) {
-	r := NewRNG(17)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("Shuffle lost elements: %v", xs)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := NewRNG(21)
 	z := NewZipf(r, 100, 1.0)

@@ -51,7 +51,7 @@ func runWidx(t *testing.T, inst Instance, as *vm.AddressSpace, resultBase uint64
 		t.Fatalf("%v: Programs: %v", inst.Kind(), err)
 	}
 	hier := mem.NewHierarchy(mem.DefaultConfig())
-	acc, err := widx.New(widx.DefaultConfig(), hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
+	acc, err := widx.New(widx.Config{NumWalkers: 4, QueueDepth: 2}, hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
 	if err != nil {
 		t.Fatalf("%v: widx.New: %v", inst.Kind(), err)
 	}

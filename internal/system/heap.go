@@ -18,9 +18,6 @@ type heapEntry struct {
 	order int
 }
 
-// Len returns the number of queued entries.
-func (h *CycleHeap) Len() int { return len(h.entries) }
-
 // Grow ensures the heap can hold at least n entries without reallocating.
 // Schedulers with a fixed candidate population (one entry per unit or agent,
 // never queued twice) call it once up front so the steady-state grant loop
@@ -32,9 +29,6 @@ func (h *CycleHeap) Grow(n int) {
 		h.entries = entries
 	}
 }
-
-// Reset empties the heap, retaining its backing storage.
-func (h *CycleHeap) Reset() { h.entries = h.entries[:0] }
 
 // less orders entries by cycle, then by order index.
 func (h *CycleHeap) less(i, j int) bool {

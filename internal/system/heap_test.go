@@ -4,6 +4,12 @@ import (
 	"testing"
 )
 
+// Len returns the number of queued entries.
+func (h *CycleHeap) Len() int { return len(h.entries) }
+
+// Reset empties the heap, retaining its backing storage.
+func (h *CycleHeap) Reset() { h.entries = h.entries[:0] }
+
 // xorshift is a tiny deterministic PRNG for synthetic grant workloads.
 type xorshift uint64
 

@@ -58,9 +58,6 @@ type Region struct {
 	Size uint64
 }
 
-// End returns the first address past the region.
-func (r Region) End() uint64 { return r.Base + r.Size }
-
 // baseAddress is where allocations begin. Anything below is never handed out,
 // so dereferencing a NULL (zero) next-pointer is always detectable.
 const baseAddress = 0x0000_0001_0000_0000
@@ -161,37 +158,16 @@ func (as *AddressSpace) AllocAligned(name string, size uint64) uint64 {
 	return as.Alloc(name, size, 64)
 }
 
-// Regions returns a copy of all recorded allocations in allocation order.
-func (as *AddressSpace) Regions() []Region {
-	out := make([]Region, len(as.regions))
-	copy(out, as.regions)
-	return out
-}
-
-// RegionByName returns the first region allocated under name.
-func (as *AddressSpace) RegionByName(name string) (Region, bool) {
-	for _, r := range as.regions {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
 // Footprint returns the total number of bytes allocated (not necessarily
 // touched), which the workload reports as the index working-set size.
+//
+//widxlint:ignore deadcode used by bench/widxbench
 func (as *AddressSpace) Footprint() uint64 {
 	var total uint64
 	for _, r := range as.regions {
 		total += r.Size
 	}
 	return total
-}
-
-// TouchedBytes returns the number of bytes in pages that have actually been
-// written, i.e. host memory consumed by the sparse backing store.
-func (as *AddressSpace) TouchedBytes() uint64 {
-	return uint64(len(as.pages)) * PageSize
 }
 
 // page returns the backing slice for the page containing addr, creating it
@@ -249,34 +225,6 @@ func (as *AddressSpace) Write64(addr uint64, v uint64) {
 	}
 }
 
-// Read32 reads a 32-bit little-endian value at addr.
-func (as *AddressSpace) Read32(addr uint64) uint32 {
-	if addr&(pageMask) <= PageSize-4 {
-		p := as.page(addr, false)
-		if p == nil {
-			return 0
-		}
-		return binary.LittleEndian.Uint32(p[addr&pageMask:])
-	}
-	var v uint32
-	for i := uint64(0); i < 4; i++ {
-		v |= uint32(as.Read8(addr+i)) << (8 * i)
-	}
-	return v
-}
-
-// Write32 writes a 32-bit little-endian value at addr.
-func (as *AddressSpace) Write32(addr uint64, v uint32) {
-	if addr&(pageMask) <= PageSize-4 {
-		p := as.page(addr, true)
-		binary.LittleEndian.PutUint32(p[addr&pageMask:], v)
-		return
-	}
-	for i := uint64(0); i < 4; i++ {
-		as.Write8(addr+i, byte(v>>(8*i)))
-	}
-}
-
 // Read8 reads one byte at addr.
 func (as *AddressSpace) Read8(addr uint64) byte {
 	p := as.page(addr, false)
@@ -290,37 +238,4 @@ func (as *AddressSpace) Read8(addr uint64) byte {
 func (as *AddressSpace) Write8(addr uint64, v byte) {
 	p := as.page(addr, true)
 	p[addr&pageMask] = v
-}
-
-// ReadBytes copies n bytes starting at addr into a new slice.
-func (as *AddressSpace) ReadBytes(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = as.Read8(addr + uint64(i))
-	}
-	return out
-}
-
-// WriteBytes writes the given bytes starting at addr.
-func (as *AddressSpace) WriteBytes(addr uint64, data []byte) {
-	for i, b := range data {
-		as.Write8(addr+uint64(i), b)
-	}
-}
-
-// PageNumber returns the virtual page number containing addr.
-func PageNumber(addr uint64) uint64 { return addr >> PageBits }
-
-// BlockAddress returns addr rounded down to its 64-byte cache block.
-func BlockAddress(addr uint64) uint64 { return addr &^ 63 }
-
-// DumpRegions formats the allocation map, largest first, for diagnostics.
-func (as *AddressSpace) DumpRegions() string {
-	rs := as.Regions()
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Size > rs[j].Size })
-	s := ""
-	for _, r := range rs {
-		s += fmt.Sprintf("%-24s base=%#x size=%d\n", r.Name, r.Base, r.Size)
-	}
-	return s
 }

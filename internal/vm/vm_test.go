@@ -56,22 +56,12 @@ func TestRegions(t *testing.T) {
 	as := New()
 	as.Alloc("buckets", 4096, 64)
 	as.Alloc("nodes", 8192, 64)
-	rs := as.Regions()
+	rs := as.regions
 	if len(rs) != 2 || rs[0].Name != "buckets" || rs[1].Name != "nodes" {
 		t.Fatalf("regions wrong: %+v", rs)
 	}
-	r, ok := as.RegionByName("nodes")
-	if !ok || r.Size != 8192 {
-		t.Fatalf("RegionByName wrong: %+v %v", r, ok)
-	}
-	if r.End() != r.Base+8192 {
-		t.Fatal("End wrong")
-	}
-	if _, ok := as.RegionByName("missing"); ok {
-		t.Fatal("found nonexistent region")
-	}
-	if as.DumpRegions() == "" {
-		t.Fatal("DumpRegions empty")
+	if rs[1].Size != 8192 || rs[1].Base < rs[0].Base+4096 {
+		t.Fatalf("region geometry wrong: %+v", rs)
 	}
 }
 
@@ -86,16 +76,9 @@ func TestReadWrite64(t *testing.T) {
 	if got := as.Read64(base + 512); got != 0 {
 		t.Fatalf("unwritten read = %#x", got)
 	}
-	// 32-bit and 8-bit accessors see the same bytes (little endian).
-	if got := as.Read32(base); got != 0xCAFEBABE {
-		t.Fatalf("Read32 = %#x", got)
-	}
+	// The byte accessor sees the same bytes (little endian).
 	if got := as.Read8(base + 7); got != 0xDE {
 		t.Fatalf("Read8 = %#x", got)
-	}
-	as.Write32(base+16, 0x12345678)
-	if got := as.Read32(base + 16); got != 0x12345678 {
-		t.Fatalf("Read32 = %#x", got)
 	}
 	as.Write8(base+20, 0xAB)
 	if got := as.Read8(base + 20); got != 0xAB {
@@ -112,46 +95,33 @@ func TestCrossPageAccess(t *testing.T) {
 	if got := as.Read64(addr); got != 0x1122334455667788 {
 		t.Fatalf("cross-page Read64 = %#x", got)
 	}
-	addr32 := region + PageSize - 2
-	as.Write32(addr32, 0xA1B2C3D4)
-	if got := as.Read32(addr32); got != 0xA1B2C3D4 {
-		t.Fatalf("cross-page Read32 = %#x", got)
-	}
 }
 
 func TestReadWriteBytes(t *testing.T) {
 	as := New()
 	base := as.Alloc("blob", 256, 1)
 	data := []byte("the quick brown fox")
-	as.WriteBytes(base, data)
-	if got := string(as.ReadBytes(base, len(data))); got != string(data) {
-		t.Fatalf("ReadBytes = %q", got)
+	for i, b := range data {
+		as.Write8(base+uint64(i), b)
+	}
+	for i, b := range data {
+		if got := as.Read8(base + uint64(i)); got != b {
+			t.Fatalf("Read8(%d) = %q, want %q", i, got, b)
+		}
 	}
 }
 
 func TestTouchedBytesSparse(t *testing.T) {
 	as := New()
 	as.Alloc("huge", 1<<30, 64) // 1 GiB reserved
-	if as.TouchedBytes() != 0 {
+	if len(as.pages) != 0 {
 		t.Fatal("allocation alone should not touch pages")
 	}
-	base, _ := as.RegionByName("huge")
-	as.Write64(base.Base, 1)
-	as.Write64(base.Base+(1<<29), 2)
-	if as.TouchedBytes() != 2*PageSize {
-		t.Fatalf("TouchedBytes = %d, want %d", as.TouchedBytes(), 2*PageSize)
-	}
-}
-
-func TestPageAndBlockHelpers(t *testing.T) {
-	if PageNumber(0x12345) != 0x12 {
-		t.Fatalf("PageNumber = %#x", PageNumber(0x12345))
-	}
-	if BlockAddress(0x1234567) != 0x1234540 {
-		t.Fatalf("BlockAddress = %#x", BlockAddress(0x1234567))
-	}
-	if BlockAddress(64) != 64 || BlockAddress(63) != 0 {
-		t.Fatal("BlockAddress boundary wrong")
+	base := as.regions[0].Base
+	as.Write64(base, 1)
+	as.Write64(base+(1<<29), 2)
+	if len(as.pages) != 2 {
+		t.Fatalf("backing pages = %d, want 2", len(as.pages))
 	}
 }
 
@@ -206,8 +176,8 @@ func TestClone(t *testing.T) {
 	if c.Read64(base) != 0x1111 || c.Read64(base+PageSize) != 0x2222 {
 		t.Fatal("clone did not copy page contents")
 	}
-	if len(c.Regions()) != 1 || c.Regions()[0] != as.Regions()[0] {
-		t.Fatalf("clone regions differ: %+v vs %+v", c.Regions(), as.Regions())
+	if len(c.regions) != 1 || c.regions[0] != as.regions[0] {
+		t.Fatalf("clone regions differ: %+v vs %+v", c.regions, as.regions)
 	}
 
 	// Allocations after the clone land at the same address in both spaces:

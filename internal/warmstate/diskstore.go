@@ -1,8 +1,10 @@
 package warmstate
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,7 +22,8 @@ import (
 // a result-affecting input silently serves stale data. Keys are built
 // through Fingerprint so every input is named at the call site, and each
 // entry stores its full key alongside the payload — a filename-hash
-// collision is detected on Get and treated as a miss, never served.
+// collision is detected on Get and treated as a miss, never served — and a
+// CRC-32 of both, so a corrupted entry is a miss too.
 //
 // Writes are atomic (temp file + rename in the store directory), so a
 // crashed or cancelled process can never leave a partial entry that a
@@ -37,6 +40,18 @@ type DiskStore struct {
 type diskEntry struct {
 	Key   string `json:"key"`
 	Value []byte `json:"value"`
+	CRC   uint32 `json:"crc"`
+}
+
+// checksum is the CRC-32 (IEEE) of an entry's length-prefixed key and its
+// value. An entry written without one decodes with CRC 0, so it misses
+// unless its content happens to checksum to 0.
+func checksum(key string, value []byte) uint32 {
+	h := crc32.NewIEEE()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(key))))
+	h.Write([]byte(key))
+	h.Write(value)
+	return h.Sum32()
 }
 
 // OpenDiskStore opens (creating if needed) a store rooted at dir.
@@ -50,9 +65,6 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 // path maps a key to its entry file: an FNV-1a digest of the key. The key
 // itself is stored in the entry, so a digest collision degrades to a miss
 // (checked in Get), not to wrong data.
@@ -62,8 +74,9 @@ func (s *DiskStore) path(key string) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%016x.json", h.Sum()))
 }
 
-// Get returns the payload stored under key, if present. Unreadable or
-// mismatched entries (digest collisions, foreign files) are misses.
+// Get returns the payload stored under key, if present. Unreadable,
+// mismatched or corrupted entries (digest collisions, foreign files, bad
+// checksums) are misses; the caller rebuilds and overwrites them.
 func (s *DiskStore) Get(key string) ([]byte, bool, error) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -74,7 +87,7 @@ func (s *DiskStore) Get(key string) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("warmstate: reading disk store entry: %w", err)
 	}
 	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != key {
+	if err := json.Unmarshal(data, &e); err != nil || e.Key != key || e.CRC != checksum(key, e.Value) {
 		s.count(false)
 		return nil, false, nil
 	}
@@ -87,7 +100,7 @@ func (s *DiskStore) Get(key string) ([]byte, bool, error) {
 // concurrent readers and interrupted writers never observe a partial
 // entry.
 func (s *DiskStore) Put(key string, payload []byte) error {
-	data, err := json.Marshal(diskEntry{Key: key, Value: payload})
+	data, err := json.Marshal(diskEntry{Key: key, Value: payload, CRC: checksum(key, payload)})
 	if err != nil {
 		return fmt.Errorf("warmstate: encoding disk store entry: %w", err)
 	}
@@ -142,11 +155,14 @@ func (s *DiskStore) Len() (int, error) {
 }
 
 // Verify walks every committed entry and checks its integrity: the file
-// parses, carries a non-empty key, and sits at the path its key hashes
-// to. Leftover temp files from in-flight writes are ignored (they are
-// invisible to Get); anything else malformed is an error. A cancelled or
+// parses, carries a non-empty key and a matching checksum, and sits at
+// the path its key hashes to. Leftover temp files from in-flight writes
+// are ignored (they are invisible to Get); anything else malformed is an
+// error. A cancelled or
 // crashed run must leave the store Verify-clean — that is the "no partial
 // entries" contract the sweep service's cancellation test asserts.
+//
+//widxlint:ignore deadcode used by the serve tests (TestCancellation)
 func (s *DiskStore) Verify() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -167,6 +183,9 @@ func (s *DiskStore) Verify() error {
 		}
 		if e.Key == "" {
 			return fmt.Errorf("warmstate: verify: entry %s has an empty key", ent.Name())
+		}
+		if e.CRC != checksum(e.Key, e.Value) {
+			return fmt.Errorf("warmstate: verify: entry %s fails its checksum", ent.Name())
 		}
 		if want := s.path(e.Key); want != path {
 			return fmt.Errorf("warmstate: verify: entry %s stores key %q which hashes to %s", ent.Name(), e.Key, filepath.Base(want))

@@ -2,6 +2,7 @@ package warmstate
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,7 +38,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 
 	// A second store over the same directory sees the entry: persistence
 	// across processes is the point.
-	s2, err := OpenDiskStore(s.Dir())
+	s2, err := OpenDiskStore(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestDiskStoreVerifyPartialEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(s.Dir(), "put-123.tmp"), []byte(`{"key":"x","val`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.dir, "put-123.tmp"), []byte(`{"key":"x","val`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Verify(); err != nil {
@@ -93,10 +94,71 @@ func TestDiskStoreVerifyPartialEntries(t *testing.T) {
 	if n, _ := s.Len(); n != 0 {
 		t.Fatalf("temp file counted as entry: Len = %d", n)
 	}
-	if err := os.WriteFile(filepath.Join(s.Dir(), "0000000000000000.json"), []byte(`{"key":"x","val`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.dir, "0000000000000000.json"), []byte(`{"key":"x","val`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Verify(); err == nil {
 		t.Fatal("Verify accepted a truncated entry")
 	}
+}
+
+// A bit flip inside a stored value that keeps the entry well formed, and an
+// entry written without a checksum (the format before checksums), are
+// counted misses that Verify reports.
+func TestDiskStoreCorruptEntryIsMiss(t *testing.T) {
+	s, err := OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "warm/v1"
+	for name, corrupt := range map[string]func(e diskEntry) any{
+		"flipped value bit": func(e diskEntry) any { e.Value[3] ^= 1; return e },
+		"no checksum":       func(e diskEntry) any { return map[string]any{"key": e.Key, "value": e.Value} },
+	} {
+		e := diskEntry{Key: key, Value: []byte("payload"), CRC: checksum(key, []byte("payload"))}
+		data, err := json.Marshal(corrupt(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, before := s.Stats()
+		if got, ok, err := s.Get(key); err != nil || ok {
+			t.Fatalf("%s: corrupt entry served: %q, %v, %v", name, got, ok, err)
+		}
+		if _, misses := s.Stats(); misses != before+1 {
+			t.Fatalf("%s: miss not counted", name)
+		}
+		if err := s.Verify(); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("%s: Verify missed the corrupt entry: %v", name, err)
+		}
+	}
+}
+
+// FuzzDiskStoreGet writes arbitrary bytes as the file at a key's entry path:
+// Get must return a clean miss, or a hit whose stored key and checksum
+// match the returned value, and never panic.
+func FuzzDiskStoreGet(f *testing.F) {
+	const key = "warm/v1"
+	s, err := OpenDiskStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(s.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := s.Get(key)
+		if err != nil {
+			t.Fatalf("Get = %v, want a clean miss", err)
+		}
+		if !ok {
+			return
+		}
+		var e diskEntry
+		if json.Unmarshal(data, &e) != nil || e.Key != key || !bytes.Equal(e.Value, got) || e.CRC != checksum(key, got) {
+			t.Fatalf("served an entry that does not check out: %q", data)
+		}
+	})
 }

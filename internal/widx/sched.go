@@ -288,14 +288,6 @@ func (s *sched) note(u *Unit, order int) {
 // walkerOrder returns walker i's index in the grant tie-break order.
 func (s *sched) walkerOrder(i int) int { return len(s.hashUnits) + i }
 
-// laneQueue returns the queue walker i consumes from.
-func (s *sched) laneQueue(i int) *dqueue {
-	if s.mode == SharedDispatcher {
-		return s.queues[0]
-	}
-	return s.queues[i]
-}
-
 // Name identifies the offload's agent; it is the agent label of the memory-
 // hierarchy view the accelerator is bound to.
 func (s *sched) Name() string { return s.acc.hier.Name() }

@@ -14,7 +14,7 @@ func strictFixture(t *testing.T, layout hashidx.Layout, hash hashidx.HashKind,
 	t.Helper()
 	f := newFixture(t, layout, hash, buildKeys, probeCount, buckets)
 	f.hier = mem.NewHierarchy(memCfg)
-	f.hier.SetStrictOrder(true)
+	f.hier.Shared().SetStrictOrder(true)
 	return f
 }
 
@@ -119,10 +119,10 @@ func TestOffloadPropagatesUnitErrors(t *testing.T) {
 	f := newFixture(t, hashidx.LayoutInline, hashidx.HashSimple, 64, 16, 64)
 	// Corrupt the bucket the first probe key walks so its next pointer
 	// points at itself.
-	idx := hashidx.BucketIndex(hashidx.HashOf(hashidx.HashSimple, f.probeKeys[0]), f.table.Buckets())
+	idx := hashidx.BucketIndex(hashidx.HashOf(hashidx.HashSimple, f.probeKeys[0]), f.table.BucketMask()+1)
 	b := f.table.BucketAddr(idx)
 	f.as.Write64(b+hashidx.InlineNextOffset, b)
-	acc := f.accelerator(t, DefaultConfig())
+	acc := f.accelerator(t, paperConfig())
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("Offload panicked instead of returning an error: %v", r)

@@ -99,7 +99,7 @@ const RegTestBucketAddr = isa.Reg(2)
 func TestTouchPrefetchImprovesMLP(t *testing.T) {
 	run := func(touch bool) *OffloadResult {
 		f := newFixture(t, hashidx.LayoutInline, hashidx.HashRobust, 60000, 2500, 1<<16)
-		f.hier.SetStrictOrder(true)
+		f.hier.Shared().SetStrictOrder(true)
 		disp := f.bundle.Dispatcher
 		if touch {
 			disp = touchingDispatcher(t, f)

@@ -129,12 +129,6 @@ func NewUnit(name string, prog *isa.Program, hier *mem.Hierarchy, as *vm.Address
 // Name returns the unit's diagnostic name.
 func (u *Unit) Name() string { return u.name }
 
-// Kind returns the unit kind of the loaded program.
-func (u *Unit) Kind() isa.UnitKind { return u.prog.Kind }
-
-// Program returns the loaded program.
-func (u *Unit) Program() *isa.Program { return u.prog }
-
 // Reset reloads the constant registers and clears the rest, as the
 // configuration step (Section 4.3) does. It also clears the stepper state,
 // abandoning any in-flight work item.
@@ -150,9 +144,6 @@ func (u *Unit) Reset() {
 	u.cycle = 0
 	u.item = ItemResult{}
 }
-
-// Reg returns the current value of a register (for tests and diagnostics).
-func (u *Unit) Reg(r isa.Reg) uint64 { return u.regs[r] }
 
 // readReg reads a register; r0 is hardwired to zero.
 func (u *Unit) readReg(r isa.Reg) uint64 {
@@ -378,27 +369,4 @@ func (u *Unit) advance() error {
 			u.pc++
 		}
 	}
-}
-
-// RunItem executes one work item to completion, granting every yield
-// immediately (no cross-unit interleaving, no queue backpressure). It is the
-// single-unit convenience path used by unit tests and diagnostics; offloads
-// go through the scheduler, which steps all units in global cycle order.
-func (u *Unit) RunItem(inputs []uint64, startCycle uint64) (ItemResult, error) {
-	if err := u.Start(inputs, startCycle); err != nil {
-		return u.item, err
-	}
-	for u.state != UnitIdle {
-		var err error
-		switch u.state {
-		case UnitWaitMem:
-			err = u.GrantMem()
-		case UnitWaitEmit:
-			_, err = u.GrantEmit(u.cycle)
-		}
-		if err != nil {
-			return u.item, err
-		}
-	}
-	return u.item, nil
 }

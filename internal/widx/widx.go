@@ -52,12 +52,6 @@ type Config struct {
 	Mode HashingMode
 }
 
-// DefaultConfig returns the paper's evaluated configuration: four walkers,
-// 2-entry queues, a single shared decoupled dispatcher.
-func DefaultConfig() Config {
-	return Config{NumWalkers: 4, QueueDepth: 2, Mode: SharedDispatcher}
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.NumWalkers <= 0 {
@@ -234,9 +228,6 @@ func NewFromControlBlock(cfg Config, hier *mem.Hierarchy, as *vm.AddressSpace, c
 	}
 	return New(cfg, hier, as, d, w, p)
 }
-
-// Config returns the accelerator configuration.
-func (a *Accelerator) Config() Config { return a.cfg }
 
 // OffloadAgent is an in-flight bulk indexing offload exposed as a resumable
 // system.Agent: the system scheduler (internal/system) can co-schedule it

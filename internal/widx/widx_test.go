@@ -140,7 +140,7 @@ func TestUnitExecutesDispatcherCorrectly(t *testing.T) {
 		if gotKey != key {
 			t.Fatalf("dispatcher loaded key %#x, want %#x", gotKey, key)
 		}
-		wantBucket := f.table.BucketAddr(hashidx.BucketIndex(hashidx.RobustHash(key), f.table.Buckets()))
+		wantBucket := f.table.BucketAddr(hashidx.BucketIndex(hashidx.RobustHash(key), f.table.BucketMask()+1))
 		if gotBucket != wantBucket {
 			t.Fatalf("dispatcher bucket %#x, want %#x (hash lowering mismatch)", gotBucket, wantBucket)
 		}
@@ -187,11 +187,11 @@ func TestUnitRegisterConventions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Kind() != isa.Producer || u.Name() != "p" || u.Program() == nil {
+	if u.prog.Kind != isa.Producer || u.Name() != "p" {
 		t.Fatal("unit metadata wrong")
 	}
 	// The producer's cursor advances by 8 per item and persists across items.
-	start := u.Reg(program.RegCursor)
+	start := u.regs[program.RegCursor]
 	if start != f.resultBase {
 		t.Fatalf("cursor preload = %#x, want %#x", start, f.resultBase)
 	}
@@ -200,7 +200,7 @@ func TestUnitRegisterConventions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := u.Reg(program.RegCursor); got != start+24 {
+	if got := u.regs[program.RegCursor]; got != start+24 {
 		t.Fatalf("cursor after 3 items = %#x, want %#x", got, start+24)
 	}
 	// Values actually landed in the result region.
@@ -211,13 +211,42 @@ func TestUnitRegisterConventions(t *testing.T) {
 	}
 	// Reset restores the configured cursor.
 	u.Reset()
-	if u.Reg(program.RegCursor) != f.resultBase {
+	if u.regs[program.RegCursor] != f.resultBase {
 		t.Fatal("Reset did not restore constants")
 	}
 }
 
+// paperConfig is the paper's evaluated configuration: four walkers,
+// 2-entry queues, a single shared decoupled dispatcher.
+func paperConfig() Config {
+	return Config{NumWalkers: 4, QueueDepth: 2, Mode: SharedDispatcher}
+}
+
+// RunItem executes one work item to completion, granting every yield
+// immediately (no cross-unit interleaving, no queue backpressure). It is the
+// single-unit path of the unit tests; offloads go through the scheduler,
+// which steps all units in global cycle order.
+func (u *Unit) RunItem(inputs []uint64, startCycle uint64) (ItemResult, error) {
+	if err := u.Start(inputs, startCycle); err != nil {
+		return u.item, err
+	}
+	for u.state != UnitIdle {
+		var err error
+		switch u.state {
+		case UnitWaitMem:
+			err = u.GrantMem()
+		case UnitWaitEmit:
+			_, err = u.GrantEmit(u.cycle)
+		}
+		if err != nil {
+			return u.item, err
+		}
+	}
+	return u.item, nil
+}
+
 func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := paperConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Config{
@@ -238,7 +267,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestNewRejectsMismatchedPrograms(t *testing.T) {
 	f := newFixture(t, hashidx.LayoutInline, hashidx.HashSimple, 16, 4, 16)
-	cfg := DefaultConfig()
+	cfg := paperConfig()
 	if _, err := New(cfg, f.hier, f.as, nil, f.bundle.Walker, f.bundle.Producer); err == nil {
 		t.Fatal("nil dispatcher accepted")
 	}
@@ -291,7 +320,7 @@ func TestOffloadFunctionalEquivalence(t *testing.T) {
 
 func TestOffloadFromControlBlock(t *testing.T) {
 	f := newFixture(t, hashidx.LayoutInline, hashidx.HashRobust, 200, 100, 128)
-	cb, err := f.bundle.ControlBlock()
+	cb, err := isa.BuildControlBlock(f.bundle.Dispatcher, f.bundle.Walker, f.bundle.Producer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,12 +418,9 @@ func TestLargeIndexIsMemoryBound(t *testing.T) {
 
 func TestOffloadRequestValidation(t *testing.T) {
 	f := newFixture(t, hashidx.LayoutInline, hashidx.HashSimple, 16, 4, 16)
-	acc := f.accelerator(t, DefaultConfig())
+	acc := f.accelerator(t, paperConfig())
 	if _, err := acc.Offload(OffloadRequest{KeyBase: f.keyBase, KeyCount: 0}); err == nil {
 		t.Fatal("zero-key offload accepted")
-	}
-	if acc.Config().NumWalkers != 4 {
-		t.Fatal("config accessor wrong")
 	}
 }
 

@@ -89,6 +89,8 @@ type BreakdownShares struct {
 }
 
 // Sum returns the total of the four shares.
+//
+//widxlint:ignore deadcode used by the engine and sim tests
 func (b BreakdownShares) Sum() float64 { return b.Index + b.Scan + b.SortJoin + b.Other }
 
 // QuerySpec describes one benchmark query.
