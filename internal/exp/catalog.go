@@ -140,7 +140,7 @@ func init() {
 		[]ParamSpec{
 			{Key: "structure", Default: "hashjoin,skiplist,btree,lsm,bfs", Help: "comma-separated traversal structures to run"},
 			{Key: "walkers", Default: "", Help: "comma-separated Widx walker counts"},
-			{Key: "span", Default: "1", Help: "B+-tree range-scan width (keys per probe)"},
+			{Key: "span", Default: "1", Help: "B+-tree range-probe width: each probe matches the key values [probe, probe+span-1]"},
 			{Key: "prefetch-dist", Default: "0", Help: "dispatcher prefetch distance into the probe-key column (keys ahead, 0 = off)"},
 			{Key: "touch-walker", Default: "false", Help: "use the TOUCHing walker variant (non-blocking node prefetch ahead of the demand load)"},
 		},

@@ -142,7 +142,11 @@ func TestPlanRejectsBadKnobs(t *testing.T) {
 		{axes: []Axis{{Key: "llc-ways", Values: []string{"99"}}},
 			want: "exp: knobs [llc-ways=99]: sim: LLCWays must be in [0, 16]"},
 		{set: map[string]string{"scale": "-1"},
-			want: "exp: knobs: sim: Scale must be positive"},
+			want: "exp: knobs: sim: Scale must be in (0, 1], got -1"},
+		{set: map[string]string{"scale": "NaN"},
+			want: "exp: knobs: sim: Scale must be in (0, 1], got NaN"},
+		{axes: []Axis{{Key: "queue-depth", Values: []string{"2", "10000000000"}}},
+			want: "exp: knobs [queue-depth=10000000000]: widx: QueueDepth must be in [1, 1024]"},
 	} {
 		if _, err := PlanSweep(e, quickConfig(), tc.set, tc.axes); err == nil || err.Error() != tc.want {
 			t.Errorf("set %v sweep %v: %v, want %q", tc.set, tc.axes, err, tc.want)

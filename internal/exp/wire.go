@@ -42,8 +42,3 @@ func (r RawResult) SamplingReport() *sampling.Report {
 	}
 	return probe.Sampling
 }
-
-// SampledMetricValues implements sim.SamplingReporter. A wire-restored
-// result carries stored estimates, never a full-detail verification
-// reference, so it offers no metric values to verify against.
-func (r RawResult) SampledMetricValues() map[string]float64 { return nil }

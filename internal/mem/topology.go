@@ -1,6 +1,9 @@
 package mem
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // This file is the composable memory-system topology API. The flat Config
 // (config.go) describes the symmetric Table 2 machine in one struct; a
@@ -188,6 +191,15 @@ const (
 	maxMemLatencyNs  = 100_000 // 100 us
 )
 
+// Miss-handling resources are allocated per entry (the occupancy
+// histograms), so both counts are bounded far above any design the repo
+// runs (at most 20): an out-of-range knob fails validation instead of
+// allocating without bound.
+const (
+	maxMSHRs       = 1024
+	maxFillBuffers = 1024
+)
+
 // Validate reports shared-level configuration errors.
 func (s SharedSpec) Validate() error {
 	switch {
@@ -205,8 +217,8 @@ func (s SharedSpec) Validate() error {
 		return errConfig("LLCLatencyCyc must be in [1, 10000] cycles")
 	case s.InterconnectCyc > maxXbarCyc:
 		return errConfig("InterconnectCyc is absurdly large")
-	case s.FillBuffers <= 0:
-		return errConfig("FillBuffers must be positive")
+	case s.FillBuffers <= 0 || s.FillBuffers > maxFillBuffers:
+		return errConfig(fmt.Sprintf("FillBuffers must be in [1, %d]", maxFillBuffers))
 	case s.MemLatencyNs <= 0 || math.IsInf(s.MemLatencyNs, 0) || math.IsNaN(s.MemLatencyNs) || s.MemLatencyNs > maxMemLatencyNs:
 		return errConfig("MemLatencyNs must be in (0, 100000] nanoseconds")
 	case s.MemControllers <= 0:
@@ -232,8 +244,8 @@ func (a AgentSpec) Validate(shared SharedSpec) error {
 		return errConfig("L1Ports must be positive")
 	case a.L1LatencyCyc == 0 || a.L1LatencyCyc > maxL1LatencyCyc:
 		return errConfig("L1LatencyCyc must be in [1, 1000] cycles")
-	case a.MSHRs <= 0:
-		return errConfig("MSHRs must be positive")
+	case a.MSHRs <= 0 || a.MSHRs > maxMSHRs:
+		return errConfig(fmt.Sprintf("MSHRs must be in [1, %d]", maxMSHRs))
 	case a.TLBEntries <= 0 || a.TLBInFlight <= 0:
 		return errConfig("TLB parameters must be positive")
 	case a.TLBWalkCyc == 0 || a.TLBWalkCyc > maxTLBWalkCyc:

@@ -3,7 +3,6 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"widx/internal/sampling/stats"
@@ -81,46 +80,43 @@ func (r *Report) Merge(prefix string, o *Report) {
 // (warm state installed by reference traversal instead of true detailed
 // history) that detailed warmup shrinks but cannot erase, and with very
 // stable windows the interval can be narrower than that bias. The guard
-// band covers it: a full-run value passes when it lies inside the interval
-// or within this fraction of the estimate.
+// band covers it: a reference value passes when it lies inside the
+// interval or within this fraction of the estimate.
 const verifyGuardBand = 0.02
 
-// Verify checks every reported metric that has a full-run counterpart in
-// `full` (keyed by metric name) against its confidence interval — widened
-// by verifyGuardBand — and returns an error naming each metric whose
-// full-run value falls outside. It is the -sampling-verify contract: the
-// sampled estimate must cover the value the full-detail run computes. At
-// least one metric must match by name, otherwise the verification would be
-// vacuous.
-func (r *Report) Verify(full map[string]float64) error {
-	if r == nil {
-		return fmt.Errorf("sampling: no sampling report to verify")
+// Verify checks every metric of r against the same-named metric of ref, the
+// report of the run's full-detail reference: ref's window mean must lie
+// inside r's confidence interval, widened by verifyGuardBand. It is the
+// -sampling-verify contract: the sampled estimate must cover what the
+// identical windows measure under true machine history. Both reports are
+// built by the same code, so a metric of r missing from ref is an error,
+// as is a report with no metrics at all (the check would be vacuous).
+func (r *Report) Verify(ref *Report) error {
+	if r == nil || len(r.Metrics) == 0 {
+		return fmt.Errorf("sampling: no sampled metrics to verify")
 	}
-	checked := 0
+	want := map[string]float64{}
+	if ref != nil {
+		for _, m := range ref.Metrics {
+			want[m.Name] = m.Mean
+		}
+	}
 	var failures []string
 	for _, m := range r.Metrics {
-		v, ok := full[m.Name]
+		v, ok := want[m.Name]
 		if !ok {
+			failures = append(failures, fmt.Sprintf("%s: missing from the reference run", m.Name))
 			continue
 		}
-		checked++
 		guard := verifyGuardBand * math.Abs(m.Mean)
 		if !m.Contains(v) && !(v >= m.Low-guard && v <= m.High+guard) {
-			failures = append(failures, fmt.Sprintf("%s: full-run value %.6g outside the sampled 95%% CI [%.6g, %.6g] (mean %.6g)",
+			failures = append(failures, fmt.Sprintf("%s: reference value %.6g outside the sampled 95%% CI [%.6g, %.6g] (mean %.6g)",
 				m.Name, v, m.Low, m.High, m.Mean))
 		}
 	}
-	if checked == 0 {
-		names := make([]string, 0, len(full))
-		for k := range full {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("sampling: verify matched no metrics by name (report has %d, full run offered %v)", len(r.Metrics), names)
-	}
 	if len(failures) > 0 {
-		return fmt.Errorf("sampling: %d of %d verified metrics outside their confidence intervals:\n  %s",
-			len(failures), checked, strings.Join(failures, "\n  "))
+		return fmt.Errorf("sampling: %d of %d sampled metrics fail verification:\n  %s",
+			len(failures), len(r.Metrics), strings.Join(failures, "\n  "))
 	}
 	return nil
 }

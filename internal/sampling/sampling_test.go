@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -185,18 +186,47 @@ func TestReportVerify(t *testing.T) {
 	r := NewReport(NewPlan(1000, 4, 10, 40))
 	r.Add("a cycles-per-tuple", []float64{10, 12, 11, 13})
 	r.Add("b speedup", []float64{2, 2, 2, 2})
-	if err := r.Verify(map[string]float64{"a cycles-per-tuple": 11.5, "b speedup": 2}); err != nil {
-		t.Fatalf("in-interval values must verify: %v", err)
+	// reference builds a reference block from per-metric window series.
+	reference := func(series map[string][]float64) *Report {
+		ref := NewReport(NewPlan(1000, 4, 10, 40))
+		for _, name := range []string{"a cycles-per-tuple", "b speedup", "c extra"} {
+			if w, ok := series[name]; ok {
+				ref.Add(name, w)
+			}
+		}
+		return ref
 	}
-	if err := r.Verify(map[string]float64{"a cycles-per-tuple": 50}); err == nil {
-		t.Fatal("out-of-interval value must fail verification")
+	if err := r.Verify(reference(map[string][]float64{
+		"a cycles-per-tuple": {11, 12, 11, 12}, "b speedup": {2, 2, 2, 2},
+	})); err != nil {
+		t.Fatalf("in-interval window means must verify: %v", err)
 	}
-	if err := r.Verify(map[string]float64{"unknown": 1}); err == nil {
-		t.Fatal("verification with no matching metric must fail (vacuous)")
+	// A metric only the reference carries is not checked.
+	if err := r.Verify(reference(map[string][]float64{
+		"a cycles-per-tuple": {11, 12}, "b speedup": {2}, "c extra": {1e9},
+	})); err != nil {
+		t.Fatalf("reference-only metrics must be ignored: %v", err)
+	}
+	if err := r.Verify(reference(map[string][]float64{
+		"a cycles-per-tuple": {50, 50}, "b speedup": {2},
+	})); err == nil || !strings.Contains(err.Error(), "a cycles-per-tuple") {
+		t.Fatalf("out-of-interval window mean must fail verification: %v", err)
+	}
+	// A sampled metric the reference lacks is an error, not a silent skip.
+	if err := r.Verify(reference(map[string][]float64{
+		"a cycles-per-tuple": {11.5},
+	})); err == nil || !strings.Contains(err.Error(), "b speedup: missing from the reference") {
+		t.Fatalf("a sampled metric missing from the reference must fail verification: %v", err)
+	}
+	if err := r.Verify(nil); err == nil {
+		t.Fatal("verification without a reference block must fail")
 	}
 	var nilReport *Report
-	if err := nilReport.Verify(map[string]float64{"a": 1}); err == nil {
+	if err := nilReport.Verify(r); err == nil {
 		t.Fatal("nil report must fail verification")
+	}
+	if err := NewReport(NewPlan(1000, 4, 10, 40)).Verify(r); err == nil {
+		t.Fatal("a report with no metrics must fail verification (vacuous)")
 	}
 }
 

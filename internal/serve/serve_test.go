@@ -3,7 +3,9 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -579,10 +581,42 @@ func TestSubmitValidation(t *testing.T) {
 			"exp: kernel: sim: Scale"},
 		{"-sweep scale=x,y", serve.SubmitRequest{Experiment: "kernel", Sweep: []exp.Axis{{Key: "scale", Values: []string{"x", "y"}}}},
 			`exp: kernel [scale=x]: exp: parameter scale="x"`},
+		// Resource-sizing knobs past their bounds are rejected before
+		// anything allocates; accepted, each one would take the daemon down
+		// with an out-of-memory fatal error.
+		{"-set scale=100000", serve.SubmitRequest{Experiment: "kernel", Set: map[string]string{"scale": "100000"}},
+			"exp: kernel: sim: Scale must be in (0, 1]"},
+		{"-set scale=NaN", serve.SubmitRequest{Experiment: "kernel", Set: map[string]string{"scale": "NaN"}},
+			"exp: kernel: sim: Scale must be in (0, 1]"},
+		{"config.scale: 100000", serve.SubmitRequest{Experiment: "kernel", Config: serve.ConfigSpec{Scale: 100000}},
+			"exp: kernel: sim: Scale must be in (0, 1]"},
+		{"-set queue-depth=10000000000", serve.SubmitRequest{Experiment: "kernel", Set: map[string]string{"queue-depth": "10000000000"}},
+			"exp: kernel: widx: QueueDepth must be in [1, 1024]"},
+		{"-set mshrs=10000000000 fill-buffers=10", serve.SubmitRequest{Experiment: "kernel", Set: map[string]string{"mshrs": "10000000000", "fill-buffers": "10"}},
+			"exp: kernel: mem: invalid config: MSHRs must be in [1, 1024]"},
+		{"-set fill-buffers=10000000000", serve.SubmitRequest{Experiment: "kernel", Set: map[string]string{"fill-buffers": "10000000000"}},
+			"exp: kernel: mem: invalid config: FillBuffers must be in [1, 1024]"},
+		{"-sweep mshrs=10,10000000000", serve.SubmitRequest{Experiment: "cmp", Sweep: []exp.Axis{{Key: "mshrs", Values: []string{"10", "10000000000"}}}},
+			"exp: cmp [mshrs=10000000000]: mem: invalid config:"},
 	} {
 		if _, err := w.Submit(ctx, bad.req); err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("%s: %v, want a rejection containing %q", bad.name, err, bad.want)
 		}
+		body, err := json.Marshal(bad.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(wurl+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want %d", bad.name, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+	if _, err := w.Statusz(ctx); err != nil {
+		t.Errorf("daemon stopped serving after the bad knobs: %v", err)
 	}
 
 	_, curl := startServer(t, serve.Options{Workers: []string{wurl}})

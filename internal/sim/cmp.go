@@ -82,11 +82,7 @@ type CMPAgentSpec struct {
 func (s CMPAgentSpec) String() string {
 	out := s.Kind.String()
 	if s.Kind == AgentWidx {
-		w := s.Walkers
-		if w == 0 {
-			w = 4
-		}
-		out = fmt.Sprintf("widx:%dw", w)
+		out = fmt.Sprintf("widx:%dw", s.walkers())
 	}
 	if s.MSHRs > 0 {
 		out += fmt.Sprintf(":mshrs=%d", s.MSHRs)
@@ -95,6 +91,14 @@ func (s CMPAgentSpec) String() string {
 		out += fmt.Sprintf(":ways=%d", s.LLCWays)
 	}
 	return out
+}
+
+// walkers is a Widx agent's walker count (0 defaults to 4).
+func (s CMPAgentSpec) walkers() int {
+	if s.Walkers == 0 {
+		return 4
+	}
+	return s.Walkers
 }
 
 // maxAgents bounds the total agent count of one specification. It sits far
@@ -237,18 +241,6 @@ type CMPExperiment struct {
 
 // SamplingReport implements SamplingReporter.
 func (e *CMPExperiment) SamplingReport() *sampling.Report { return e.Sampling }
-
-// SampledMetricValues returns the experiment's full-run values under the
-// sampled estimator's metric names, for -sampling-verify interval checks.
-func (e *CMPExperiment) SampledMetricValues() map[string]float64 {
-	m := make(map[string]float64)
-	for _, a := range e.Agents {
-		m[sampledMetricName(a.Name+" solo", metricCPT)] = a.SoloCyclesPerTuple
-		m[sampledMetricName(a.Name+" co", metricCPT)] = a.CyclesPerTuple
-		m[a.Name+" slowdown"] = a.Slowdown
-	}
-	return m
-}
 
 // cmpAgentWorkload is one agent's private partition of the CMP workload:
 // the agent's spec, its structure's resident regions (for LLC warming), its
@@ -467,11 +459,7 @@ func (c Config) cmpAgent(hier *mem.Hierarchy, as *vm.AddressSpace, w *cmpAgentWo
 	var err error
 	switch w.spec.Kind {
 	case AgentWidx:
-		walkers := w.spec.Walkers
-		if walkers == 0 {
-			walkers = 4
-		}
-		if a, err = c.widxAgent(hier, as, w.progs, walkers, widx.SharedDispatcher, w.keyBase); err != nil {
+		if a, err = c.widxAgent(hier, as, w.progs, w.spec.walkers(), widx.SharedDispatcher, w.keyBase); err != nil {
 			return nil, err
 		}
 		a.ref = w.ref
@@ -543,13 +531,18 @@ func (c Config) RunCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: no CMP agents")
 	}
-	// Per-agent overrides (":mshrs=N", ":ways=N") are only bounded by the
-	// topology, so validate every agent's resolved spec up front — a bad
-	// override must surface as an error, not as SharedLevel.NewAgent's
-	// panic mid-run.
+	// Per-agent overrides (":mshrs=N", ":ways=N", a walker count) are only
+	// bounded by the packages that allocate them, so validate every agent's
+	// resolved spec up front — a bad override must surface as an error
+	// before the workload is built, not as SharedLevel.NewAgent's panic or
+	// an unbounded allocation mid-run.
 	top := c.topology()
 	for _, spec := range specs {
-		if err := c.cmpAgentSpec(top, spec.String(), spec).Validate(top.Shared); err != nil {
+		err := c.cmpAgentSpec(top, spec.String(), spec).Validate(top.Shared)
+		if err == nil && spec.Kind == AgentWidx {
+			err = c.widxConfig(spec.walkers(), widx.SharedDispatcher).Validate()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("sim: agent %s: %w", spec, err)
 		}
 	}

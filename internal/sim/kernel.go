@@ -100,20 +100,14 @@ func (c Config) RunKernel(sizes []join.SizeClass) (*KernelExperiment, error) {
 			return err
 		}
 
-		baseRes, widxRes, ps, err := inner.runPhase(ph,
+		baseRes, widxRes, rep, err := inner.runPhase(ph,
 			[]cores.Config{cores.OoOConfig()}, c.walkerPoints(widx.SharedDispatcher))
 		if err != nil {
 			return err
 		}
 		ooo := baseRes[0]
 		perSize[i].oooCPT = ooo.CyclesPerTuple()
-		if rep := ps.report(c); rep != nil {
-			rep.Add(sampledMetricName(fmt.Sprintf("%s/ooo", size), metricCPT), cptSeries(ps.baseWins[0]))
-			for j, w := range c.Walkers {
-				addSampledPoint(rep, fmt.Sprintf("%s/%dw", size, w), ps.baseWins[0], ps.widxWins[j])
-			}
-			perSize[i].sampling = rep
-		}
+		perSize[i].sampling = rep
 		for j, w := range c.Walkers {
 			res := widxRes[j]
 			perSize[i].points = append(perSize[i].points, KernelPoint{
@@ -134,7 +128,7 @@ func (c Config) RunKernel(sizes []join.SizeClass) (*KernelExperiment, error) {
 	var sp1, sp4 []float64
 	for i, size := range sizes {
 		exp.OoOCyclesPerTuple[size] = perSize[i].oooCPT
-		exp.Sampling = mergeSampling(exp.Sampling, "", perSize[i].sampling)
+		exp.Sampling = mergeSampling(exp.Sampling, size.String()+"/", perSize[i].sampling)
 		for _, point := range perSize[i].points {
 			exp.Points = append(exp.Points, point)
 			if size == sizes[0] && point.Walkers == c.Walkers[0] {
@@ -155,24 +149,6 @@ func (c Config) RunKernel(sizes []join.SizeClass) (*KernelExperiment, error) {
 
 // SamplingReport implements SamplingReporter.
 func (e *KernelExperiment) SamplingReport() *sampling.Report { return e.Sampling }
-
-// SampledMetricValues returns the experiment's full-run values under the
-// sampled estimator's metric names, for -sampling-verify interval checks.
-func (e *KernelExperiment) SampledMetricValues() map[string]float64 {
-	m := make(map[string]float64)
-	for size, v := range e.OoOCyclesPerTuple {
-		m[sampledMetricName(fmt.Sprintf("%s/ooo", size), metricCPT)] = v
-	}
-	for _, p := range e.Points {
-		prefix := fmt.Sprintf("%s/%dw", p.Size, p.Walkers)
-		m[sampledMetricName(prefix, metricCPT)] = p.CyclesPerTuple
-		m[sampledMetricName(prefix, metricSpeedup)] = p.Speedup
-		if p.Raw != nil {
-			m[sampledMetricName(prefix, metricMSHR)] = p.Raw.MemStats.MeanMSHROccupancy()
-		}
-	}
-	return m
-}
 
 // Point returns the kernel point for a size class and walker count.
 func (e *KernelExperiment) Point(size join.SizeClass, walkers int) (KernelPoint, bool) {

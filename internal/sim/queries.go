@@ -68,21 +68,14 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 
 	// All design points — the two baselines and the walker sweep — replay the
 	// same phase on fresh hierarchies and fan out across workers.
-	baseRes, widxRes, ps, err := c.runPhase(ph,
+	baseRes, widxRes, rep, err := c.runPhase(ph,
 		[]cores.Config{cores.OoOConfig(), cores.InOrderConfig()}, c.walkerPoints(widx.SharedDispatcher))
 	if err != nil {
 		return nil, err
 	}
 	res.OoOCyclesPerTuple = baseRes[0].CyclesPerTuple()
 	res.InOrderCyclesPerTuple = baseRes[1].CyclesPerTuple()
-	if rep := ps.report(c); rep != nil {
-		rep.Add(sampledMetricName("ooo", metricCPT), cptSeries(ps.baseWins[0]))
-		rep.Add(sampledMetricName("inorder", metricCPT), cptSeries(ps.baseWins[1]))
-		for i, w := range c.Walkers {
-			addSampledPoint(rep, fmt.Sprintf("%dw", w), ps.baseWins[0], ps.widxWins[i])
-		}
-		res.Sampling = rep
-	}
+	res.Sampling = rep
 
 	for i, w := range c.Walkers {
 		wres := widxRes[i]
@@ -100,24 +93,6 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 
 // SamplingReport implements SamplingReporter.
 func (r *QueryResult) SamplingReport() *sampling.Report { return r.Sampling }
-
-// SampledMetricValues returns the query's full-run values under the sampled
-// estimator's metric names, for -sampling-verify interval checks.
-func (r *QueryResult) SampledMetricValues() map[string]float64 {
-	m := map[string]float64{
-		sampledMetricName("ooo", metricCPT):     r.OoOCyclesPerTuple,
-		sampledMetricName("inorder", metricCPT): r.InOrderCyclesPerTuple,
-	}
-	for w, cpt := range r.WidxCyclesPerTuple {
-		prefix := fmt.Sprintf("%dw", w)
-		m[sampledMetricName(prefix, metricCPT)] = cpt
-		m[sampledMetricName(prefix, metricSpeedup)] = r.IndexSpeedup[w]
-		if raw := r.WidxRaw[w]; raw != nil {
-			m[sampledMetricName(prefix, metricMSHR)] = raw.MemStats.MeanMSHROccupancy()
-		}
-	}
-	return m
-}
 
 // SuiteResult aggregates the simulated queries of Figures 9-11.
 type SuiteResult struct {
@@ -214,19 +189,6 @@ func queryMetricPrefix(q workloads.QuerySpec) string {
 
 // SamplingReport implements SamplingReporter.
 func (s *SuiteResult) SamplingReport() *sampling.Report { return s.Sampling }
-
-// SampledMetricValues returns every query's full-run values under the
-// suite report's prefixed metric names.
-func (s *SuiteResult) SampledMetricValues() map[string]float64 {
-	m := make(map[string]float64)
-	for _, qr := range s.Queries {
-		prefix := queryMetricPrefix(qr.Query)
-		for name, v := range qr.SampledMetricValues() {
-			m[prefix+name] = v
-		}
-	}
-	return m
-}
 
 // BreakdownRow is one query's Figure 2a row: the measured operator shares
 // next to the paper's reported shares.

@@ -8,6 +8,7 @@ import (
 	"widx/internal/cores"
 	"widx/internal/hashidx"
 	"widx/internal/program"
+	"widx/internal/sampling"
 	"widx/internal/structures"
 	"widx/internal/vm"
 	"widx/internal/widx"
@@ -189,10 +190,17 @@ func tablePrograms(index *hashidx.Table) func(uint64) (*structures.Programs, err
 // all Widx points are performed up front, in point order, on the phase's
 // own address space (the order a sequential runner would produce); each Widx
 // task then runs on a private clone when fanning out. Returned slices are
-// parallel to the input slices, as are the per-window observations in
-// phaseSampling; plan placement is a pure function of the stream, so
-// parallel runs stay bit-identical to sequential ones.
-func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widxPoint) ([]cores.Result, []*widx.OffloadResult, *phaseSampling, error) {
+// parallel to the input slices; plan placement is a pure function of the
+// stream, so parallel runs stay bit-identical to sequential ones.
+//
+// runPhase is also the one place a phase's sampled metrics are named. The
+// returned sampling block (nil when sampling is off) holds each baseline's
+// cycles per tuple ("ooo", "inorder"), then per Widx point ("2w") its cycles
+// per tuple, its speedup over the first baseline — the OoO core, in every
+// phase that has one — and its mean MSHR occupancy. Experiments attach the
+// block or merge it under a prefix; -sampling-verify compares it with the
+// same block of the full-detail reference run.
+func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widxPoint) ([]cores.Result, []*widx.OffloadResult, *sampling.Report, error) {
 	resultBases := make([]uint64, len(points))
 	for i, p := range points {
 		name, bytes := ph.resultRegion(p)
@@ -210,11 +218,9 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 			spaces[i] = ph.as.Clone()
 		}
 	}
-	ps := &phaseSampling{
-		plan:     c.samplePlan(len(ph.traces)),
-		baseWins: make([][]windowSample, len(baselines)),
-		widxWins: make([][]windowSample, len(points)),
-	}
+	plan := c.samplePlan(len(ph.traces))
+	baseWins := make([][]windowSample, len(baselines))
+	widxWins := make([][]windowSample, len(points))
 	baseRes := make([]cores.Result, len(baselines))
 	widxRes := make([]*widx.OffloadResult, len(points))
 	err := c.RunTasks(len(baselines)+len(points), func(i int) error {
@@ -225,10 +231,10 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 				return err
 			}
 			a.warmKey = ph.warmKey
-			if _, err := c.runSpans(ps.plan, 0, a); err != nil {
+			if _, err := c.runSpans(plan, 0, a); err != nil {
 				return err
 			}
-			baseRes[i], ps.baseWins[i] = a.core, a.wins
+			baseRes[i], baseWins[i] = a.core, a.wins
 			return nil
 		}
 		j := i - len(baselines)
@@ -242,19 +248,37 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 		}
 		a.name = fmt.Sprintf("%s %dw walker", ph.label, points[j].walkers)
 		a.traces, a.ref, a.warmKey = ph.traces, ph.ref, ph.warmKey
-		if _, err := c.runSpans(ps.plan, 0, a); err != nil {
+		if _, err := c.runSpans(plan, 0, a); err != nil {
 			return err
 		}
 		// Copy the result out: a pointer into the agent would keep its whole
 		// machine reachable until the phase ends.
 		res := a.offload
-		widxRes[j], ps.widxWins[j] = &res, a.wins
+		widxRes[j], widxWins[j] = &res, a.wins
 		return nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return baseRes, widxRes, ps, nil
+	rep := c.samplingReport(plan, len(points) > 0)
+	if rep != nil {
+		for i, b := range baselines {
+			name := "ooo"
+			if b.Kind == cores.InOrder {
+				name = "inorder"
+			}
+			rep.Add(sampledMetricName(name, metricCPT), cptSeries(baseWins[i]))
+		}
+		for j, p := range points {
+			prefix := fmt.Sprintf("%dw", p.walkers)
+			rep.Add(sampledMetricName(prefix, metricCPT), cptSeries(widxWins[j]))
+			if len(baselines) > 0 {
+				rep.Add(sampledMetricName(prefix, metricSpeedup), speedupSeries(baseWins[0], widxWins[j]))
+			}
+			rep.Add(sampledMetricName(prefix, metricMSHR), mshrSeries(widxWins[j]))
+		}
+	}
+	return baseRes, widxRes, rep, nil
 }
 
 // walkerPoints returns the configured walker sweep as phase design points.

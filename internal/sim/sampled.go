@@ -186,8 +186,7 @@ type spanAgent struct {
 // widxAgent attaches a Widx accelerator running progs over the probe-key
 // column at keyBase to hier; the producer stores into as.
 func (c Config) widxAgent(hier *mem.Hierarchy, as *vm.AddressSpace, progs *structures.Programs, walkers int, mode widx.HashingMode, keyBase uint64) (*spanAgent, error) {
-	acc, err := widx.New(widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: mode},
-		hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
+	acc, err := widx.New(c.widxConfig(walkers, mode), hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
 	if err != nil {
 		return nil, err
 	}
@@ -356,15 +355,6 @@ func addOffloadResult(agg *widx.OffloadResult, r *widx.OffloadResult) {
 	agg.MemStats = agg.MemStats.Add(r.MemStats)
 }
 
-// phaseSampling carries one phase's execution record back to the
-// experiment layer: the executed plan and each design point's window
-// observations, parallel to runPhase's result slices.
-type phaseSampling struct {
-	plan     sampling.Plan
-	baseWins [][]windowSample
-	widxWins [][]windowSample
-}
-
 // samplingReport seeds the run's sampling block from the executed plan, or
 // returns nil when sampling is off: full-detail results carry no block, so
 // their manifests stay byte-identical to pre-sampling ones. verified
@@ -377,11 +367,6 @@ func (c Config) samplingReport(plan sampling.Plan, verified bool) *sampling.Repo
 	r := sampling.NewReport(plan)
 	r.FingerprintVerified = verified
 	return r
-}
-
-// report seeds the phase's sampling block (nil when sampling is off).
-func (ps *phaseSampling) report(c Config) *sampling.Report {
-	return c.samplingReport(ps.plan, len(ps.widxWins) > 0)
 }
 
 // mergeSampling folds one part's sampling block (a size class, a query, a
@@ -402,30 +387,16 @@ func mergeSampling(dst *sampling.Report, prefix string, part *sampling.Report) *
 	return dst
 }
 
-// addSampledPoint records one Widx design point's three headline metric
-// series under the given name prefix: cycles-per-tuple, speedup against the
-// baseline's aligned windows (skipped when base is nil — e.g. sweeps with
-// no baseline core), and mean MSHR occupancy.
-func addSampledPoint(r *sampling.Report, prefix string, base, wins []windowSample) {
-	r.Add(sampledMetricName(prefix, metricCPT), cptSeries(wins))
-	if base != nil {
-		r.Add(sampledMetricName(prefix, metricSpeedup), speedupSeries(base, wins))
-	}
-	r.Add(sampledMetricName(prefix, metricMSHR), mshrSeries(wins))
-}
-
 // SamplingReporter is implemented by every experiment result that can carry
-// a sampled-estimate block: the report itself (nil when sampling was off)
-// and, for verification, the full-run values of the same metrics under the
-// same names — the -sampling-verify mode runs an experiment both ways and
-// asserts every full-run value falls inside the sampled run's interval.
+// a sampled-estimate block: the report itself, nil when sampling was off.
+// The -sampling-verify mode runs an experiment both ways and checks the
+// sampled block against the full-detail reference run's own block.
 type SamplingReporter interface {
 	SamplingReport() *sampling.Report
-	SampledMetricValues() map[string]float64
 }
 
-// sampledMetricName renders the canonical metric names shared by the
-// sampled estimator and the full-run metric map.
+// sampledMetricName renders a metric's name in the sampling block: the
+// design point's prefix, then the metric.
 func sampledMetricName(prefix, metric string) string {
 	return prefix + " " + metric
 }

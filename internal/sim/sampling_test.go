@@ -58,9 +58,10 @@ func checkSampledReport(t *testing.T, name string, r SamplingReporter) {
 
 // TestSampledVerifyAgainstFullRun is the -sampling-verify contract for
 // every experiment family: the sampled estimator's 95% confidence interval
-// must cover the value a full-detail reference run — every probe simulated,
-// the same windows measured — computes for the same metric name, so the
-// only difference under test is the fast-forward approximation itself.
+// must cover the window mean a full-detail reference run — every probe
+// simulated, the same windows measured — reports for the same metric name,
+// so the only difference under test is the fast-forward approximation
+// itself.
 func TestSampledVerifyAgainstFullRun(t *testing.T) {
 	sampled := sampledTestConfig()
 	full := sampled
@@ -83,7 +84,7 @@ func TestSampledVerifyAgainstFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s full: %v", name, err)
 		}
-		if err := s.SamplingReport().Verify(f.SampledMetricValues()); err != nil {
+		if err := s.SamplingReport().Verify(f.SamplingReport()); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -167,8 +167,10 @@ func QuickConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Scale <= 0 {
-		return fmt.Errorf("sim: Scale must be positive")
+	// Workload sizes grow linearly with Scale; 1 is the paper's setup and
+	// nothing runs above it. The negated form also rejects NaN.
+	if !(c.Scale > 0 && c.Scale <= 1) {
+		return fmt.Errorf("sim: Scale must be in (0, 1], got %v", c.Scale)
 	}
 	if c.SampleProbes < 0 {
 		return fmt.Errorf("sim: negative SampleProbes")
@@ -176,16 +178,16 @@ func (c Config) Validate() error {
 	if len(c.Walkers) == 0 {
 		return fmt.Errorf("sim: no walker counts to evaluate")
 	}
+	if c.QueueDepth < 0 {
+		return fmt.Errorf("sim: negative QueueDepth")
+	}
 	for _, w := range c.Walkers {
-		if w <= 0 {
-			return fmt.Errorf("sim: walker counts must be positive")
+		if err := c.widxConfig(w, widx.SharedDispatcher).Validate(); err != nil {
+			return err
 		}
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("sim: negative Parallelism")
-	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("sim: negative QueueDepth")
 	}
 	if c.FillBuffers < 0 {
 		return fmt.Errorf("sim: negative FillBuffers")
@@ -213,6 +215,11 @@ func (c Config) queueDepth() int {
 		return 2
 	}
 	return c.QueueDepth
+}
+
+// widxConfig is the accelerator configuration of a Widx design point.
+func (c Config) widxConfig(walkers int, mode widx.HashingMode) widx.Config {
+	return widx.Config{NumWalkers: walkers, QueueDepth: c.queueDepth(), Mode: mode}
 }
 
 // fillBuffers returns the effective shared fill-buffer count (0 tracks the

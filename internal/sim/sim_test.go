@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"widx/internal/join"
@@ -24,6 +26,34 @@ func TestConfigValidate(t *testing.T) {
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("invalid config accepted: %+v", c)
+		}
+	}
+	// Every resource-sizing knob is bounded before anything allocates; the
+	// error names the bound of the package that allocates it.
+	for _, tc := range []struct {
+		name string
+		edit func(c *Config)
+		want string
+	}{
+		{"scale above 1", func(c *Config) { c.Scale = 100000 }, "Scale must be in (0, 1]"},
+		{"NaN scale", func(c *Config) { c.Scale = math.NaN() }, "Scale must be in (0, 1]"},
+		{"infinite scale", func(c *Config) { c.Scale = math.Inf(1) }, "Scale must be in (0, 1]"},
+		{"walkers", func(c *Config) { c.Walkers = []int{1, 100000000} }, "NumWalkers must be in [1, 256]"},
+		{"queue depth", func(c *Config) { c.QueueDepth = 10000000000 }, "QueueDepth must be in [1, 1024]"},
+		{"mshrs", func(c *Config) { c.Mem.L1MSHRs, c.FillBuffers = 10000000000, 10 }, "MSHRs must be in [1, 1024]"},
+		{"fill buffers", func(c *Config) { c.FillBuffers = 10000000000 }, "FillBuffers must be in [1, 1024]"},
+	} {
+		c := QuickConfig()
+		tc.edit(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	for _, scale := range []float64{1, 1.0 / 512} {
+		c := QuickConfig()
+		c.Scale = scale
+		if err := c.Validate(); err != nil {
+			t.Errorf("scale %v rejected: %v", scale, err)
 		}
 	}
 	c := QuickConfig()

@@ -12,6 +12,7 @@ import (
 
 	"widx/internal/join"
 	"widx/internal/sampling"
+	"widx/internal/widx"
 )
 
 // WalkerUtilizationPoint is one walker count of the sweep.
@@ -50,8 +51,10 @@ func (c Config) RunWalkerUtilization(size join.SizeClass, maxWalkers int) (*Walk
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if maxWalkers <= 0 {
-		return nil, fmt.Errorf("sim: non-positive walker sweep bound")
+	// The largest point is checked up front: every point's result region
+	// and address-space clone is allocated before its accelerator is.
+	if err := c.widxConfig(maxWalkers, widx.SharedDispatcher).Validate(); err != nil {
+		return nil, fmt.Errorf("sim: walker sweep bound %d: %w", maxWalkers, err)
 	}
 	// The walker sweep replays the same kernel workload the Figure 8
 	// experiment builds, so with the warm cache enabled the two share one
@@ -64,20 +67,15 @@ func (c Config) RunWalkerUtilization(size join.SizeClass, maxWalkers int) (*Walk
 	for i := range points {
 		points[i] = widxPoint{walkers: i + 1}
 	}
-	_, widxRes, psamp, err := c.runPhase(ph, nil, points)
+	_, widxRes, rep, err := c.runPhase(ph, nil, points)
 	if err != nil {
 		return nil, err
 	}
 	out := &WalkerUtilizationSweep{
-		Size:   size,
-		MSHRs:  c.Mem.L1MSHRs,
-		Points: make([]WalkerUtilizationPoint, maxWalkers),
-	}
-	if rep := psamp.report(c); rep != nil {
-		for i := range points {
-			addSampledPoint(rep, fmt.Sprintf("%dw", i+1), nil, psamp.widxWins[i])
-		}
-		out.Sampling = rep
+		Size:     size,
+		MSHRs:    c.Mem.L1MSHRs,
+		Points:   make([]WalkerUtilizationPoint, maxWalkers),
+		Sampling: rep,
 	}
 	for i, res := range widxRes {
 		out.Points[i] = WalkerUtilizationPoint{
@@ -94,15 +92,3 @@ func (c Config) RunWalkerUtilization(size join.SizeClass, maxWalkers int) (*Walk
 
 // SamplingReport implements SamplingReporter.
 func (s *WalkerUtilizationSweep) SamplingReport() *sampling.Report { return s.Sampling }
-
-// SampledMetricValues returns the sweep's full-run values under the sampled
-// estimator's metric names, for -sampling-verify interval checks.
-func (s *WalkerUtilizationSweep) SampledMetricValues() map[string]float64 {
-	m := make(map[string]float64)
-	for _, p := range s.Points {
-		prefix := fmt.Sprintf("%dw", p.Walkers)
-		m[sampledMetricName(prefix, metricCPT)] = p.CyclesPerTuple
-		m[sampledMetricName(prefix, metricMSHR)] = p.MeanMSHROccupancy
-	}
-	return m
-}

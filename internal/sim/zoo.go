@@ -177,7 +177,7 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 			},
 			warmKey: phaseKey,
 		}
-		baseRes, widxRes, ps, err := inner.runPhase(ph, []cores.Config{cores.OoOConfig()}, c.walkerPoints(widx.SharedDispatcher))
+		baseRes, widxRes, rep, err := inner.runPhase(ph, []cores.Config{cores.OoOConfig()}, c.walkerPoints(widx.SharedDispatcher))
 		if err != nil {
 			return err
 		}
@@ -193,13 +193,7 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 				Raw:            rawDetail(res),
 			}
 		}
-		if rep := ps.report(c); rep != nil {
-			rep.Add(sampledMetricName("ooo", metricCPT), cptSeries(ps.baseWins[0]))
-			for j, w := range c.Walkers {
-				addSampledPoint(rep, fmt.Sprintf("%dw", w), ps.baseWins[0], ps.widxWins[j])
-			}
-			perKindSampling[i] = rep
-		}
+		perKindSampling[i] = rep
 		perKind[i] = ZooStructureResult{
 			Structure:         kinds[i],
 			Geometry:          inst.Geometry(),
@@ -222,22 +216,3 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 
 // SamplingReport implements SamplingReporter.
 func (e *ZooExperiment) SamplingReport() *sampling.Report { return e.Sampling }
-
-// SampledMetricValues returns every structure's full-run values under the
-// merged report's prefixed metric names.
-func (e *ZooExperiment) SampledMetricValues() map[string]float64 {
-	m := make(map[string]float64)
-	for _, s := range e.Structures {
-		prefix := s.Structure.String() + ": "
-		m[prefix+sampledMetricName("ooo", metricCPT)] = s.OoOCyclesPerTuple
-		for _, p := range s.Points {
-			wp := prefix + fmt.Sprintf("%dw", p.Walkers)
-			m[sampledMetricName(wp, metricCPT)] = p.CyclesPerTuple
-			m[sampledMetricName(wp, metricSpeedup)] = p.Speedup
-			if p.Raw != nil {
-				m[sampledMetricName(wp, metricMSHR)] = p.Raw.MemStats.MeanMSHROccupancy()
-			}
-		}
-	}
-	return m
-}

@@ -99,3 +99,19 @@ func TestParseKinds(t *testing.T) {
 		t.Fatal("ParseKinds accepted a list with an unknown structure")
 	}
 }
+
+// FuzzParseKind checks the structure-name grammar on arbitrary input: it
+// either fails cleanly or yields a kind whose canonical name parses back to
+// the same kind. Its seed corpus is testdata/fuzz/FuzzParseKind.
+func FuzzParseKind(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParseKind(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseKind(k.String())
+		if err != nil || back != k {
+			t.Fatalf("%q parses to %v, whose name %q parses to %v (%v)", s, k, k.String(), back, err)
+		}
+	})
+}

@@ -160,6 +160,12 @@ type BuildConfig struct {
 	Name string
 }
 
+// maxSpan bounds the B+-tree range-probe span. A probe's reference
+// traversal scans the leaves up to key probe+span-1 and keeps every step,
+// so a span past the key space turns each probe into a full-tree scan held
+// in memory. The repo runs spans of at most 2.
+const maxSpan = 65536
+
 func (cfg BuildConfig) validate() error {
 	if cfg.Keys <= 0 {
 		return fmt.Errorf("structures: need a positive key count")
@@ -167,8 +173,8 @@ func (cfg BuildConfig) validate() error {
 	if cfg.Probes <= 0 {
 		return fmt.Errorf("structures: need a positive probe count")
 	}
-	if cfg.Span < 0 {
-		return fmt.Errorf("structures: negative range span")
+	if cfg.Span < 0 || cfg.Span > maxSpan {
+		return fmt.Errorf("structures: range span must be in [0, %d]", maxSpan)
 	}
 	if cfg.Name == "" {
 		return fmt.Errorf("structures: BuildConfig needs a region-name prefix")

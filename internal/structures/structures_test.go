@@ -181,6 +181,7 @@ func TestBuildValidation(t *testing.T) {
 		{Kind: SkipList, Keys: 10, Probes: 0, Name: "x"},
 		{Kind: SkipList, Keys: 10, Probes: 10, Name: ""},
 		{Kind: BTree, Keys: 10, Probes: 10, Span: -1, Name: "x"},
+		{Kind: BTree, Keys: 10, Probes: 10, Span: maxSpan + 1, Name: "x"},
 		{Kind: Kind(99), Keys: 10, Probes: 10, Name: "x"},
 	}
 	for _, cfg := range bad {

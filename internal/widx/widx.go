@@ -52,13 +52,22 @@ type Config struct {
 	Mode HashingMode
 }
 
+// Walker units and dispatch-queue entries are allocated per count, so both
+// are bounded far above any design the repo runs (at most 8 walkers and
+// 16-entry queues): an out-of-range knob fails validation instead of
+// allocating without bound.
+const (
+	maxWalkers    = 256
+	maxQueueDepth = 1024
+)
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.NumWalkers <= 0 {
-		return fmt.Errorf("widx: NumWalkers must be positive")
+	if c.NumWalkers <= 0 || c.NumWalkers > maxWalkers {
+		return fmt.Errorf("widx: NumWalkers must be in [1, %d]", maxWalkers)
 	}
-	if c.QueueDepth <= 0 {
-		return fmt.Errorf("widx: QueueDepth must be positive")
+	if c.QueueDepth <= 0 || c.QueueDepth > maxQueueDepth {
+		return fmt.Errorf("widx: QueueDepth must be in [1, %d]", maxQueueDepth)
 	}
 	if c.Mode > Coupled {
 		return fmt.Errorf("widx: unknown hashing mode %d", c.Mode)
