@@ -24,7 +24,6 @@ import (
 
 	"widx/internal/hashidx"
 	"widx/internal/mem"
-	"widx/internal/system"
 )
 
 // Kind identifies the modelled core.
@@ -333,7 +332,7 @@ func (p *probeRun) finishStep(c *Core, res *Result) {
 // ProbeEngine is an in-flight bulk probe replay exposed as a resumable
 // system.Agent: the system scheduler (internal/system) can co-schedule it
 // with other agents — Widx offloads, other cores — against one shared
-// memory level. Core.RunProbes wraps it for the solo case.
+// memory level. A solo replay is system.Run over the engine alone.
 //
 // Probes overlap up to the in-flight window, and the engine's memory
 // accesses reach the hierarchy in monotonically non-decreasing cycle order:
@@ -528,19 +527,4 @@ func (e *ProbeEngine) Result() (Result, error) {
 	res.TotalCycles = e.end - e.startCycle
 	res.MemStats = e.c.hier.Stats().Sub(e.memBefore)
 	return res, nil
-}
-
-// RunProbes executes the probe traces starting at startCycle and returns the
-// timing result, driving the engine to completion on the system scheduler.
-// To co-run the replay with other agents on a shared memory level, use
-// NewProbeEngine and system.Run instead.
-func (c *Core) RunProbes(traces []hashidx.ProbeTrace, startCycle uint64) (Result, error) {
-	e, err := c.NewProbeEngine(traces, startCycle)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := system.Run(e); err != nil {
-		return Result{}, err
-	}
-	return e.Result()
 }

@@ -6,8 +6,21 @@ import (
 	"widx/internal/hashidx"
 	"widx/internal/mem"
 	"widx/internal/stats"
+	"widx/internal/system"
 	"widx/internal/vm"
 )
+
+// runProbes replays traces on c alone, starting at startCycle.
+func runProbes(c *Core, traces []hashidx.ProbeTrace, startCycle uint64) (Result, error) {
+	e, err := c.NewProbeEngine(traces, startCycle)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := system.Run(e); err != nil {
+		return Result{}, err
+	}
+	return e.Result()
+}
 
 // buildWorkload creates an index and a probe trace stream for core tests.
 func buildWorkload(t *testing.T, buildKeys, probes int, buckets uint64, layout hashidx.Layout, hash hashidx.HashKind) []hashidx.ProbeTrace {
@@ -75,7 +88,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunProbes(nil, 0); err == nil {
+	if _, err := runProbes(c, nil, 0); err == nil {
 		t.Fatal("empty probe list accepted")
 	}
 }
@@ -88,12 +101,12 @@ func TestOoOFasterThanInOrder(t *testing.T) {
 	traces := buildWorkload(t, 3000, 4000, 1<<12, hashidx.LayoutInline, hashidx.HashRobust)
 
 	oooCore, _ := New(OoOConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	oooRes, err := oooCore.RunProbes(traces, 0)
+	oooRes, err := runProbes(oooCore, traces, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ioCore, _ := New(InOrderConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	ioRes, err := ioCore.RunProbes(traces, 0)
+	ioRes, err := runProbes(ioCore, traces, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +119,12 @@ func TestOoOFasterThanInOrder(t *testing.T) {
 	// the same dependent memory latency.
 	tracesBig := buildWorkload(t, 60000, 2000, 1<<16, hashidx.LayoutInline, hashidx.HashRobust)
 	oooBig, _ := New(OoOConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	oooBigRes, err := oooBig.RunProbes(tracesBig, 0)
+	oooBigRes, err := runProbes(oooBig, tracesBig, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ioBig, _ := New(InOrderConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	ioBigRes, err := ioBig.RunProbes(tracesBig, 0)
+	ioBigRes, err := runProbes(ioBig, tracesBig, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +140,7 @@ func TestOoOFasterThanInOrder(t *testing.T) {
 func TestOoOOverlapsProbes(t *testing.T) {
 	traces := buildWorkload(t, 30000, 1000, 1<<15, hashidx.LayoutInline, hashidx.HashSimple)
 	core, _ := New(OoOConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	res, err := core.RunProbes(traces, 0)
+	res, err := runProbes(core, traces, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +158,7 @@ func TestOoOOverlapsProbes(t *testing.T) {
 func TestInOrderDoesNotOverlap(t *testing.T) {
 	traces := buildWorkload(t, 5000, 500, 1<<13, hashidx.LayoutInline, hashidx.HashSimple)
 	core, _ := New(InOrderConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	res, err := core.RunProbes(traces, 0)
+	res, err := runProbes(core, traces, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,18 +179,18 @@ func TestHashShareHigherForRobustHash(t *testing.T) {
 	// Warm the caches with a first pass so the comparison reflects the
 	// steady-state compute/memory split rather than cold-miss noise.
 	coreS, _ := New(OoOConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	if _, err := coreS.RunProbes(simple, 0); err != nil {
+	if _, err := runProbes(coreS, simple, 0); err != nil {
 		t.Fatal(err)
 	}
-	resS, err := coreS.RunProbes(simple, 1_000_000)
+	resS, err := runProbes(coreS, simple, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coreR, _ := New(OoOConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	if _, err := coreR.RunProbes(robust, 0); err != nil {
+	if _, err := runProbes(coreR, robust, 0); err != nil {
 		t.Fatal(err)
 	}
-	resR, err := coreR.RunProbes(robust, 1_000_000)
+	resR, err := runProbes(coreR, robust, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +208,9 @@ func TestLargerIndexCostsMore(t *testing.T) {
 	large := buildWorkload(t, 200000, 1000, 1<<18, hashidx.LayoutInline, hashidx.HashSimple)
 
 	coreS, _ := New(OoOConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	resS, _ := coreS.RunProbes(small, 0)
+	resS, _ := runProbes(coreS, small, 0)
 	coreL, _ := New(OoOConfig(), mem.NewHierarchy(mem.DefaultConfig()))
-	resL, _ := coreL.RunProbes(large, 0)
+	resL, _ := runProbes(coreL, large, 0)
 
 	if resL.CyclesPerTuple() <= resS.CyclesPerTuple() {
 		t.Fatalf("large index (%.1f cpt) should cost more than small (%.1f cpt)",

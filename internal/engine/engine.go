@@ -2,16 +2,18 @@
 // MonetDB: it executes decision-support join queries over synthetic tables
 // with scan, hash-index join, sort and aggregation operators, and accounts
 // execution time per operator so that the Figure 2a-style breakdown (Index /
-// Scan / Sort&Join / Other) and the Figure 2b Hash/Walk split emerge from an
-// actual execution rather than being asserted.
+// Scan / Sort&Join / Other) emerges from an actual execution rather than
+// being asserted.
 //
 // The engine's index phase is built on internal/hashidx inside a simulated
-// address space, and its cost comes from the out-of-order core model running
-// the real probe traces against the memory hierarchy; the remaining operators
-// use simple per-tuple cost factors typical of vectorized column stores. The
-// artifacts of the index phase (the built index, the materialized probe key
-// column, the traces) are returned so the higher-level simulation harness can
-// re-run exactly the same index phase on other designs (in-order core, Widx).
+// address space. The engine executes it functionally and returns its
+// artifacts (the built index, the materialized probe key column, the probe
+// traces) without costing it: the simulation harness (internal/sim) runs
+// that phase on the out-of-order design point of its own experiment, and
+// Result.Breakdown places the measured index cycles next to the other
+// operators, which use simple per-tuple cost factors typical of vectorized
+// column stores. The Figure 2b hash/walk split comes from the same
+// out-of-order run.
 package engine
 
 import (
@@ -19,9 +21,7 @@ import (
 	"math"
 
 	"widx/internal/colstore"
-	"widx/internal/cores"
 	"widx/internal/hashidx"
-	"widx/internal/mem"
 	"widx/internal/vm"
 	"widx/internal/workloads"
 )
@@ -156,13 +156,13 @@ type Result struct {
 	MatchCount int    // probes that found a dimension row
 	Aggregate  uint64 // sum of matched dimension values (when enabled)
 
-	// Cost accounting.
-	Breakdown  Breakdown
-	IndexShare float64
-	// HashShare is the fraction of index time spent hashing (Figure 2b).
-	HashShare float64
+	// Cycles of the operators around the index phase: the fact-table scan,
+	// and the post-join sort and aggregation.
+	ScanCycles     float64
+	SortJoinCycles float64
 
-	// Index-phase artifacts for further simulation on other designs.
+	// Index-phase artifacts for the simulation harness to cost on its
+	// design points.
 	AS           *vm.AddressSpace
 	Index        *hashidx.Table
 	ProbeKeys    []uint64
@@ -170,8 +170,21 @@ type Result struct {
 	Traces       []hashidx.ProbeTrace
 }
 
-// Run executes the plan and returns the result. The memory hierarchy used to
-// cost the index phase is created internally (an OoO core per Table 2).
+// Breakdown assembles the query's per-operator cycles around indexCycles,
+// the cost of its whole index phase, adding the "Other" share on top of
+// the measured operators.
+func (r *Result) Breakdown(indexCycles float64) Breakdown {
+	measured := indexCycles + r.ScanCycles + r.SortJoinCycles
+	return Breakdown{
+		Index:    indexCycles,
+		Scan:     r.ScanCycles,
+		SortJoin: r.SortJoinCycles,
+		Other:    measured * otherOverheadShare / (1 - otherOverheadShare),
+	}
+}
+
+// Run executes the plan and returns the functional result, the cycles of
+// the non-index operators and the index-phase artifacts.
 func Run(spec PlanSpec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -196,7 +209,6 @@ func Run(spec PlanSpec) (*Result, error) {
 	if len(probeKeys) == 0 {
 		return nil, fmt.Errorf("engine: scan selected no rows")
 	}
-	scanCycles := float64(fact.Rows()) * scanCyclesPerRow
 
 	// 3. Build the hash index on the dimension key column and materialize the
 	// probe keys, both in the simulated address space.
@@ -219,6 +231,7 @@ func Run(spec PlanSpec) (*Result, error) {
 	res := &Result{
 		Name:         spec.Name,
 		ProbeCount:   len(probeKeys),
+		ScanCycles:   float64(fact.Rows()) * scanCyclesPerRow,
 		AS:           as,
 		Index:        idx,
 		ProbeKeys:    probeKeys,
@@ -235,42 +248,17 @@ func Run(spec PlanSpec) (*Result, error) {
 		}
 	}
 
-	// 5. Cost the index phase on the baseline out-of-order core.
-	hier := mem.NewHierarchy(mem.DefaultConfig())
-	core, err := cores.New(cores.OoOConfig(), hier)
-	if err != nil {
-		return nil, err
-	}
-	coreRes, err := core.RunProbes(res.Traces, 0)
-	if err != nil {
-		return nil, err
-	}
-	indexCycles := float64(coreRes.TotalCycles)
-	res.HashShare = coreRes.HashShare()
-
-	// 6. Post-join operators.
-	sortJoinCycles := 0.0
+	// 5. Post-join operators.
 	if spec.Sort && len(matchedValues) > 1 {
 		n := float64(len(matchedValues))
-		sortJoinCycles += n * math.Log2(n) * sortCyclesPerCompare
+		res.SortJoinCycles += n * math.Log2(n) * sortCyclesPerCompare
 	}
 	if spec.Aggregate {
 		for _, v := range matchedValues {
 			res.Aggregate += v
 		}
-		sortJoinCycles += float64(len(matchedValues)) * aggregateCyclesPerRow
+		res.SortJoinCycles += float64(len(matchedValues)) * aggregateCyclesPerRow
 	}
-
-	// 7. Assemble the breakdown.
-	measured := indexCycles + scanCycles + sortJoinCycles
-	other := measured * otherOverheadShare / (1 - otherOverheadShare)
-	res.Breakdown = Breakdown{
-		Index:    indexCycles,
-		Scan:     scanCycles,
-		SortJoin: sortJoinCycles,
-		Other:    other,
-	}
-	res.IndexShare = res.Breakdown.Shares().Index
 	return res, nil
 }
 

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"widx/internal/colstore"
+	"widx/internal/cores"
 	"widx/internal/hashidx"
+	"widx/internal/mem"
+	"widx/internal/system"
 	"widx/internal/workloads"
 )
 
@@ -86,12 +89,39 @@ func TestRunProducesCorrectJoinResult(t *testing.T) {
 	}
 }
 
+// oooCost costs a result's whole index phase on a cold out-of-order
+// core of the default machine, as the simulation harness's OoO design point
+// does in full detail.
+func oooCost(t *testing.T, res *Result) cores.Result {
+	t.Helper()
+	core, err := cores.New(cores.OoOConfig(), mem.NewHierarchy(mem.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewProbeEngine(res.Traces, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := system.Run(e); err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestBreakdownConsistency(t *testing.T) {
 	res, err := Run(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := res.Breakdown
+	const indexCycles = 123_456.0
+	b := res.Breakdown(indexCycles)
+	if b.Index != indexCycles || b.Scan != res.ScanCycles || b.SortJoin != res.SortJoinCycles {
+		t.Fatalf("breakdown %+v does not carry the index cycles and the operator cycles of %+v", b, res)
+	}
 	if b.Index <= 0 || b.Scan <= 0 || b.SortJoin <= 0 || b.Other <= 0 {
 		t.Fatalf("all operators should have non-zero cost: %+v", b)
 	}
@@ -99,11 +129,13 @@ func TestBreakdownConsistency(t *testing.T) {
 	if s := shares.Sum(); s < 0.999 || s > 1.001 {
 		t.Fatalf("shares sum to %v", s)
 	}
-	if res.IndexShare != shares.Index {
-		t.Fatal("IndexShare inconsistent with the breakdown")
+	// "Other" is a fixed share of the whole query.
+	if d := shares.Other - otherOverheadShare; d < -1e-12 || d > 1e-12 {
+		t.Fatalf("other share %v, want %v", shares.Other, otherOverheadShare)
 	}
-	if res.HashShare <= 0 || res.HashShare >= 1 {
-		t.Fatalf("hash share out of range: %v", res.HashShare)
+	// More index cycles, larger index share; the other operators hold.
+	if more := res.Breakdown(2 * indexCycles); more.Shares().Index <= shares.Index || more.Scan != b.Scan {
+		t.Fatalf("doubling the index cycles moved %+v to %+v", b, more)
 	}
 	// Artifacts for downstream simulation are present and consistent.
 	if res.Index == nil || res.AS == nil || res.ProbeKeyBase == 0 {
@@ -128,17 +160,19 @@ func TestIndexShareGrowsWithProbeVolume(t *testing.T) {
 	heavy.DimensionRows = 4000
 	heavy.ScanSelectivity = 0.9
 
-	lr, err := Run(light)
-	if err != nil {
-		t.Fatal(err)
+	share := func(spec PlanSpec) float64 {
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ooo := oooCost(t, res)
+		if h := ooo.HashShare(); h <= 0 || h >= 1 {
+			t.Fatalf("%+v: hash share out of range: %v", spec, h)
+		}
+		return res.Breakdown(float64(ooo.TotalCycles)).Shares().Index
 	}
-	hr, err := Run(heavy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr.IndexShare <= lr.IndexShare {
-		t.Fatalf("index share should grow with probe volume and index size: %v vs %v",
-			hr.IndexShare, lr.IndexShare)
+	if l, h := share(light), share(heavy); h <= l {
+		t.Fatalf("index share should grow with probe volume and index size: %v vs %v", h, l)
 	}
 }
 

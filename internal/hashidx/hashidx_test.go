@@ -1,6 +1,7 @@
 package hashidx
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -332,7 +333,8 @@ func TestPropertyProbeBounded(t *testing.T) {
 // reference match stream against Probe's functional result: match counts
 // agree, the inline layout reports payloads, and the indirect layout
 // reports the raw base-column references the walker program emits (whose
-// row-id conversion must equal Probe's Payload).
+// row-id conversion must equal Probe's Payload). TraceMatches reads the
+// same stream off a trace recorded with a key address.
 func TestProbeMatchesMirrorsWalkerEmission(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
 		tbl, keys := buildTable(t, LayoutInline, HashRobust, 500, 64)
@@ -341,6 +343,9 @@ func TestProbeMatchesMirrorsWalkerEmission(t *testing.T) {
 			r := tbl.Probe(k)
 			if len(ms) != r.Matches {
 				t.Fatalf("key %d: %d matches, Probe says %d", i, len(ms), r.Matches)
+			}
+			if tr := tbl.ProbeFrom(k, 0x1000).Trace; !slices.Equal(tbl.TraceMatches(&tr), ms) {
+				t.Fatalf("key %d: trace matches %v, ProbeMatches %v", i, tbl.TraceMatches(&tr), ms)
 			}
 			if r.Found && ms[0] != r.Payload {
 				t.Fatalf("key %d: first match %d, Probe payload %d", i, ms[0], r.Payload)
@@ -368,6 +373,9 @@ func TestProbeMatchesMirrorsWalkerEmission(t *testing.T) {
 			r := tbl.Probe(k)
 			if len(ms) != r.Matches {
 				t.Fatalf("key %d: %d matches, Probe says %d", i, len(ms), r.Matches)
+			}
+			if tr := tbl.ProbeFrom(k, 0x1000).Trace; !slices.Equal(tbl.TraceMatches(&tr), ms) {
+				t.Fatalf("key %d: trace matches %v, ProbeMatches %v", i, tbl.TraceMatches(&tr), ms)
 			}
 			if r.Found {
 				if rowid := (ms[0] - tbl.KeyColumnBase()) / 8; rowid != r.Payload {

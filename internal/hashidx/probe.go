@@ -151,45 +151,37 @@ func (t *Table) probe(key uint64, keyAddr uint64) ProbeResult {
 	}
 }
 
-// ProbeMatches returns the values a Widx walker emits for key, in
-// traversal order: the payload of every matching node for the inline
-// layout, and the raw base-column reference for the indirect layout (the
-// walker emits the reference itself; row-id conversion is the host's
-// post-processing, see ProbeResult.Payload). It is the per-probe software
+// TraceMatches returns the values a Widx walker emits for the probe that
+// recorded tr, read off its matched steps in traversal order: the payload
+// of every matching node for the inline layout, and the raw base-column
+// reference (the step's key fetch) for the indirect layout — the walker
+// emits the reference itself; row-id conversion is the host's
+// post-processing, see ProbeResult.Payload. It is the per-probe software
 // reference the sampled simulator substitutes for fast-forwarded probes
 // when checking that a sampled run's combined match stream is bit-identical
 // to the full reference.
-func (t *Table) ProbeMatches(key uint64) []uint64 {
-	idx := BucketIndex(HashOf(t.cfg.Hash, key), t.buckets)
-	node := t.bucketBase + idx*t.nodeSize
+func (t *Table) TraceMatches(tr *ProbeTrace) []uint64 {
 	var out []uint64
-	switch t.cfg.Layout {
-	case LayoutInline:
-		first := true
-		for node != 0 {
-			nodeKey := t.as.Read64(node + InlineKeyOffset)
-			if first && nodeKey == EmptyKey {
-				return nil
-			}
-			if nodeKey == key {
-				out = append(out, t.as.Read64(node+InlinePayloadOffset))
-			}
-			node = t.as.Read64(node + InlineNextOffset)
-			first = false
+	for _, s := range tr.Steps {
+		if !s.Matched {
+			continue
 		}
-	default: // LayoutIndirect
-		for node != 0 {
-			ref := t.as.Read64(node + IndirectRefOffset)
-			if ref == 0 {
-				return nil
-			}
-			if t.as.Read64(ref) == key {
-				out = append(out, ref)
-			}
-			node = t.as.Read64(node + IndirectNextOffset)
+		if t.cfg.Layout == LayoutInline {
+			out = append(out, t.as.Read64(s.NodeAddr+InlinePayloadOffset))
+		} else {
+			out = append(out, s.KeyFetchAddr)
 		}
 	}
 	return out
+}
+
+// ProbeMatches returns the values a Widx walker emits for key (see
+// TraceMatches).
+//
+//widxlint:ignore deadcode used by bench/widxbench
+func (t *Table) ProbeMatches(key uint64) []uint64 {
+	tr := t.probe(key, 0).Trace
+	return t.TraceMatches(&tr)
 }
 
 // BulkProbe probes every key in keys and returns the number of keys that

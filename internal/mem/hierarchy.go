@@ -283,6 +283,8 @@ func (s Stats) LLCMissRatio() float64 {
 // cfg.Topology().Validate first when the configuration is user-supplied.
 // Multi-agent and heterogeneous machines are built with NewSharedLevel +
 // SharedLevel.NewAgent.
+//
+//widxlint:ignore deadcode used by bench/widxbench
 func NewHierarchy(cfg Config) *Hierarchy {
 	top := cfg.Topology()
 	return NewSharedLevel(top).NewAgent(top.Agent("agent0"))

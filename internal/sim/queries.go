@@ -5,6 +5,7 @@ import (
 
 	"widx/internal/cores"
 	"widx/internal/energy"
+	"widx/internal/engine"
 	"widx/internal/sampling"
 	"widx/internal/stats"
 	"widx/internal/widx"
@@ -16,7 +17,9 @@ import (
 type QueryResult struct {
 	Query workloads.QuerySpec
 
-	// Engine-level measurements (Figure 2a/2b reproduction).
+	// Figure 2a/2b reproduction: the engine's operator breakdown around the
+	// index phase as the OoO design point costs it, and that point's
+	// hash/walk split.
 	MeasuredBreakdown workloads.BreakdownShares
 	MeasuredHashShare float64
 
@@ -43,23 +46,20 @@ type QueryResult struct {
 }
 
 // RunQuery executes one benchmark query end to end: the engine produces the
-// operator breakdown and the index phase, which is then replayed on the
-// baseline cores and on Widx at every configured walker count.
+// query's operators and its index phase, which then runs on the baseline
+// cores and on Widx at every configured walker count. The OoO design point
+// also costs the index phase of the Figure 2 breakdown.
 func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	engRes, engKey, err := c.engineRun(q, true)
+	engRes, ph, err := c.queryPhase(q)
 	if err != nil {
-		return nil, fmt.Errorf("sim: query %s %s: %w", q.Suite, q.Name, err)
+		return nil, err
 	}
-	ph := c.hashPhase(engRes.AS, engRes.Index, engRes.ProbeKeyBase, engRes.ProbeCount, engRes.Traces, engKey)
-	ph.label = fmt.Sprintf("%s %s", q.Suite, q.Name)
 
 	res := &QueryResult{
 		Query:              q,
-		MeasuredBreakdown:  engRes.Breakdown.Shares(),
-		MeasuredHashShare:  engRes.HashShare,
 		WidxCyclesPerTuple: map[int]float64{},
 		WidxBreakdown:      map[int]Breakdown{},
 		WidxRaw:            map[int]*widx.OffloadResult{},
@@ -75,6 +75,7 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 	}
 	res.OoOCyclesPerTuple = baseRes[0].CyclesPerTuple()
 	res.InOrderCyclesPerTuple = baseRes[1].CyclesPerTuple()
+	res.MeasuredBreakdown, res.MeasuredHashShare = figure2(engRes, baseRes[0])
 	res.Sampling = rep
 
 	for i, w := range c.Walkers {
@@ -89,6 +90,15 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 		res.QuerySpeedup4W = energy.QuerySpeedup(sp, q.Paper.Breakdown.Index)
 	}
 	return res, nil
+}
+
+// figure2 derives a query's Figure 2a shares and Figure 2b hash share
+// from its OoO design point. The point's cycles, scaled from the probes it
+// measured to the query's whole probe stream, cost the index phase; the
+// scale factor is exactly 1 when the point ran every probe in detail.
+func figure2(eng *engine.Result, ooo cores.Result) (workloads.BreakdownShares, float64) {
+	index := float64(ooo.TotalCycles) * (float64(eng.ProbeCount) / float64(ooo.Tuples))
+	return eng.Breakdown(index).Shares(), ooo.HashShare()
 }
 
 // SamplingReport implements SamplingReporter.
@@ -207,8 +217,10 @@ type BreakdownRow struct {
 type BreakdownRows []BreakdownRow
 
 // RunBreakdowns reproduces Figure 2a (and 2b for the simulated queries) by
-// executing every query in the inventory through the engine. Set
-// simulatedOnly to restrict the run to the twelve Figure 2b queries.
+// executing every query in the inventory through the engine and costing
+// its index phase on the OoO design point, as RunQuery does, with no Widx
+// points. Set simulatedOnly to restrict the run to the twelve Figure 2b
+// queries.
 func (c Config) RunBreakdowns(simulatedOnly bool) (BreakdownRows, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -221,21 +233,20 @@ func (c Config) RunBreakdowns(simulatedOnly bool) (BreakdownRows, error) {
 		queries = append(queries, q)
 	}
 	rows := make(BreakdownRows, len(queries))
+	inner := c.InnerConfig(len(queries))
 	if err := c.RunTasks(len(queries), func(i int) error {
 		q := queries[i]
-		// Breakdown rows read only the engine-level measurements, so the
-		// shared cached result suffices — no address-space clone.
-		engRes, _, err := c.engineRun(q, false)
+		engRes, ph, err := inner.queryPhase(q)
 		if err != nil {
 			return err
 		}
-		rows[i] = BreakdownRow{
-			Query:             q,
-			Measured:          engRes.Breakdown.Shares(),
-			Paper:             q.Paper.Breakdown,
-			MeasuredHashShare: engRes.HashShare,
-			PaperHashShare:    q.Paper.HashShare,
+		base, _, _, err := inner.runPhase(ph, []cores.Config{cores.OoOConfig()}, nil)
+		if err != nil {
+			return err
 		}
+		row := BreakdownRow{Query: q, Paper: q.Paper.Breakdown, PaperHashShare: q.Paper.HashShare}
+		row.Measured, row.MeasuredHashShare = figure2(engRes, base[0])
+		rows[i] = row
 		return nil
 	}); err != nil {
 		return nil, err
@@ -261,12 +272,10 @@ func (c Config) RunHashingAblation(q workloads.QuerySpec, walkers int) (*Ablatio
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	engRes, engKey, err := c.engineRun(q, true)
+	_, ph, err := c.queryPhase(q)
 	if err != nil {
 		return nil, err
 	}
-	ph := c.hashPhase(engRes.AS, engRes.Index, engRes.ProbeKeyBase, engRes.ProbeCount, engRes.Traces, engKey)
-	ph.label = fmt.Sprintf("%s %s", q.Suite, q.Name)
 	out := &AblationResult{Query: ph.label, Walkers: walkers}
 	// Fixed design-point order: the previous map iteration randomized the
 	// result-region allocation order (and with it buffer addresses) from run

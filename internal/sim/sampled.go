@@ -135,12 +135,12 @@ type matchRef struct {
 	bounds  []int
 }
 
-// refStream computes the reference match stream of a hash-join probe
-// stream.
+// refStream reads the reference match stream of a hash-join probe stream
+// off its traces.
 func refStream(index *hashidx.Table, traces []hashidx.ProbeTrace) *matchRef {
 	r := &matchRef{bounds: make([]int, len(traces))}
 	for i := range traces {
-		r.matches = append(r.matches, index.ProbeMatches(traces[i].Key)...)
+		r.matches = append(r.matches, index.TraceMatches(&traces[i])...)
 		r.bounds[i] = len(r.matches)
 	}
 	return r

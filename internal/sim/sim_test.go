@@ -244,6 +244,43 @@ func TestBreakdownRows(t *testing.T) {
 	}
 }
 
+// TestBreakdownsFollowConfig checks that Figure 2 describes the machine
+// the experiment is configured with: every breakdown row costs its index
+// phase on the configured OoO design point, so one L1 MSHR moves the index
+// shares, and each row equals RunQuery's Figure 2 values at that config.
+func TestBreakdownsFollowConfig(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Scale = 1.0 / 256
+	cfg.Walkers = []int{1}
+	def, err := cfg.RunBreakdowns(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := cfg
+	narrow.Mem.L1MSHRs = 1
+	rows, err := narrow.RunBreakdowns(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for i, r := range rows {
+		if r.Measured.Index != def[i].Measured.Index {
+			moved++
+		}
+		qr, err := narrow.RunQuery(r.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qr.MeasuredBreakdown != r.Measured || qr.MeasuredHashShare != r.MeasuredHashShare {
+			t.Errorf("%s %s: breakdown row %+v (hash %v), RunQuery %+v (hash %v)", r.Query.Suite, r.Query.Name,
+				r.Measured, r.MeasuredHashShare, qr.MeasuredBreakdown, qr.MeasuredHashShare)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("one L1 MSHR left every index share at the default machine's value")
+	}
+}
+
 func TestHashingAblation(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Scale = 1.0 / 64

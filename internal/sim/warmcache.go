@@ -177,15 +177,14 @@ func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 	return ph, nil
 }
 
-// engineRun executes (or fetches from the warm cache) one query through
-// the engine, returning the result and its cache key ("" when caching is
-// off) for phase-level warm-state checkpoints to chain on. The key is the
-// rendered PlanSpec — value-typed, fully derived from the query spec and
-// scale, and the complete input set of engine.Run. With cloneAS the result
-// carries the address space of image.space (for consumers that replay the
-// index phase and allocate result regions); without it the shared result
-// is returned and the caller must treat it — AS included — as read-only.
-func (c Config) engineRun(q workloads.QuerySpec, cloneAS bool) (*engine.Result, string, error) {
+// queryPhase executes (or fetches from the warm cache) one query through
+// the engine and returns the engine result with the query's index phase on
+// a private address space (image.space). The engine result is shared with
+// every other consumer of the cache entry, so it and its address space are
+// read-only. The cache key is the rendered PlanSpec — value-typed, fully
+// derived from the query spec and scale, and the complete input set of
+// engine.Run — and the phase's warm-state checkpoints chain on it.
+func (c Config) queryPhase(q workloads.QuerySpec) (*engine.Result, *indexPhase, error) {
 	spec := engine.FromWorkload(q, c.Scale)
 	key := warmKey(warmstate.NewFingerprint("engine").
 		Field("spec", fmt.Sprintf("%+v", spec)))
@@ -197,14 +196,12 @@ func (c Config) engineRun(q workloads.QuerySpec, cloneAS bool) (*engine.Result, 
 		return res.AS, res, nil
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, nil, fmt.Errorf("sim: query %s %s: %w", q.Suite, q.Name, err)
 	}
-	if !cloneAS {
-		return im.data, im.key, nil
-	}
-	res := *im.data
-	res.AS = im.space()
-	return &res, im.key, nil
+	res := im.data
+	ph := c.hashPhase(im.space(), res.Index, res.ProbeKeyBase, res.ProbeCount, res.Traces, im.key)
+	ph.label = fmt.Sprintf("%s %s", q.Suite, q.Name)
+	return res, ph, nil
 }
 
 // cmpWorkload builds (or fetches) the partitioned workload for one CMP
