@@ -28,8 +28,9 @@ func init() {
 
 	Register(NewExperiment("breakdowns",
 		"Figure 2a/2b: query execution-time breakdowns (index/scan/sort&join/other\n"+
-			"shares, and the hash/walk split of the index phase) measured by the query\n"+
-			"engine next to the paper's reported shares.",
+			"shares, and the hash/walk split of the index phase) next to the paper's\n"+
+			"reported shares. The query engine executes each query; its index phase\n"+
+			"is costed on the OoO design point, as in the queries experiment.",
 		[]ParamSpec{
 			{Key: "simulated", Default: "false", Help: "restrict to the twelve simulated (Figure 2b) queries"},
 		},

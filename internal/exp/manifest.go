@@ -38,7 +38,7 @@ type Manifest struct {
 
 // Encode serializes the manifest (indented, newline-terminated).
 func (m *Manifest) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := marshalIndent(m)
 	if err != nil {
 		return nil, fmt.Errorf("exp: encoding manifest for %s: %w", m.Experiment, err)
 	}
@@ -69,7 +69,7 @@ func (o *RunOutput) Text() string { return o.Result.Text() }
 
 // Manifest builds the reproducibility manifest for the run.
 func (o *RunOutput) Manifest() (*Manifest, error) {
-	raw, err := o.Result.JSON()
+	raw, err := resultJSON(o.Result)
 	if err != nil {
 		return nil, fmt.Errorf("exp: encoding %s results: %w", o.Experiment.Name(), err)
 	}

@@ -120,13 +120,13 @@ func (s *SweepResult) JSON() ([]byte, error) {
 		Runs       []sweepRunJSON `json:"runs"`
 	}{Experiment: s.Experiment, Axes: s.Axes}
 	for _, r := range s.Runs {
-		raw, err := r.Result.JSON()
+		raw, err := resultJSON(r.Result)
 		if err != nil {
 			return nil, fmt.Errorf("exp: encoding sweep run %s: %w", r.label(s.Axes), err)
 		}
 		payload.Runs = append(payload.Runs, sweepRunJSON{Params: r.Params, Results: raw})
 	}
-	return json.MarshalIndent(payload, "", "  ")
+	return marshalIndent(payload)
 }
 
 // SweepPlan is an expanded sweep grid before (or independent of) execution:

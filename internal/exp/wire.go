@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 
 	"widx/internal/sampling"
 )
@@ -41,4 +43,30 @@ func (r RawResult) SamplingReport() *sampling.Report {
 		return nil
 	}
 	return probe.Sampling
+}
+
+// resultJSON returns a result's JSON payload for embedding in a manifest
+// or a sweep, rejecting an empty one: a nil json.RawMessage encodes as
+// null, so an empty payload (a truncated result-store entry) would pass
+// for a result.
+func resultJSON(r Result) (json.RawMessage, error) {
+	raw, err := r.JSON()
+	if err == nil && len(raw) == 0 {
+		err = errors.New("empty payload")
+	}
+	return raw, err
+}
+
+// marshalIndent is json.MarshalIndent without HTML escaping, so embedded
+// result payloads pass through byte for byte (up to whitespace) instead of
+// having their <, > and & rewritten.
+func marshalIndent(v any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), nil
 }
