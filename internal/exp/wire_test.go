@@ -57,3 +57,38 @@ func FuzzRawResult(f *testing.F) {
 		}
 	})
 }
+
+// TestSweepKeepsRestoredPayloads checks the sweep encoding for the two
+// faults FuzzRawResult found in the one-point manifest: a restored
+// payload's <, > and & pass through unescaped, and an empty payload is an
+// error rather than a null result.
+func TestSweepKeepsRestoredPayloads(t *testing.T) {
+	e := NewExperiment("wiregrid", "wire grid", []ParamSpec{{Key: "a", Default: "0"}},
+		func(cfg sim.Config, p Params) (Result, error) { return fakeResult(p.String("a")), nil })
+	pl, err := PlanSweep(e, quickConfig(), nil, []Axis{{Key: "a", Values: []string{"1", "2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := pl.Output([]Result{RawResult{Payload: []byte(`{"a<b>&c":1}`)}, RawResult{Payload: []byte(`2`)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := out.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"a<b>&c": 1`)) {
+		t.Fatalf("sweep manifest rewrote the restored payload:\n%s", data)
+	}
+	out, err = pl.Output([]Result{RawResult{Payload: []byte(`1`)}, RawResult{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := out.Manifest(); err == nil {
+		t.Fatal("sweep manifest accepted an empty result payload")
+	}
+}

@@ -244,9 +244,14 @@ func (c Config) RunBreakdowns(simulatedOnly bool) (BreakdownRows, error) {
 		if err != nil {
 			return err
 		}
-		row := BreakdownRow{Query: q, Paper: q.Paper.Breakdown, PaperHashShare: q.Paper.HashShare}
-		row.Measured, row.MeasuredHashShare = figure2(engRes, base[0])
-		rows[i] = row
+		measured, hashShare := figure2(engRes, base[0])
+		rows[i] = BreakdownRow{
+			Query:             q,
+			Measured:          measured,
+			Paper:             q.Paper.Breakdown,
+			MeasuredHashShare: hashShare,
+			PaperHashShare:    q.Paper.HashShare,
+		}
 		return nil
 	}); err != nil {
 		return nil, err
