@@ -126,34 +126,29 @@ func (c *Cache) InsertWays(addr uint64, mask uint64) (evicted uint64, didEvict b
 	c.clock++
 	tags := c.tags[base : base+c.ways]
 	lru := c.lru[base : base+c.ways]
-	// One pass finds all three candidates: a resident way (any way — hits
-	// are partition-blind), the first free partition way, and the LRU
-	// partition way. The victim only matters when no partition way is free,
-	// in which case every partition way is valid, so tracking the minimum
-	// over valid ways only is equivalent to the full scan.
-	free, victim := -1, -1
+	// Already present (any way — hits are partition-blind): refresh LRU
+	// only.
 	for w := range tags {
-		inMask := mask == 0 || mask&(1<<uint(w)) != 0
-		if tags[w]&tagValid != 0 {
-			// Already present (any way): refresh LRU only.
-			if tags[w] == want {
-				lru[w] = c.clock
-				return 0, false
-			}
-			if inMask && (victim < 0 || lru[w] < lru[victim]) {
-				victim = w
-			}
-		} else if inMask && free < 0 {
-			free = w
+		if tags[w] == want {
+			lru[w] = c.clock
+			return 0, false
 		}
 	}
-	// Free way inside the partition?
-	if free >= 0 {
-		tags[free] = want
-		lru[free] = c.clock
-		return 0, false
+	// Take the first free way of the partition, else evict its LRU way.
+	victim := -1
+	for w := range tags {
+		if mask != 0 && mask&(1<<uint(w)) == 0 {
+			continue
+		}
+		if tags[w]&tagValid == 0 {
+			tags[w] = want
+			lru[w] = c.clock
+			return 0, false
+		}
+		if victim < 0 || lru[w] < lru[victim] {
+			victim = w
+		}
 	}
-	// Evict the LRU way of the partition.
 	if victim < 0 {
 		// An all-zero partition cannot happen through the topology API
 		// (AgentSpec.llcWayMask yields 0 = all ways instead); guard anyway.

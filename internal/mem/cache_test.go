@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -199,6 +201,53 @@ func TestTLBWarmAndReset(t *testing.T) {
 	}
 	if _, miss := tlb.Translate(0x5000, 10); miss {
 		t.Fatal("ResetCounters should keep content")
+	}
+}
+
+// TestTLBMatchesMapModel drives the TLB and the map-backed LRU it
+// replaced (vpn -> last-use clock, evicting the least-recent clock, and
+// evicting before a WarmPage of a resident page when full) with the same
+// random translations and warmings over a few more pages than entries. Hit
+// or miss and the resident translations with their clocks must agree after
+// every operation.
+func TestTLBMatchesMapModel(t *testing.T) {
+	const entries = 8
+	tlb := NewTLB(entries, 4096, 40, 2)
+	ref := map[uint64]uint64{}
+	var clock uint64
+	refInsert := func(vpn uint64) {
+		if len(ref) >= entries {
+			victim, oldest := uint64(0), ^uint64(0)
+			for p, used := range ref {
+				if used < oldest {
+					victim, oldest = p, used
+				}
+			}
+			delete(ref, victim)
+		}
+		ref[vpn] = clock
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		vpn := uint64(rng.Intn(entries + 4))
+		clock++
+		if rng.Intn(3) == 0 {
+			tlb.WarmPage(vpn << 12)
+			refInsert(vpn)
+		} else {
+			_, hit := ref[vpn]
+			if hit {
+				ref[vpn] = clock
+			} else {
+				refInsert(vpn)
+			}
+			if _, miss := tlb.Translate(vpn<<12, uint64(i)); miss == hit {
+				t.Fatalf("op %d: page %d missed=%v, map model hit=%v", i, vpn, miss, hit)
+			}
+		}
+		if got := tlb.CaptureState().pages; !maps.Equal(got, ref) {
+			t.Fatalf("op %d: resident translations %v, map model %v", i, got, ref)
+		}
 	}
 }
 

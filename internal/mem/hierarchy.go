@@ -353,7 +353,7 @@ func (h *Hierarchy) blockOf(addr uint64) uint64 {
 // acquirePort finds the earliest cycle >= want at which an L1 port is free,
 // reserves it for one cycle, and returns that cycle.
 func (h *Hierarchy) acquirePort(want uint64) uint64 {
-	start := h.ports.reserve(want)
+	start := h.ports.reserve(want, h.shared.strictOrder)
 	if start > want {
 		h.stats.PortStallCycles += start - want
 	}

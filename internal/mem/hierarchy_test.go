@@ -338,3 +338,45 @@ func TestPropertyLocalityConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAccessAllocs locks in an allocation-free Access. A dependent-load
+// loop, each load issued at the previous one's completion behind a burst
+// of prefetches that overflows the MSHRs, walks pseudo-random blocks of a
+// 16 MiB region through 4 KiB pages: L1 and LLC hits and misses, MSHR
+// stalls, TLB misses and evictions. The outstanding-miss list grows to its
+// high-water mark within the first 6000 steps of this stream; after 8192
+// warming steps, not one access of a further 16384 may allocate.
+func TestAccessAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PageBytes = 4096
+	h := NewHierarchy(cfg)
+	const perStep = 16 // prefetches, then one dependent load
+	var cycle uint64
+	x := uint64(1)
+	step := func() {
+		for i := 1; i <= perStep; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			addr := 0x4000_0000 + (x>>40)%(1<<18)*64
+			if i < perStep {
+				h.Access(addr, cycle, Prefetch)
+			} else {
+				cycle = h.Access(addr, cycle, Load).CompleteCycle
+			}
+		}
+	}
+	for i := 0; i < 1<<13; i++ {
+		step()
+	}
+	const steps = 1 << 10
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < steps; i++ {
+			step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations in %d accesses of a warmed Access loop, want 0", allocs, steps*perStep)
+	}
+	if s := h.Stats(); s.TLBMisses == 0 || s.MSHRStallCycles == 0 || s.LLCHits == 0 || s.MemBlocks == 0 {
+		t.Fatalf("the loop misses a path it means to cover: %+v", s)
+	}
+}

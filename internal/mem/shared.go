@@ -34,6 +34,8 @@ type SharedLevel struct {
 	// mcs grants block-transfer slots, one per service interval per
 	// controller, enforcing the effective off-chip bandwidth.
 	mcs []*slotSchedule
+	// completes is completesAfter's result buffer, reused by every call.
+	completes []uint64
 
 	// strictOrder makes Access panic when a request's cycle precedes an
 	// earlier request's cycle (debug assertion for the execution core).
@@ -249,14 +251,16 @@ func (sl *SharedLevel) acquireFillBuffer(want uint64) (start uint64, stall uint6
 
 // completesAfter returns the completion cycles of entries whose fill is
 // still outstanding after the given cycle — all entries when owner is nil,
-// or only the owner's (the private MSHR tier).
+// or only the owner's (the private MSHR tier). The result is a buffer the
+// next call overwrites.
 func (sl *SharedLevel) completesAfter(cycle uint64, owner *Hierarchy) []uint64 {
-	out := make([]uint64, 0, len(sl.mshrs))
+	out := sl.completes[:0]
 	for _, e := range sl.mshrs {
 		if e.complete > cycle && (owner == nil || e.owner == owner) {
 			out = append(out, e.complete)
 		}
 	}
+	sl.completes = out
 	return out
 }
 
@@ -264,7 +268,7 @@ func (sl *SharedLevel) completesAfter(cycle uint64, owner *Hierarchy) []uint64 {
 // the block and returns the completion cycle of the data return.
 func (sl *SharedLevel) memAccess(block uint64, start uint64) uint64 {
 	mc := int((block / uint64(sl.top.Shared.BlockBytes))) % sl.top.Shared.MemControllers
-	begin := sl.mcs[mc].reserve(start)
+	begin := sl.mcs[mc].reserve(start, sl.strictOrder)
 	sl.stats.MemBlocks++
 	return begin + sl.top.Shared.MemLatencyCycles()
 }

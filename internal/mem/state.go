@@ -2,7 +2,8 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"widx/internal/warmstate"
 )
@@ -105,8 +106,8 @@ type TLBState struct {
 // CaptureState snapshots the TLB's content.
 func (t *TLB) CaptureState() *TLBState {
 	pages := make(map[uint64]uint64, len(t.pages))
-	for vpn, used := range t.pages {
-		pages[vpn] = used
+	for _, e := range t.pages {
+		pages[e.vpn] = e.used
 	}
 	return &TLBState{entries: t.entries, pageBits: t.pageBits, pages: pages, clock: t.clock}
 }
@@ -119,10 +120,11 @@ func (t *TLB) RestoreState(st *TLBState) {
 		panic(fmt.Sprintf("mem: restoring TLB: geometry %d entries / 2^%d pages does not match snapshot %d / 2^%d",
 			t.entries, t.pageBits, st.entries, st.pageBits))
 	}
-	t.pages = make(map[uint64]uint64, len(st.pages))
-	for vpn, used := range st.pages {
-		t.pages[vpn] = used
+	t.pages = t.pages[:0]
+	for _, vpn := range st.sortedPages() {
+		t.pages = append(t.pages, tlbEntry{vpn: vpn, used: st.pages[vpn]})
 	}
+	t.mru = 0
 	t.clock = st.clock
 	t.walks = nil
 	t.hits, t.misses = 0, 0
@@ -134,15 +136,15 @@ func (st *TLBState) hashInto(h *warmstate.Hasher) {
 	h.Word(uint64(st.entries))
 	h.Word(uint64(st.pageBits))
 	h.Word(st.clock)
-	vpns := make([]uint64, 0, len(st.pages))
-	for vpn := range st.pages {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
+	for _, vpn := range st.sortedPages() {
 		h.Word(vpn)
 		h.Word(st.pages[vpn])
 	}
+}
+
+// sortedPages returns the snapshot's resident pages in ascending order.
+func (st *TLBState) sortedPages() []uint64 {
+	return slices.Sorted(maps.Keys(st.pages))
 }
 
 // agentWarmState is one agent's private share of a warm-state snapshot.

@@ -3,7 +3,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // This file is the serialization side of warm-state checkpointing: a
@@ -57,12 +56,7 @@ func (e *stateEncoder) tlb(st *TLBState) {
 	e.word(uint64(st.pageBits))
 	e.word(st.clock)
 	e.word(uint64(len(st.pages)))
-	vpns := make([]uint64, 0, len(st.pages))
-	for vpn := range st.pages {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
+	for _, vpn := range st.sortedPages() {
 		e.word(vpn)
 		e.word(st.pages[vpn])
 	}

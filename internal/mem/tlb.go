@@ -8,14 +8,23 @@ package mem
 //     issue, and
 //  2. only a small number of translations may be in flight at once (2 in
 //     Table 2), so a burst of misses from several walkers serializes.
+//
+// Translations are fully associative with true-LRU replacement, kept in a
+// slice of at most the entry count. A lookup checks the most recently used
+// entry first, then scans the slice; a miss in a full TLB replaces the
+// least-recently used entry.
 type TLB struct {
 	entries  int
 	walkCyc  uint64
 	inFlight int
 	pageBits uint
 
-	// Fully associative LRU over virtual page numbers.
-	pages map[uint64]uint64 // vpn -> last-use clock
+	// Fully associative LRU over virtual page numbers: at most entries
+	// resident translations in no particular order, and the index of the
+	// most recently used one, which most accesses hit again. Clocks are
+	// unique, so the least-recent entry is unambiguous.
+	pages []tlbEntry
+	mru   int
 	clock uint64
 
 	// Completion cycles of outstanding page walks (bounded by inFlight).
@@ -40,8 +49,27 @@ func NewTLB(entries, pageBytes int, walkCyc uint64, inFlight int) *TLB {
 		walkCyc:  walkCyc,
 		inFlight: inFlight,
 		pageBits: bits,
-		pages:    make(map[uint64]uint64, entries),
+		pages:    make([]tlbEntry, 0, entries),
 	}
+}
+
+// tlbEntry is one resident translation and its last-use clock.
+type tlbEntry struct {
+	vpn, used uint64
+}
+
+// find returns the index of vpn's translation, or -1 if it is not
+// resident.
+func (t *TLB) find(vpn uint64) int {
+	if t.mru < len(t.pages) && t.pages[t.mru].vpn == vpn {
+		return t.mru
+	}
+	for i := range t.pages {
+		if t.pages[i].vpn == vpn {
+			return i
+		}
+	}
+	return -1
 }
 
 // Translate models the translation of addr issued at the given cycle.
@@ -50,8 +78,9 @@ func NewTLB(entries, pageBytes int, walkCyc uint64, inFlight int) *TLB {
 func (t *TLB) Translate(addr uint64, cycle uint64) (ready uint64, miss bool) {
 	vpn := addr >> t.pageBits
 	t.clock++
-	if _, ok := t.pages[vpn]; ok {
-		t.pages[vpn] = t.clock
+	if i := t.find(vpn); i >= 0 {
+		t.pages[i].used = t.clock
+		t.mru = i
 		t.hits++
 		return cycle, false
 	}
@@ -90,19 +119,28 @@ func (t *TLB) Translate(addr uint64, cycle uint64) (ready uint64, miss bool) {
 	return done, true
 }
 
-// insert adds the page to the TLB, evicting the LRU entry if full.
+// insert adds the page to the TLB, first evicting the LRU entry if the TLB
+// is full — even when the page is already resident, which only WarmPage
+// inserts.
 func (t *TLB) insert(vpn uint64) {
 	if len(t.pages) >= t.entries {
-		var victim uint64
-		oldest := ^uint64(0)
-		for p, used := range t.pages {
-			if used < oldest {
-				oldest, victim = used, p
+		victim := 0
+		for i := range t.pages {
+			if t.pages[i].used < t.pages[victim].used {
+				victim = i
 			}
 		}
-		delete(t.pages, victim)
+		last := len(t.pages) - 1
+		t.pages[victim] = t.pages[last]
+		t.pages = t.pages[:last]
 	}
-	t.pages[vpn] = t.clock
+	i := t.find(vpn)
+	if i < 0 {
+		i = len(t.pages)
+		t.pages = append(t.pages, tlbEntry{vpn: vpn})
+	}
+	t.pages[i].used = t.clock
+	t.mru = i
 }
 
 // WarmPage pre-installs the translation for addr, used when the simulator

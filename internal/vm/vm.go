@@ -11,14 +11,18 @@
 // the hardware would, so the same program bytes work regardless of the Go
 // runtime's own memory layout.
 //
-// The address space is sparse and paged: only pages that have been written
-// (or explicitly allocated) consume host memory.
+// The address space is paged and its backing pages are allocated on first
+// write. A dense page table over the allocated range [baseAddress, brk)
+// finds a page by its number with one slice index, so an allocated but
+// untouched page costs 9 bytes of table and no page memory. A write outside
+// that range panics naming the address (it is always a workload-builder
+// bug); a read there returns 0, like a read of an unwritten page.
 package vm
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"widx/internal/warmstate"
 )
@@ -33,17 +37,19 @@ const PageSize = 1 << PageBits
 // pageMask extracts the offset within a page.
 const pageMask = PageSize - 1
 
-// AddressSpace is a sparse 64-bit byte-addressable memory with a simple
-// region allocator. It is not safe for concurrent mutation; a simulation
-// thread needs a deterministic access order, so parallel experiment runners
-// give each worker its own Clone instead of sharing one instance.
+// AddressSpace is a 64-bit byte-addressable memory with a simple region
+// allocator. It is not safe for concurrent mutation; a simulation thread
+// needs a deterministic access order, so parallel experiment runners give
+// each worker its own Clone instead of sharing one instance.
 type AddressSpace struct {
-	pages   map[uint64][]byte
+	// pages is the page table over the allocated range: pages[i] backs page
+	// basePage+i, and is nil until that page is first written.
+	pages []*[PageSize]byte
+	// cow parallels pages: it marks pages whose backing array is shared
+	// with a Clone, which the first write through this space copies
+	// privately.
+	cow     []bool
 	regions []Region
-	// cow marks pages whose backing slice is shared with a Clone; the page is
-	// copied privately on the first write through this space. Nil when no
-	// pages are shared.
-	cow map[uint64]bool
 	// brk is the next free address handed out by Alloc. The address space
 	// starts allocations well above zero so that a zero value can serve as a
 	// NULL pointer in node lists, exactly as the indexing code expects.
@@ -62,12 +68,12 @@ type Region struct {
 // so dereferencing a NULL (zero) next-pointer is always detectable.
 const baseAddress = 0x0000_0001_0000_0000
 
+// basePage is the page number of baseAddress, the first page table entry.
+const basePage = baseAddress >> PageBits
+
 // New returns an empty address space.
 func New() *AddressSpace {
-	return &AddressSpace{
-		pages: make(map[uint64][]byte),
-		brk:   baseAddress,
-	}
+	return &AddressSpace{brk: baseAddress}
 }
 
 // Clone returns a logical copy of the address space: same allocations, same
@@ -83,22 +89,17 @@ func New() *AddressSpace {
 // clones before fanning workers out; afterwards the spaces may be used (read
 // and written) concurrently with each other.
 func (as *AddressSpace) Clone() *AddressSpace {
-	c := &AddressSpace{
-		pages:   make(map[uint64][]byte, len(as.pages)),
-		regions: make([]Region, len(as.regions)),
-		cow:     make(map[uint64]bool, len(as.pages)),
+	for i, p := range as.pages {
+		if p != nil {
+			as.cow[i] = true
+		}
+	}
+	return &AddressSpace{
+		pages:   slices.Clone(as.pages),
+		cow:     slices.Clone(as.cow),
+		regions: slices.Clone(as.regions),
 		brk:     as.brk,
 	}
-	copy(c.regions, as.regions)
-	if as.cow == nil {
-		as.cow = make(map[uint64]bool, len(as.pages))
-	}
-	for pn, p := range as.pages {
-		c.pages[pn] = p
-		c.cow[pn] = true
-		as.cow[pn] = true
-	}
-	return c
 }
 
 // ContentHash digests the address space's logical content: touched pages
@@ -109,14 +110,11 @@ func (as *AddressSpace) Clone() *AddressSpace {
 // through it.
 func (as *AddressSpace) ContentHash() uint64 {
 	h := warmstate.NewHasher()
-	pns := make([]uint64, 0, len(as.pages))
-	for pn := range as.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		h.Word(pn)
-		h.Bytes(as.pages[pn])
+	for i, p := range as.pages {
+		if p != nil {
+			h.Word(basePage + uint64(i))
+			h.Bytes(p[:])
+		}
 	}
 	h.Word(uint64(len(as.regions)))
 	for _, r := range as.regions {
@@ -149,6 +147,10 @@ func (as *AddressSpace) Alloc(name string, size, align uint64) uint64 {
 	}
 	as.brk = base + size
 	as.regions = append(as.regions, Region{Name: name, Base: base, Size: size})
+	if n := int((as.brk - baseAddress + pageMask) >> PageBits); n > len(as.pages) {
+		as.pages = append(as.pages, make([]*[PageSize]byte, n-len(as.pages))...)
+		as.cow = append(as.cow, make([]bool, n-len(as.cow))...)
+	}
 	return base
 }
 
@@ -170,27 +172,36 @@ func (as *AddressSpace) Footprint() uint64 {
 	return total
 }
 
-// page returns the backing slice for the page containing addr, creating it
-// if create is true. It returns nil when the page does not exist and create
-// is false. All writers pass create=true, so a page shared with a Clone is
-// copied privately here before it can be modified.
-func (as *AddressSpace) page(addr uint64, create bool) []byte {
-	pn := addr >> PageBits
-	p, ok := as.pages[pn]
-	if !ok {
-		if !create {
-			return nil
-		}
-		p = make([]byte, PageSize)
-		as.pages[pn] = p
-		return p
+// readPage returns the backing page of addr, or nil when the page was never
+// written or lies outside the allocated range.
+func (as *AddressSpace) readPage(addr uint64) *[PageSize]byte {
+	i := addr>>PageBits - basePage
+	if i >= uint64(len(as.pages)) {
+		return nil
 	}
-	if create && as.cow[pn] {
-		cp := make([]byte, PageSize)
-		copy(cp, p)
-		as.pages[pn] = cp
-		delete(as.cow, pn)
-		return cp
+	return as.pages[i]
+}
+
+// writePage returns the backing page for a write of n bytes at addr, which
+// must lie in the allocated range. It creates the page on its first write
+// and privately copies a page shared with a Clone before it can be
+// modified.
+func (as *AddressSpace) writePage(addr, n uint64) *[PageSize]byte {
+	if addr < baseAddress || addr >= as.brk || as.brk-addr < n {
+		panic(fmt.Sprintf("vm: %d-byte write at %#x outside the allocated range [%#x, %#x)",
+			n, addr, uint64(baseAddress), as.brk))
+	}
+	i := (addr - baseAddress) >> PageBits
+	p := as.pages[i]
+	switch {
+	case p == nil:
+		p = new([PageSize]byte)
+		as.pages[i] = p
+	case as.cow[i]:
+		cp := new([PageSize]byte)
+		*cp = *p
+		as.pages[i], as.cow[i] = cp, false
+		p = cp
 	}
 	return p
 }
@@ -198,8 +209,8 @@ func (as *AddressSpace) page(addr uint64, create bool) []byte {
 // Read64 reads a 64-bit little-endian value at addr. Reads of never-written
 // memory return zero, matching zero-initialized allocations.
 func (as *AddressSpace) Read64(addr uint64) uint64 {
-	if addr&(pageMask) <= PageSize-8 {
-		p := as.page(addr, false)
+	if addr&pageMask <= PageSize-8 {
+		p := as.readPage(addr)
 		if p == nil {
 			return 0
 		}
@@ -215,8 +226,8 @@ func (as *AddressSpace) Read64(addr uint64) uint64 {
 
 // Write64 writes a 64-bit little-endian value at addr.
 func (as *AddressSpace) Write64(addr uint64, v uint64) {
-	if addr&(pageMask) <= PageSize-8 {
-		p := as.page(addr, true)
+	if addr&pageMask <= PageSize-8 {
+		p := as.writePage(addr, 8)
 		binary.LittleEndian.PutUint64(p[addr&pageMask:], v)
 		return
 	}
@@ -227,7 +238,7 @@ func (as *AddressSpace) Write64(addr uint64, v uint64) {
 
 // Read8 reads one byte at addr.
 func (as *AddressSpace) Read8(addr uint64) byte {
-	p := as.page(addr, false)
+	p := as.readPage(addr)
 	if p == nil {
 		return 0
 	}
@@ -236,6 +247,5 @@ func (as *AddressSpace) Read8(addr uint64) byte {
 
 // Write8 writes one byte at addr.
 func (as *AddressSpace) Write8(addr uint64, v byte) {
-	p := as.page(addr, true)
-	p[addr&pageMask] = v
+	as.writePage(addr, 1)[addr&pageMask] = v
 }

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -111,17 +113,68 @@ func TestReadWriteBytes(t *testing.T) {
 	}
 }
 
+// backedPages counts the pages with backing memory.
+func backedPages(as *AddressSpace) int {
+	n := 0
+	for _, p := range as.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTouchedBytesSparse(t *testing.T) {
 	as := New()
 	as.Alloc("huge", 1<<30, 64) // 1 GiB reserved
-	if len(as.pages) != 0 {
-		t.Fatal("allocation alone should not touch pages")
+	if n := backedPages(as); n != 0 {
+		t.Fatalf("allocation alone backed %d pages", n)
 	}
 	base := as.regions[0].Base
 	as.Write64(base, 1)
 	as.Write64(base+(1<<29), 2)
-	if len(as.pages) != 2 {
-		t.Fatalf("backing pages = %d, want 2", len(as.pages))
+	if n := backedPages(as); n != 2 {
+		t.Fatalf("backing pages = %d, want 2", n)
+	}
+}
+
+// Writes outside [baseAddress, brk) are builder bugs and panic naming the
+// address; reads there return zero.
+func TestOutOfRangeAccess(t *testing.T) {
+	as := New()
+	base := as.Alloc("data", 100, 64)
+	end := base + 100
+	for name, w := range map[string]struct {
+		addr  uint64
+		write func(uint64)
+	}{
+		"below base":     {baseAddress - 8, func(a uint64) { as.Write64(a, 1) }},
+		"null":           {0, func(a uint64) { as.Write8(a, 1) }},
+		"at break":       {end, func(a uint64) { as.Write8(a, 1) }},
+		"across break":   {end - 4, func(a uint64) { as.Write64(a, 1) }},
+		"past last page": {base + 3*PageSize, func(a uint64) { as.Write64(a, 1) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("%#x", w.addr); !strings.Contains(msg, want) {
+					t.Errorf("%s: panic %q does not name %s", name, msg, want)
+				}
+			}()
+			w.write(w.addr)
+		}()
+	}
+	as.Write64(end-8, 7)
+	for _, addr := range []uint64{0, baseAddress - 8, end, base + 3*PageSize, ^uint64(0) - 7} {
+		if v := as.Read64(addr); v != 0 {
+			t.Errorf("Read64(%#x) = %d, want 0", addr, v)
+		}
+		if v := as.Read8(addr); v != 0 {
+			t.Errorf("Read8(%#x) = %d, want 0", addr, v)
+		}
+	}
+	if n := backedPages(as); n != 1 {
+		t.Errorf("backing pages = %d, want 1: a rejected write allocated a page", n)
 	}
 }
 
