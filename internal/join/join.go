@@ -6,7 +6,9 @@
 // The kernel lays its hash index out in the simulated address space via
 // internal/hashidx, so the same build can be probed three ways: functionally
 // in software, trace-driven on the baseline core models, and by the Widx
-// accelerator executing its unit programs.
+// accelerator executing its unit programs. BuildKernelIn builds a kernel
+// into a shared address space; the CMP experiment's partitioned join is one
+// kernel per partition.
 package join
 
 import (
@@ -147,15 +149,29 @@ type Kernel struct {
 	ProbeKeys []uint64
 	// ProbeKeyBase is the address of the materialized probe key column.
 	ProbeKeyBase uint64
-	// ResultBase is a pre-allocated result region for offloaded probes.
+	// ResultBase is a pre-allocated result region for offloaded probes
+	// (BuildKernel only; a BuildKernelIn caller allocates its own).
 	ResultBase uint64
 }
 
 // BuildKernel generates the build and probe relations and constructs the
-// in-memory hash index. Build keys are unique; probe keys are drawn uniformly
-// from the build keys (every probe matches, as in the kernel's configuration
-// where the outer relation joins with the inner).
+// in-memory hash index in a fresh address space, followed by a result
+// region sized for every probe. Build keys are unique; probe keys are drawn
+// uniformly from the build keys (every probe matches, as in the kernel's
+// configuration where the outer relation joins with the inner).
 func BuildKernel(cfg KernelConfig) (*Kernel, error) {
+	k, err := BuildKernelIn(vm.New(), "kernel."+cfg.Size.String(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	k.ResultBase = k.AS.AllocAligned("kernel.results", uint64(len(k.ProbeKeys))*8+64)
+	return k, nil
+}
+
+// BuildKernelIn builds the kernel into as — the index, then the probe key
+// column — with region names prefixed by name, so several kernels (the
+// partitions of a partitioned join) can share one address space.
+func BuildKernelIn(as *vm.AddressSpace, name string, cfg KernelConfig) (*Kernel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -171,20 +187,9 @@ func BuildKernel(cfg KernelConfig) (*Kernel, error) {
 		}
 	}
 
+	// 4-byte keys as in the kernel (Kim et al. tuple format).
 	rng := stats.NewRNG(cfg.Seed)
-	buildKeys := make([]uint64, buildN)
-	seen := make(map[uint64]bool, buildN)
-	for i := range buildKeys {
-		for {
-			// 4-byte keys as in the kernel (Kim et al. tuple format).
-			k := uint64(rng.Uint32())
-			if k != 0 && !seen[k] {
-				buildKeys[i] = k
-				seen[k] = true
-				break
-			}
-		}
-	}
+	buildKeys, _ := stats.DistinctKeys(rng, buildN)
 	probeKeys := make([]uint64, outerN)
 	for i := range probeKeys {
 		probeKeys[i] = buildKeys[rng.Intn(buildN)]
@@ -196,22 +201,20 @@ func BuildKernel(cfg KernelConfig) (*Kernel, error) {
 		buckets <<= 1
 	}
 
-	as := vm.New()
 	idx, err := hashidx.Build(as, hashidx.Config{
 		Layout:      hashidx.LayoutInline,
 		Hash:        cfg.Hash,
 		BucketCount: buckets,
-		Name:        "kernel." + cfg.Size.String(),
+		Name:        name,
 	}, buildKeys, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	probeBase := as.AllocAligned("kernel.probekeys", uint64(outerN)*8)
+	probeBase := as.AllocAligned(name+".probekeys", uint64(outerN)*8)
 	for i, k := range probeKeys {
 		as.Write64(probeBase+uint64(i)*8, k)
 	}
-	resultBase := as.AllocAligned("kernel.results", uint64(outerN)*8+64)
 
 	return &Kernel{
 		AS:           as,
@@ -219,7 +222,6 @@ func BuildKernel(cfg KernelConfig) (*Kernel, error) {
 		BuildKeys:    buildKeys,
 		ProbeKeys:    probeKeys,
 		ProbeKeyBase: probeBase,
-		ResultBase:   resultBase,
 	}, nil
 }
 

@@ -264,21 +264,19 @@ func Walker(s Spec) (*isa.Program, error) {
 }
 
 // Producer generates the output-producer program: it stores each match to the
-// result region and advances the write cursor. The cursor lives in RegCursor,
-// which persists across work items (Widx unit registers are only initialized
-// at configuration time).
-func Producer(s Spec) (*isa.Program, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.ResultBase == 0 {
+// result region at resultBase and advances the write cursor. The cursor lives
+// in RegCursor, which persists across work items (Widx unit registers are
+// only initialized at configuration time). The program is the same for every
+// index and traversal structure.
+func Producer(resultBase uint64) (*isa.Program, error) {
+	if resultBase == 0 {
 		return nil, fmt.Errorf("program: producer needs a result region")
 	}
 	p := &isa.Program{
 		Name:      "produce",
 		Kind:      isa.Producer,
 		InputRegs: []isa.Reg{RegMatch},
-		ConstRegs: map[isa.Reg]uint64{RegCursor: s.ResultBase},
+		ConstRegs: map[isa.Reg]uint64{RegCursor: resultBase},
 		Code: []isa.Instruction{
 			{Op: isa.ST, SrcA: RegCursor, SrcB: RegMatch},
 			{Op: isa.ADD, Dst: RegCursor, SrcA: RegCursor, UseImm: true, Imm: 8},
@@ -309,7 +307,7 @@ func Build(s Spec) (*Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := Producer(s)
+	pr, err := Producer(s.ResultBase)
 	if err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func TestWalkerPrograms(t *testing.T) {
 }
 
 func TestProducerProgram(t *testing.T) {
-	p, err := Producer(testSpec(hashidx.LayoutInline, hashidx.HashSimple))
+	p, err := Producer(testSpec(hashidx.LayoutInline, hashidx.HashSimple).ResultBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +119,7 @@ func TestProducerProgram(t *testing.T) {
 	if p.ConstRegs[RegCursor] == 0 {
 		t.Fatal("producer cursor not preloaded")
 	}
-	s := testSpec(hashidx.LayoutInline, hashidx.HashSimple)
-	s.ResultBase = 0
-	if _, err := Producer(s); err == nil {
+	if _, err := Producer(0); err == nil {
 		t.Fatal("producer without result region accepted")
 	}
 }

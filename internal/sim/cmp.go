@@ -9,11 +9,15 @@
 // utilization.
 //
 // The workload is the partitioned hash join the paper's CMP runs: each agent
-// probes its own partition's hash table (all partitions resident in one
-// simulated address space, as one partitioned process), with the LLC warmed
-// to each run's steady state. Solo, an agent's partition fits the LLC it has
-// to itself; co-running, the partitions' aggregate working set contends for
-// the one shared LLC — the destructive interference the experiment measures.
+// probes its own partition (all partitions resident in one simulated
+// address space, as one partitioned process), with the LLC warmed to each
+// run's steady state. A partition is a structures.Instance — the Figure 8
+// kernel at the partition's seed wrapped as a structures.HashIndex, or any
+// other zoo structure — so an agent runs it exactly as a single-agent phase
+// runs its instance. Solo, an agent's partition fits the LLC it has to
+// itself; co-running, the partitions' aggregate working set contends for
+// the one shared LLC — the destructive interference the experiment
+// measures.
 package sim
 
 import (
@@ -22,11 +26,9 @@ import (
 	"strings"
 
 	"widx/internal/cores"
-	"widx/internal/hashidx"
 	"widx/internal/join"
 	"widx/internal/mem"
 	"widx/internal/sampling"
-	"widx/internal/stats"
 	"widx/internal/structures"
 	"widx/internal/vm"
 	"widx/internal/warmstate"
@@ -243,133 +245,66 @@ type CMPExperiment struct {
 func (e *CMPExperiment) SamplingReport() *sampling.Report { return e.Sampling }
 
 // cmpAgentWorkload is one agent's private partition of the CMP workload:
-// the agent's spec, its structure's resident regions (for LLC warming), its
-// probe-key column, the software reference's probe traces and match stream,
-// and — for Widx agents — the program bundle pointing at a private result
-// region. Traces are built for every agent kind (host cores replay them;
-// sampled runs warm fast-forward spans from them), and ref carries the
-// reference output Widx agents fast-forward through and fingerprint-verify
-// against.
+// the agent's spec, its partition — a built structure whose resident
+// regions are warmed, whose traces host cores replay and sampled runs warm
+// fast-forward spans from, and whose reference matches Widx agents
+// fast-forward through and fingerprint-verify against — and, for Widx
+// agents, the program bundle pointing at a private result region.
 type cmpAgentWorkload struct {
-	name    string
-	spec    CMPAgentSpec
-	regions [][2]uint64
-	keyBase uint64
-	keys    int
-	progs   *structures.Programs
-	traces  []hashidx.ProbeTrace
-	ref     *matchRef
+	name  string
+	spec  CMPAgentSpec
+	inst  structures.Instance
+	progs *structures.Programs
 }
 
 // buildCMPWorkload lays out one partition per agent in a single shared
 // address space (one partitioned process): every agent gets its own
-// traversal structure of the size class's scaled tuple count and its own
-// probe stream drawn from that partition. Allocation happens in spec order,
-// so addresses are fixed by the (spec, structure) pair alone. The hash-join
-// path is the historical partitioned-join build, byte for byte; the other
-// zoo structures build through structures.Build with the same per-agent
-// seeding.
+// traversal structure sized from the size class's scaled tuple count and
+// its own probe stream drawn from that partition, seeded 2013+1000*i for
+// agent i. A hash-join partition is the Figure 8 kernel at that seed
+// (join.BuildKernelIn) wrapped as a structures.HashIndex; the other zoo
+// structures build through structures.Build. Allocation happens in spec
+// order — each partition's structure, its probe column, then a Widx
+// agent's result region — so addresses are fixed by the (spec, structure)
+// pair alone.
 func (c Config) buildCMPWorkload(size join.SizeClass, specs []CMPAgentSpec, structure structures.Kind) (*vm.AddressSpace, []cmpAgentWorkload, error) {
 	buildN := size.Tuples(c.Scale)
 	perAgent := c.sampleCount(4 * buildN)
-	buckets := uint64(1)
-	for float64(buildN)/float64(buckets) > 2 { // the kernel's 2-nodes-per-bucket target
-		buckets <<= 1
-	}
 	as := vm.New()
 	out := make([]cmpAgentWorkload, len(specs))
 	for i, spec := range specs {
 		w := &out[i]
 		w.name, w.spec = fmt.Sprintf("%s.%d", spec, i), spec
-		if structure != structures.HashJoin {
-			if err := c.buildCMPStructurePartition(as, w, spec, structure, buildN, perAgent, i); err != nil {
-				return nil, nil, err
+		seed := 2013 + 1000*uint64(i)
+		var err error
+		if structure == structures.HashJoin {
+			kcfg := join.DefaultKernelConfig(size, c.Scale)
+			kcfg.OuterTuples, kcfg.Seed = perAgent, seed
+			var k *join.Kernel
+			if k, err = join.BuildKernelIn(as, "cmp."+w.name, kcfg); err == nil {
+				w.inst = structures.HashIndex(k.Index, k.ProbeKeyBase, k.Traces(0))
 			}
-			continue
+		} else {
+			w.inst, err = structures.Build(as, structures.BuildConfig{
+				Kind:   structure,
+				Keys:   residentKeys(structure, buildN),
+				Probes: perAgent,
+				Seed:   seed,
+				Name:   "cmp." + w.name,
+			})
 		}
-		w.keys = perAgent
-		rng := stats.NewRNG(2013 + 1000*uint64(i))
-		buildKeys := make([]uint64, buildN)
-		seen := make(map[uint64]bool, buildN)
-		for j := range buildKeys {
-			for {
-				k := uint64(rng.Uint32())
-				if k != 0 && !seen[k] {
-					buildKeys[j], seen[k] = k, true
-					break
-				}
-			}
-		}
-		tbl, err := hashidx.Build(as, hashidx.Config{
-			Layout:      hashidx.LayoutInline,
-			Hash:        hashidx.HashSimple,
-			BucketCount: buckets,
-			Name:        "cmp." + w.name,
-		}, buildKeys, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		w.regions = tbl.Regions()
-		probeKeys := make([]uint64, perAgent)
-		for j := range probeKeys {
-			probeKeys[j] = buildKeys[rng.Intn(buildN)]
-		}
-		w.keyBase = as.AllocAligned(w.name+".keys", uint64(perAgent)*8)
-		for j, k := range probeKeys {
-			as.Write64(w.keyBase+uint64(j)*8, k)
-		}
-		w.traces = make([]hashidx.ProbeTrace, perAgent)
-		for j, k := range probeKeys {
-			w.traces[j] = tbl.ProbeFrom(k, w.keyBase+uint64(j)*8).Trace
-		}
-		w.ref = refStream(tbl, w.traces)
 		if spec.Kind == AgentWidx {
-			resultBase := as.AllocAligned(w.name+".results", uint64(perAgent)*8+64)
-			if w.progs, err = tablePrograms(tbl)(resultBase); err != nil {
+			matches, _ := w.inst.Reference()
+			resultBase := as.AllocAligned(w.name+".results", resultBytes(len(matches)))
+			if w.progs, err = w.inst.Programs(resultBase, structures.ProgramOptions{}); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
 	return as, out, nil
-}
-
-// buildCMPStructurePartition builds one agent's partition as a zoo
-// structure, mirroring the hash-join path's per-agent seeding and
-// allocation order (structure, probe column, then the Widx result region).
-func (c Config) buildCMPStructurePartition(as *vm.AddressSpace, w *cmpAgentWorkload, spec CMPAgentSpec, structure structures.Kind, buildN, perAgent, agent int) error {
-	keys := buildN
-	if structure == structures.BFS {
-		// Vertices; the mean degree of 8 keeps the edge footprint comparable
-		// to the other partitions' resident sets.
-		keys /= 8
-		if keys < 128 {
-			keys = 128
-		}
-	}
-	inst, err := structures.Build(as, structures.BuildConfig{
-		Kind:   structure,
-		Keys:   keys,
-		Probes: perAgent,
-		Seed:   2013 + 1000*uint64(agent),
-		Name:   "cmp." + w.name,
-	})
-	if err != nil {
-		return err
-	}
-	w.regions = inst.Regions()
-	w.keyBase = inst.ProbeKeyBase()
-	w.keys = inst.ProbeCount()
-	matches, traces := inst.Reference()
-	w.traces = traces
-	w.ref = &matchRef{matches: matches, bounds: inst.MatchBounds()}
-	if spec.Kind == AgentWidx {
-		resultBase := as.AllocAligned(w.name+".results", uint64(len(matches))*8+64)
-		w.progs, err = inst.Programs(resultBase, structures.ProgramOptions{})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // blockCursor streams the block-aligned addresses of one agent's partition
@@ -384,7 +319,7 @@ type blockCursor struct {
 }
 
 func newBlockCursor(hier *mem.Hierarchy, w *cmpAgentWorkload) *blockCursor {
-	c := &blockCursor{regions: w.regions, block: uint64(hier.Config().L1BlockBytes)}
+	c := &blockCursor{regions: w.inst.Regions(), block: uint64(hier.Config().L1BlockBytes)}
 	if len(c.regions) > 0 {
 		c.addr = c.regions[0][0]
 	}
@@ -457,24 +392,25 @@ func (c Config) cmpAgentSpec(top mem.Topology, name string, spec CMPAgentSpec) m
 func (c Config) cmpAgent(hier *mem.Hierarchy, as *vm.AddressSpace, w *cmpAgentWorkload) (*spanAgent, error) {
 	var a *spanAgent
 	var err error
+	traces, ref := reference(w.inst)
 	switch w.spec.Kind {
 	case AgentWidx:
-		if a, err = c.widxAgent(hier, as, w.progs, w.spec.walkers(), widx.SharedDispatcher, w.keyBase); err != nil {
+		if a, err = c.widxAgent(hier, as, w.progs, w.spec.walkers(), widx.SharedDispatcher, w.inst.ProbeKeyBase()); err != nil {
 			return nil, err
 		}
-		a.ref = w.ref
+		a.ref = ref
 	case AgentOoO, AgentInOrder:
 		cfg := cores.OoOConfig()
 		if w.spec.Kind == AgentInOrder {
 			cfg = cores.InOrderConfig()
 		}
-		if a, err = coreAgent(hier, cfg, w.traces); err != nil {
+		if a, err = coreAgent(hier, cfg, traces); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("sim: unknown agent kind %v", w.spec.Kind)
 	}
-	a.name, a.traces = w.name, w.traces
+	a.name, a.traces = w.name, traces
 	return a, nil
 }
 
@@ -556,7 +492,7 @@ func (c Config) RunCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 
 	// Every agent's partition carries the same probe-stream length, so one
 	// plan drives all of them and the co-run's rounds stay aligned.
-	plan := c.samplePlan(workloads[0].keys)
+	plan := c.samplePlan(workloads[0].inst.ProbeCount())
 	soloWins := make([][]windowSample, k)
 	verified := false
 

@@ -3,10 +3,12 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"widx/internal/hashidx"
 	"widx/internal/join"
 	"widx/internal/mem"
 	"widx/internal/structures"
@@ -253,6 +255,57 @@ func TestCMPWarmingInterleavedSymmetric(t *testing.T) {
 	t.Logf("LLC residency spread across identical partitions: interleaved %.3f, one at a time %.3f", si, sa)
 	if si >= sa {
 		t.Fatalf("interleaved warming should shrink the per-partition residency asymmetry: %.3f vs %.3f", si, sa)
+	}
+}
+
+// TestCMPHashPartitionsAreKernels pins each CMP hash-join partition to the
+// Figure 8 kernel: partition i holds the build keys and the probe keys of a
+// standalone join.BuildKernel at seed 2013+1000*i probing the partition's
+// stream length.
+func TestCMPHashPartitionsAreKernels(t *testing.T) {
+	cfg := cmpQuickConfig()
+	specs, err := ParseAgents("ooo+2xwidx:2w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, ws, err := cfg.buildCMPWorkload(join.Medium, specs, structures.HashJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws {
+		kcfg := join.DefaultKernelConfig(join.Medium, cfg.Scale)
+		kcfg.Seed = 2013 + 1000*uint64(i)
+		kcfg.OuterTuples = w.inst.ProbeCount()
+		k, err := join.BuildKernel(kcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, want := range k.ProbeKeys {
+			if got := as.Read64(w.inst.ProbeKeyBase() + uint64(j)*8); got != want {
+				t.Fatalf("%s: probe key %d = %#x, kernel %#x", w.name, j, got, want)
+			}
+		}
+		// Read the build keys back from the partition's index image: every
+		// occupied inline node holds a key and its build row.
+		build := make([]uint64, len(k.BuildKeys))
+		occupied := 0
+		for _, r := range w.inst.Regions() {
+			for node := r[0]; node < r[1]; node += hashidx.InlineNodeSize {
+				key := as.Read64(node + hashidx.InlineKeyOffset)
+				if key == hashidx.EmptyKey {
+					continue
+				}
+				row := as.Read64(node + hashidx.InlinePayloadOffset)
+				if row >= uint64(len(build)) {
+					t.Fatalf("%s: node %#x holds row %d of %d", w.name, node, row, len(build))
+				}
+				build[row] = key
+				occupied++
+			}
+		}
+		if occupied != len(build) || !slices.Equal(build, k.BuildKeys) {
+			t.Fatalf("%s: build keys differ from the kernel's (%d occupied nodes for %d keys)", w.name, occupied, len(build))
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 
 	"widx/internal/cores"
-	"widx/internal/hashidx"
-	"widx/internal/program"
 	"widx/internal/sampling"
 	"widx/internal/structures"
 	"widx/internal/vm"
@@ -131,58 +129,35 @@ type widxPoint struct {
 	mode    widx.HashingMode
 }
 
-// indexPhase bundles everything needed to run one indexing phase on all
-// design points: the data in its address space, the probe-key column, the
-// simulated probe stream's reference traces and matches, and the phase's
-// program generator and result-region layout.
+// indexPhase is one indexing phase ready to run on every design point: a
+// built structure — the kernel's join, a query's index phase, a zoo
+// structure — in the address space it runs on.
 type indexPhase struct {
 	// label names the phase in errors ("Small", "TPC-H q20", "btree").
-	label        string
-	as           *vm.AddressSpace
-	probeKeyBase uint64
-	// traces and ref cover exactly the probes the phase simulates (the
-	// probe sample).
-	traces []hashidx.ProbeTrace
-	ref    *matchRef
-	// programs generates the Widx program bundle storing into the result
-	// region at resultBase.
-	programs func(resultBase uint64) (*structures.Programs, error)
-	// resultRegion names and sizes a Widx point's result buffer.
-	resultRegion func(p widxPoint) (name string, bytes uint64)
+	label string
+	as    *vm.AddressSpace
+	// inst covers exactly the probes the phase simulates (the probe
+	// sample).
+	inst structures.Instance
+	// results is the capacity, in matches, of each Widx point's result
+	// region.
+	results int
+	// opt selects the generated-program variant.
+	opt structures.ProgramOptions
 	// warmKey is the phase's warm-cache identity ("" when caching is off):
 	// the workload artifact's content-addressed key, which the opening
 	// fast-forward checkpoint chains on (sampled.go).
 	warmKey string
 }
 
-// hashPhase is the index phase of a hash-join probe stream: the first
-// sampleCount(probeCount) probes of the key column at keyBase against
-// index, with result regions sized for the whole column.
-func (c Config) hashPhase(as *vm.AddressSpace, index *hashidx.Table, keyBase uint64, probeCount int, traces []hashidx.ProbeTrace, warmKey string) *indexPhase {
-	traces = traces[:c.sampleCount(probeCount)]
-	return &indexPhase{
-		as:           as,
-		probeKeyBase: keyBase,
-		traces:       traces,
-		ref:          refStream(index, traces),
-		programs:     tablePrograms(index),
-		resultRegion: func(p widxPoint) (string, uint64) {
-			return fmt.Sprintf("results.w%d.m%d", p.walkers, p.mode), uint64(probeCount)*8 + 64
-		},
-		warmKey: warmKey,
-	}
+// newIndexPhase is the phase of inst on as, each Widx point storing into
+// a result region of results matches.
+func newIndexPhase(label string, as *vm.AddressSpace, inst structures.Instance, results int, warmKey string) *indexPhase {
+	return &indexPhase{label: label, as: as, inst: inst, results: results, warmKey: warmKey}
 }
 
-// tablePrograms generates the hash-join program bundle for an index.
-func tablePrograms(index *hashidx.Table) func(uint64) (*structures.Programs, error) {
-	return func(resultBase uint64) (*structures.Programs, error) {
-		b, err := program.ForTable(index, resultBase)
-		if err != nil {
-			return nil, err
-		}
-		return &structures.Programs{Dispatcher: b.Dispatcher, Walker: b.Walker, Producer: b.Producer}, nil
-	}
-}
+// resultBytes sizes a result region for n matches.
+func resultBytes(n int) uint64 { return uint64(n)*8 + 64 }
 
 // runPhase executes one indexing phase on every requested design point: the
 // given baseline cores plus Widx at every point, each a span execution of
@@ -203,8 +178,7 @@ func tablePrograms(index *hashidx.Table) func(uint64) (*structures.Programs, err
 func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widxPoint) ([]cores.Result, []*widx.OffloadResult, *sampling.Report, error) {
 	resultBases := make([]uint64, len(points))
 	for i, p := range points {
-		name, bytes := ph.resultRegion(p)
-		resultBases[i] = ph.as.AllocAligned(name, bytes)
+		resultBases[i] = ph.as.AllocAligned(fmt.Sprintf("results.w%d.m%d", p.walkers, p.mode), resultBytes(ph.results))
 	}
 	// Private memory images for parallel Widx tasks: the producer's result
 	// stores must not touch the address space other tasks are reading. The
@@ -218,7 +192,8 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 			spaces[i] = ph.as.Clone()
 		}
 	}
-	plan := c.samplePlan(len(ph.traces))
+	traces, ref := reference(ph.inst)
+	plan := c.samplePlan(len(traces))
 	baseWins := make([][]windowSample, len(baselines))
 	widxWins := make([][]windowSample, len(points))
 	baseRes := make([]cores.Result, len(baselines))
@@ -226,7 +201,7 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 	err := c.RunTasks(len(baselines)+len(points), func(i int) error {
 		sl := c.newSharedLevel()
 		if i < len(baselines) {
-			a, err := coreAgent(sl.NewAgent(sl.Topology().Agent("host")), baselines[i], ph.traces)
+			a, err := coreAgent(sl.NewAgent(sl.Topology().Agent("host")), baselines[i], traces)
 			if err != nil {
 				return err
 			}
@@ -238,16 +213,16 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 			return nil
 		}
 		j := i - len(baselines)
-		progs, err := ph.programs(resultBases[j])
+		progs, err := ph.inst.Programs(resultBases[j], ph.opt)
 		if err != nil {
 			return err
 		}
-		a, err := c.widxAgent(sl.NewAgent(c.widxSpec(sl.Topology(), "widx")), spaces[j], progs, points[j].walkers, points[j].mode, ph.probeKeyBase)
+		a, err := c.widxAgent(sl.NewAgent(c.widxSpec(sl.Topology(), "widx")), spaces[j], progs, points[j].walkers, points[j].mode, ph.inst.ProbeKeyBase())
 		if err != nil {
 			return err
 		}
 		a.name = fmt.Sprintf("%s %dw walker", ph.label, points[j].walkers)
-		a.traces, a.ref, a.warmKey = ph.traces, ph.ref, ph.warmKey
+		a.traces, a.ref, a.warmKey = traces, ref, ph.warmKey
 		if _, err := c.runSpans(plan, 0, a); err != nil {
 			return err
 		}

@@ -135,15 +135,10 @@ type matchRef struct {
 	bounds  []int
 }
 
-// refStream reads the reference match stream of a hash-join probe stream
-// off its traces.
-func refStream(index *hashidx.Table, traces []hashidx.ProbeTrace) *matchRef {
-	r := &matchRef{bounds: make([]int, len(traces))}
-	for i := range traces {
-		r.matches = append(r.matches, index.TraceMatches(&traces[i])...)
-		r.bounds[i] = len(r.matches)
-	}
-	return r
+// reference returns a structure's reference traces and match stream.
+func reference(inst structures.Instance) ([]hashidx.ProbeTrace, *matchRef) {
+	matches, traces := inst.Reference()
+	return traces, &matchRef{matches: matches, bounds: inst.MatchBounds()}
 }
 
 // segment slices the stream to the matches of probes [lo, hi).

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"widx/internal/cores"
+	"widx/internal/hashidx"
 	"widx/internal/join"
+	"widx/internal/structures"
 	"widx/internal/widx"
 )
 
@@ -60,6 +62,17 @@ func TestAccumulateOneSpanIsIdentity(t *testing.T) {
 	}
 }
 
+// tamperedInstance replaces a structure's reference match stream.
+type tamperedInstance struct {
+	structures.Instance
+	matches []uint64
+}
+
+func (t tamperedInstance) Reference() ([]uint64, []hashidx.ProbeTrace) {
+	_, traces := t.Instance.Reference()
+	return t.matches, traces
+}
+
 // TestFullDetailChecksFingerprint pins that full detail is checked like a
 // sampled run: a Widx point whose output disagrees with the software
 // reference fails the run instead of reporting timings for wrong results.
@@ -70,13 +83,13 @@ func TestFullDetailChecksFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ph.ref.matches) == 0 {
+	matches, _ := ph.inst.Reference()
+	if len(matches) == 0 {
 		t.Fatal("kernel phase has no reference matches to tamper with")
 	}
-	tampered := *ph.ref
-	tampered.matches = append([]uint64(nil), ph.ref.matches...)
-	tampered.matches[0] ^= 1
-	ph.ref = &tampered
+	tampered := append([]uint64(nil), matches...)
+	tampered[0] ^= 1
+	ph.inst = tamperedInstance{Instance: ph.inst, matches: tampered}
 	_, _, _, err = c.runPhase(ph, nil, c.walkerPoints(widx.SharedDispatcher))
 	if err == nil || !strings.Contains(err.Error(), "diverged from the software reference") {
 		t.Fatalf("full-detail run with a tampered reference returned %v, want a fingerprint mismatch", err)

@@ -35,7 +35,6 @@ import (
 	"sync"
 
 	"widx/internal/engine"
-	"widx/internal/hashidx"
 	"widx/internal/join"
 	"widx/internal/mem"
 	"widx/internal/structures"
@@ -138,18 +137,12 @@ func (im *image[T]) space() *vm.AddressSpace {
 	return im.as.Clone()
 }
 
-// kernelBuild is the output of one hash-join kernel build: the kernel and
-// its probe traces, generated inside the build so consumers never read a
-// shared master concurrently.
-type kernelBuild struct {
-	kernel *join.Kernel
-	traces []hashidx.ProbeTrace
-}
-
 // kernelPhase builds (or fetches from the warm cache) the kernel workload
 // for one size class. The key names every input BuildKernel consumes; the
 // probe-sample knob enters through the derived OuterTuples stream length,
-// so two configs that produce the same stream share the build.
+// so two configs that produce the same stream share the build. The image
+// carries the kernel's HashIndex, built over the whole probe column (which
+// is the sample), so every phase on the image shares its reference matches.
 func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 	kcfg := join.DefaultKernelConfig(size, c.Scale)
 	// The probe stream only needs to cover the detailed sample.
@@ -161,20 +154,17 @@ func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 		Field("npb", kcfg.NodesPerBucket).
 		Field("hash", kcfg.Hash).
 		Field("seed", kcfg.Seed))
-	im, err := buildImage(c, key, func() (*vm.AddressSpace, kernelBuild, error) {
+	im, err := buildImage(c, key, func() (*vm.AddressSpace, structures.Instance, error) {
 		kernel, err := join.BuildKernel(kcfg)
 		if err != nil {
-			return nil, kernelBuild{}, err
+			return nil, nil, err
 		}
-		return kernel.AS, kernelBuild{kernel, kernel.Traces(c.sampleCount(len(kernel.ProbeKeys)))}, nil
+		return kernel.AS, structures.HashIndex(kernel.Index, kernel.ProbeKeyBase, kernel.Traces(0)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	k := im.data.kernel
-	ph := c.hashPhase(im.space(), k.Index, k.ProbeKeyBase, len(k.ProbeKeys), im.data.traces, im.key)
-	ph.label = size.String()
-	return ph, nil
+	return newIndexPhase(size.String(), im.space(), im.data, im.data.ProbeCount(), im.key), nil
 }
 
 // queryPhase executes (or fetches from the warm cache) one query through
@@ -183,7 +173,10 @@ func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 // every other consumer of the cache entry, so it and its address space are
 // read-only. The cache key is the rendered PlanSpec — value-typed, fully
 // derived from the query spec and scale, and the complete input set of
-// engine.Run — and the phase's warm-state checkpoints chain on it.
+// engine.Run — and the phase's warm-state checkpoints chain on it. The
+// phase's HashIndex covers the probe sample, which the key does not name,
+// so it is built per call rather than cached with the image; its result
+// regions are sized for the whole probe column.
 func (c Config) queryPhase(q workloads.QuerySpec) (*engine.Result, *indexPhase, error) {
 	spec := engine.FromWorkload(q, c.Scale)
 	key := warmKey(warmstate.NewFingerprint("engine").
@@ -199,9 +192,8 @@ func (c Config) queryPhase(q workloads.QuerySpec) (*engine.Result, *indexPhase, 
 		return nil, nil, fmt.Errorf("sim: query %s %s: %w", q.Suite, q.Name, err)
 	}
 	res := im.data
-	ph := c.hashPhase(im.space(), res.Index, res.ProbeKeyBase, res.ProbeCount, res.Traces, im.key)
-	ph.label = fmt.Sprintf("%s %s", q.Suite, q.Name)
-	return res, ph, nil
+	inst := structures.HashIndex(res.Index, res.ProbeKeyBase, res.Traces[:c.sampleCount(res.ProbeCount)])
+	return res, newIndexPhase(fmt.Sprintf("%s %s", q.Suite, q.Name), im.space(), inst, res.ProbeCount, im.key), nil
 }
 
 // cmpWorkload builds (or fetches) the partitioned workload for one CMP

@@ -10,8 +10,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"widx/internal/cores"
 	"widx/internal/sampling"
 	"widx/internal/structures"
@@ -95,17 +93,20 @@ func (c Config) zooKeys() int {
 	return n
 }
 
+// residentKeys sizes a structure for a study sized at keys elements: BFS
+// builds keys/8 vertices (at least 128), so at its mean degree of 8 the
+// edge footprint (and the match stream, one match per edge) stays
+// comparable to the other structures; every other structure holds keys.
+func residentKeys(k structures.Kind, keys int) int {
+	if k != structures.BFS {
+		return keys
+	}
+	return max(keys/8, 128)
+}
+
 // zooBuildConfig derives the deterministic build for one structure.
 func (c Config) zooBuildConfig(k structures.Kind, span int) structures.BuildConfig {
-	keys := c.zooKeys()
-	if k == structures.BFS {
-		// Vertices; the mean degree of 8 keeps the edge footprint (and the
-		// match stream, one match per edge) comparable to the other builds.
-		keys /= 8
-		if keys < 128 {
-			keys = 128
-		}
-	}
+	keys := residentKeys(k, c.zooKeys())
 	return structures.BuildConfig{
 		Kind:   k,
 		Keys:   keys,
@@ -162,21 +163,9 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 		if err != nil {
 			return err
 		}
-		matches, traces := inst.Reference()
-		ph := &indexPhase{
-			label:        kinds[i].String(),
-			as:           as,
-			probeKeyBase: inst.ProbeKeyBase(),
-			traces:       traces,
-			ref:          &matchRef{matches: matches, bounds: inst.MatchBounds()},
-			programs: func(resultBase uint64) (*structures.Programs, error) {
-				return inst.Programs(resultBase, opt.Prog)
-			},
-			resultRegion: func(p widxPoint) (string, uint64) {
-				return fmt.Sprintf("zoo.results.w%d", p.walkers), uint64(len(matches))*8 + 64
-			},
-			warmKey: phaseKey,
-		}
+		matches, _ := inst.Reference()
+		ph := newIndexPhase(kinds[i].String(), as, inst, len(matches), phaseKey)
+		ph.opt = opt.Prog
 		baseRes, widxRes, rep, err := inner.runPhase(ph, []cores.Config{cores.OoOConfig()}, c.walkerPoints(widx.SharedDispatcher))
 		if err != nil {
 			return err

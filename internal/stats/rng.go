@@ -71,6 +71,26 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
+// DistinctKeys draws n distinct nonzero 32-bit keys (the kernel's 4-byte
+// tuple keys, which keep every signed walker comparison safe), redrawing
+// zeros and repeats. It returns the keys in draw order and their membership
+// set, which workload generators use to draw probe misses. The hash-join
+// kernel and the keyed zoo structures draw their build keys through it.
+func DistinctKeys(rng *RNG, n int) ([]uint64, map[uint64]bool) {
+	keys := make([]uint64, n)
+	seen := make(map[uint64]bool, n)
+	for i := range keys {
+		for {
+			k := uint64(rng.Uint32())
+			if k != 0 && !seen[k] {
+				keys[i], seen[k] = k, true
+				break
+			}
+		}
+	}
+	return keys, seen
+}
+
 // Zipf draws values in [0, n) following an approximate Zipfian distribution
 // with exponent s (s > 0). It uses a precomputed cumulative table, so it is
 // intended for moderate n (the workload generators use it for skewed key

@@ -129,6 +129,29 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
+func TestDistinctKeys(t *testing.T) {
+	keys, seen := DistinctKeys(NewRNG(42), 5000)
+	if len(keys) != 5000 || len(seen) != len(keys) {
+		t.Fatalf("%d keys with a %d-member set, want 5000 of each", len(keys), len(seen))
+	}
+	for _, k := range keys {
+		if k == 0 || k > math.MaxUint32 || !seen[k] {
+			t.Fatalf("key %#x is zero, wider than 32 bits or missing from the set", k)
+		}
+	}
+	// Keys are the generator's nonzero, first-seen 32-bit draws, in order.
+	r := NewRNG(42)
+	for i := 0; i < 3; i++ {
+		if want := uint64(r.Uint32()); keys[i] != want {
+			t.Fatalf("key %d = %#x, want the draw %#x", i, keys[i], want)
+		}
+	}
+	again, _ := DistinctKeys(NewRNG(42), 5000)
+	if !slices.Equal(keys, again) {
+		t.Fatal("same seed should draw the same keys")
+	}
+}
+
 func TestZipfSkew(t *testing.T) {
 	r := NewRNG(21)
 	z := NewZipf(r, 100, 1.0)

@@ -1,14 +1,18 @@
-// The hash join: the zoo's calibration point. It wraps internal/hashidx's
-// inline-layout bucket-chain index behind the structures.Instance interface,
-// so the zoo's cross-structure sweeps include the workload every existing
-// study measures, built and probed through exactly the same code paths as
-// the new structures. The generated non-touching programs are the canonical
-// internal/program bundle; the touching variant reorders the walker to load
-// each node's next pointer first and TOUCH it before comparing the current
-// node's key.
+// The hash join: the paper's workload and the zoo's calibration point.
+// HashIndex wraps any built internal/hashidx table and the reference traces
+// of its probe-key column behind the Instance interface, so every
+// experiment's hash join — the zoo's, the Figure 8 kernel, each query's
+// index phase, each CMP partition — is one HashIndex, built and probed
+// through exactly the same code paths as the other structures. The
+// generated non-touching programs are the canonical internal/program
+// bundle; the touching variant (inline layout only) reorders the walker to
+// load each node's next pointer first and TOUCH it before comparing the
+// current node's key.
 package structures
 
 import (
+	"fmt"
+
 	"widx/internal/hashidx"
 	"widx/internal/isa"
 	"widx/internal/program"
@@ -20,13 +24,41 @@ const hashjoinPayloadTag = uint64(0x8A) << 40
 
 func hashjoinPayload(key uint64) uint64 { return key ^ hashjoinPayloadTag }
 
-// hashjoinInstance is the built hash-join workload.
-type hashjoinInstance struct {
+// hashIndex is a built hash index probed by one key column.
+type hashIndex struct {
 	baseInstance
 	table *hashidx.Table
 }
 
-func buildHashJoin(as *vm.AddressSpace, cfg BuildConfig) (*hashjoinInstance, error) {
+// HashIndex wraps a built hash index as an Instance: traces are the
+// reference traces of the probe stream, probe i's key read from
+// probeBase+8*i, and the reference matches are read off them
+// (hashidx.Table.TraceMatches), so the instance probes nothing itself.
+func HashIndex(tbl *hashidx.Table, probeBase uint64, traces []hashidx.ProbeTrace) Instance {
+	h := &hashIndex{table: tbl}
+	h.kind = HashJoin
+	h.probeBase = probeBase
+	h.probes = len(traces)
+	h.regions = tbl.Regions()
+	h.geom = Geometry{
+		NodeBytes:      int(tbl.NodeSize()),
+		Fanout:         1,
+		Levels:         tbl.MaxChain(),
+		FootprintBytes: tbl.FootprintBytes(),
+		Locality:       "hashed bucket headers, short collision chains",
+	}
+	h.traces = traces
+	h.bounds = make([]int, 0, len(traces))
+	for i := range traces {
+		h.matches = append(h.matches, tbl.TraceMatches(&traces[i])...)
+		h.closeProbe()
+	}
+	return h
+}
+
+// buildHashJoin builds the zoo's hash join: unique keys with tagged
+// payloads in an inline-layout index, probed by the shared hit/miss stream.
+func buildHashJoin(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	ks := genKeySet(rng, cfg.Keys)
 	payloads := make([]uint64, len(ks.keys))
@@ -50,29 +82,11 @@ func buildHashJoin(as *vm.AddressSpace, cfg BuildConfig) (*hashjoinInstance, err
 	}
 	probes := ks.probeStream(rng, cfg.Probes)
 	probeBase := writeColumn(as, cfg.Name+".probes", probes)
-
-	inst := &hashjoinInstance{table: tbl}
-	inst.kind = HashJoin
-	inst.probeBase = probeBase
-	inst.probes = len(probes)
-	inst.regions = tbl.Regions()
-	inst.geom = Geometry{
-		NodeBytes:      hashidx.InlineNodeSize,
-		Fanout:         1,
-		Levels:         tbl.MaxChain(),
-		FootprintBytes: tbl.FootprintBytes(),
-		Locality:       "hashed bucket headers, short collision chains",
-	}
+	traces := make([]hashidx.ProbeTrace, len(probes))
 	for i, p := range probes {
-		res := tbl.ProbeFrom(p, probeBase+uint64(i)*8)
-		// Keys are unique, so a hit is exactly one matching node.
-		if res.Found {
-			inst.matches = append(inst.matches, res.Payload)
-		}
-		inst.traces = append(inst.traces, res.Trace)
-		inst.closeProbe()
+		traces[i] = tbl.ProbeFrom(p, probeBase+uint64(i)*8).Trace
 	}
-	return inst, nil
+	return HashIndex(tbl, probeBase, traces), nil
 }
 
 // touchWalker is the inline-layout walker reordered for MLP: each
@@ -105,19 +119,19 @@ done:
 `)
 }
 
-func (h *hashjoinInstance) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
-	spec := program.SpecForTable(h.table, resultBase)
-	d, err := program.Dispatcher(spec)
+// Programs generates the table's canonical bundle (program.ForTable), with
+// the touching walker and the dispatcher prefetch applied on request.
+func (h *hashIndex) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
+	if layout := h.table.Config().Layout; opt.TouchWalker && layout != hashidx.LayoutInline {
+		return nil, fmt.Errorf("structures: the touching walker reads inline-layout nodes, not %s", layout)
+	}
+	b, err := program.ForTable(h.table, resultBase)
 	if err != nil {
 		return nil, err
 	}
-	var w *isa.Program
+	w := b.Walker
 	if opt.TouchWalker {
 		w = touchWalker()
-	} else {
-		if w, err = program.Walker(spec); err != nil {
-			return nil, err
-		}
 	}
-	return finishPrograms(d, w, resultBase, opt)
+	return finishPrograms(b.Dispatcher, w, resultBase, opt)
 }

@@ -12,6 +12,12 @@
 // produce a match stream bit-identical to the software reference (the sim
 // layer enforces this on every run, and golden tests pin the fingerprints).
 //
+// The hash join is the paper's own workload, and every experiment's hash
+// join is a HashIndex: the zoo's, the Figure 8 kernel (internal/join), each
+// query's index phase (internal/engine) and each CMP partition wrap their
+// built internal/hashidx table and probe traces through it. The simulator
+// therefore runs every probe phase, hash join or not, as an Instance.
+//
 // The zoo's four structures beyond the hash join sit at deliberately
 // different node-size / fanout / locality points:
 //
@@ -348,17 +354,8 @@ type keySet struct {
 
 // genKeySet draws n unique keys.
 func genKeySet(rng *stats.RNG, n int) *keySet {
-	ks := &keySet{keys: make([]uint64, n), seen: make(map[uint64]bool, n)}
-	for i := range ks.keys {
-		for {
-			k := uint64(rng.Uint32())
-			if k != 0 && !ks.seen[k] {
-				ks.keys[i], ks.seen[k] = k, true
-				break
-			}
-		}
-	}
-	return ks
+	keys, seen := stats.DistinctKeys(rng, n)
+	return &keySet{keys: keys, seen: seen}
 }
 
 // sorted returns the keys in ascending order (a fresh slice).
@@ -395,26 +392,6 @@ func writeColumn(as *vm.AddressSpace, name string, vals []uint64) uint64 {
 		as.Write64(base+uint64(i)*8, v)
 	}
 	return base
-}
-
-// producerProgram is the canonical output producer (store the match, advance
-// the persistent r20 cursor), shared by every structure.
-func producerProgram(resultBase uint64) (*isa.Program, error) {
-	p := &isa.Program{
-		Name:      "produce",
-		Kind:      isa.Producer,
-		InputRegs: []isa.Reg{program.RegMatch},
-		ConstRegs: map[isa.Reg]uint64{program.RegCursor: resultBase},
-		Code: []isa.Instruction{
-			{Op: isa.ST, SrcA: program.RegCursor, SrcB: program.RegMatch},
-			{Op: isa.ADD, Dst: program.RegCursor, SrcA: program.RegCursor, UseImm: true, Imm: 8},
-			{Op: isa.HALT},
-		},
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // constTargetDispatcher loads the probe key and emits a fixed traversal
@@ -462,7 +439,7 @@ func finishPrograms(d, w *isa.Program, resultBase uint64, opt ProgramOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	pr, err := producerProgram(resultBase)
+	pr, err := program.Producer(resultBase)
 	if err != nil {
 		return nil, err
 	}
