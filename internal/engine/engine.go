@@ -1,9 +1,15 @@
 // Package engine is a minimal column-oriented query engine in the spirit of
-// MonetDB: it executes decision-support join queries over synthetic tables
-// with scan, hash-index join, sort and aggregation operators, and accounts
-// execution time per operator so that the Figure 2a-style breakdown (Index /
-// Scan / Sort&Join / Other) emerges from an actual execution rather than
-// being asserted.
+// MonetDB: it executes decision-support join queries with scan, hash-index
+// join, sort and aggregation operators, and accounts execution time per
+// operator so that the Figure 2a-style breakdown (Index / Scan / Sort&Join /
+// Other) emerges from an actual execution rather than being asserted.
+//
+// Each query draws its own two synthetic tables from its seed, in place of
+// the licensed TPC-H and TPC-DS data: a dimension table of unique sparse
+// keys and values, and a fact table of foreign keys into it and measures
+// that the scan filters on. What matters to Widx is how large the join
+// index is relative to the cache hierarchy and how many probes the join
+// performs, and the plan sets both directly.
 //
 // The engine's index phase is built on internal/hashidx inside a simulated
 // address space. The engine executes it functionally and returns its
@@ -20,8 +26,8 @@ import (
 	"fmt"
 	"math"
 
-	"widx/internal/colstore"
 	"widx/internal/hashidx"
+	"widx/internal/stats"
 	"widx/internal/vm"
 	"widx/internal/workloads"
 )
@@ -38,7 +44,21 @@ const (
 	otherOverheadShare = 0.08
 )
 
-// PlanSpec describes one synthetic join query.
+// Synthetic table contents. Dimension keys are drawn from [1, keySpan×rows]
+// so the hash distribution is realistic (real benchmark keys are not dense
+// 0..n-1 integers after selection); the scan keeps the fact rows whose
+// measure is below scanThreshold, half of them.
+const (
+	keySpan         = 16
+	dimValueRange   = 1_000_000
+	measureRange    = 10_000
+	scanSelectivity = 0.5
+	scanThreshold   = measureRange * scanSelectivity
+)
+
+// PlanSpec describes one synthetic join query. Every query scans half of
+// its fact table, probes a MonetDB-style indirect-layout index, and sorts
+// and aggregates the matched dimension values.
 type PlanSpec struct {
 	// Name labels the query in reports.
 	Name string
@@ -46,17 +66,10 @@ type PlanSpec struct {
 	DimensionRows int
 	// FactRows is the probe-side table size before the scan filter.
 	FactRows int
-	// ScanSelectivity is the fraction of fact rows that survive the filter
-	// and probe the index.
-	ScanSelectivity float64
 	// NodesPerBucket sets the index bucket depth.
 	NodesPerBucket float64
-	// Layout and Hash configure the index (MonetDB uses the indirect layout).
-	Layout hashidx.Layout
-	Hash   hashidx.HashKind
-	// Sort and Aggregate enable the post-join operators.
-	Sort      bool
-	Aggregate bool
+	// Hash selects the index's key-hashing function.
+	Hash hashidx.HashKind
 	// Seed makes data generation deterministic.
 	Seed uint64
 }
@@ -66,9 +79,6 @@ func (s PlanSpec) Validate() error {
 	if s.DimensionRows <= 0 || s.FactRows <= 0 {
 		return fmt.Errorf("engine: table sizes must be positive")
 	}
-	if s.ScanSelectivity <= 0 || s.ScanSelectivity > 1 {
-		return fmt.Errorf("engine: scan selectivity must be in (0,1]")
-	}
 	if s.NodesPerBucket <= 0 {
 		return fmt.Errorf("engine: NodesPerBucket must be positive")
 	}
@@ -77,7 +87,7 @@ func (s PlanSpec) Validate() error {
 
 // FromWorkload converts a benchmark query spec into an executable plan at the
 // given scale (1.0 reproduces the inventory sizes; tests and benchmarks use
-// much smaller scales). MonetDB's indirect node layout is used throughout.
+// much smaller scales).
 //
 // The probe volume scales linearly, but the index size is floored per size
 // class so that a scaled-down query still lands in the cache-hierarchy regime
@@ -103,22 +113,17 @@ func FromWorkload(q workloads.QuerySpec, scale float64) PlanSpec {
 	if probes < 256 {
 		probes = 256
 	}
-	const selectivity = 0.5
 	hash := hashidx.HashSimple
 	if q.RobustHash {
 		hash = hashidx.HashRobust
 	}
 	return PlanSpec{
-		Name:            fmt.Sprintf("%s-%s", q.Suite, q.Name),
-		DimensionRows:   build,
-		FactRows:        int(float64(probes) / selectivity),
-		ScanSelectivity: selectivity,
-		NodesPerBucket:  q.NodesPerBucket,
-		Layout:          hashidx.LayoutIndirect,
-		Hash:            hash,
-		Sort:            true,
-		Aggregate:       true,
-		Seed:            uint64(len(q.Name))*7919 + uint64(q.Suite),
+		Name:           fmt.Sprintf("%s-%s", q.Suite, q.Name),
+		DimensionRows:  build,
+		FactRows:       int(float64(probes) / scanSelectivity),
+		NodesPerBucket: q.NodesPerBucket,
+		Hash:           hash,
+		Seed:           uint64(len(q.Name))*7919 + uint64(q.Suite),
 	}
 }
 
@@ -154,7 +159,7 @@ type Result struct {
 	// Functional outputs.
 	ProbeCount int    // probes issued by the join
 	MatchCount int    // probes that found a dimension row
-	Aggregate  uint64 // sum of matched dimension values (when enabled)
+	Aggregate  uint64 // sum of matched dimension values
 
 	// Cycles of the operators around the index phase: the fact-table scan,
 	// and the post-join sort and aggregation.
@@ -162,10 +167,9 @@ type Result struct {
 	SortJoinCycles float64
 
 	// Index-phase artifacts for the simulation harness to cost on its
-	// design points.
+	// design points: probe i reads its key from ProbeKeyBase+8*i.
 	AS           *vm.AddressSpace
 	Index        *hashidx.Table
-	ProbeKeys    []uint64
 	ProbeKeyBase uint64
 	Traces       []hashidx.ProbeTrace
 }
@@ -189,36 +193,20 @@ func Run(spec PlanSpec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-
-	// 1. Generate the synthetic database.
-	db, err := colstore.GenerateDSS(colstore.DSSConfig{
-		FactRows:      spec.FactRows,
-		DimensionRows: spec.DimensionRows,
-		Dimensions:    1,
-		Seed:          spec.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fact, dim := db.Fact, db.Dimensions[0]
-
-	// 2. Scan: filter the fact table on its measure column.
-	threshold := uint64(float64(10_000) * spec.ScanSelectivity)
-	selected := colstore.SelectRows(fact.MustColumn("measure"), func(v uint64) bool { return v < threshold })
-	probeKeys := colstore.Gather(fact.MustColumn(colstore.DimensionKey(0)), selected)
+	dimKeys, dimValues, probeKeys := generate(spec)
 	if len(probeKeys) == 0 {
 		return nil, fmt.Errorf("engine: scan selected no rows")
 	}
 
-	// 3. Build the hash index on the dimension key column and materialize the
+	// Build the hash index on the dimension key column and materialize the
 	// probe keys, both in the simulated address space.
 	as := vm.New()
 	idx, err := hashidx.Build(as, hashidx.Config{
-		Layout:      spec.Layout,
+		Layout:      hashidx.LayoutIndirect,
 		Hash:        spec.Hash,
-		BucketCount: bucketCountFor(spec.DimensionRows, spec.NodesPerBucket),
+		BucketCount: hashidx.BucketsFor(spec.DimensionRows, spec.NodesPerBucket),
 		Name:        spec.Name,
-	}, dim.MustColumn("key").Values, nil)
+	}, dimKeys, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,39 +215,66 @@ func Run(spec PlanSpec) (*Result, error) {
 		as.Write64(probeBase+uint64(i)*8, k)
 	}
 
-	// 4. Probe: functional result plus traces for the timing model.
+	// Probe: functional result plus traces for the timing model.
 	res := &Result{
 		Name:         spec.Name,
 		ProbeCount:   len(probeKeys),
-		ScanCycles:   float64(fact.Rows()) * scanCyclesPerRow,
+		ScanCycles:   float64(spec.FactRows) * scanCyclesPerRow,
 		AS:           as,
 		Index:        idx,
-		ProbeKeys:    probeKeys,
 		ProbeKeyBase: probeBase,
+		Traces:       make([]hashidx.ProbeTrace, len(probeKeys)),
 	}
-	dimValues := dim.MustColumn("value").Values
-	var matchedValues []uint64
 	for i, k := range probeKeys {
 		pr := idx.ProbeFrom(k, probeBase+uint64(i)*8)
-		res.Traces = append(res.Traces, pr.Trace)
+		res.Traces[i] = pr.Trace
 		if pr.Found {
 			res.MatchCount++
-			matchedValues = append(matchedValues, dimValues[pr.Payload])
+			res.Aggregate += dimValues[pr.Payload]
 		}
 	}
 
-	// 5. Post-join operators.
-	if spec.Sort && len(matchedValues) > 1 {
-		n := float64(len(matchedValues))
-		res.SortJoinCycles += n * math.Log2(n) * sortCyclesPerCompare
+	// Post-join operators: sort the matched values, then aggregate them.
+	n := float64(res.MatchCount)
+	if res.MatchCount > 1 {
+		res.SortJoinCycles = n * math.Log2(n) * sortCyclesPerCompare
 	}
-	if spec.Aggregate {
-		for _, v := range matchedValues {
-			res.Aggregate += v
-		}
-		res.SortJoinCycles += float64(len(matchedValues)) * aggregateCyclesPerRow
-	}
+	res.SortJoinCycles += n * aggregateCyclesPerRow
 	return res, nil
+}
+
+// generate draws the query's tables from stats.NewRNG(spec.Seed) in a fixed
+// order — the distinct dimension keys (redrawing repeats), the dimension
+// values, the fact table's foreign keys, its measures — and applies the
+// scan: it returns the dimension columns and, in fact-row order, the
+// foreign keys of the rows whose measure is below scanThreshold.
+func generate(spec PlanSpec) (dimKeys, dimValues, probeKeys []uint64) {
+	rng := stats.NewRNG(spec.Seed)
+	n := spec.DimensionRows
+	span := uint64(n) * keySpan
+	seen := make([]bool, span+1)
+	dimKeys = make([]uint64, 0, n)
+	for len(dimKeys) < n {
+		if k := 1 + rng.Uint64n(span); !seen[k] {
+			seen[k] = true
+			dimKeys = append(dimKeys, k)
+		}
+	}
+	dimValues = make([]uint64, n)
+	for i := range dimValues {
+		dimValues[i] = rng.Uint64n(dimValueRange)
+	}
+	foreignKeys := make([]uint64, spec.FactRows)
+	for i := range foreignKeys {
+		foreignKeys[i] = dimKeys[rng.Intn(n)]
+	}
+	probeKeys = foreignKeys[:0]
+	for _, fk := range foreignKeys {
+		if rng.Uint64n(measureRange) < scanThreshold {
+			probeKeys = append(probeKeys, fk)
+		}
+	}
+	return dimKeys, dimValues, probeKeys
 }
 
 // classBuildFloor returns the minimum build-side row count that keeps an
@@ -276,14 +291,4 @@ func classBuildFloor(class workloads.SizeClass) int {
 	default:
 		return 0
 	}
-}
-
-// bucketCountFor picks the power-of-two bucket count that targets the given
-// average chain depth.
-func bucketCountFor(rows int, nodesPerBucket float64) uint64 {
-	buckets := uint64(1)
-	for float64(rows)/float64(buckets) > nodesPerBucket {
-		buckets <<= 1
-	}
-	return buckets
 }

@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
-	"widx/internal/colstore"
 	"widx/internal/cores"
 	"widx/internal/hashidx"
 	"widx/internal/mem"
@@ -13,16 +13,12 @@ import (
 
 func smallSpec() PlanSpec {
 	return PlanSpec{
-		Name:            "test-query",
-		DimensionRows:   500,
-		FactRows:        8000,
-		ScanSelectivity: 0.5,
-		NodesPerBucket:  1.5,
-		Layout:          hashidx.LayoutIndirect,
-		Hash:            hashidx.HashRobust,
-		Sort:            true,
-		Aggregate:       true,
-		Seed:            3,
+		Name:           "test-query",
+		DimensionRows:  500,
+		FactRows:       8000,
+		NodesPerBucket: 1.5,
+		Hash:           hashidx.HashRobust,
+		Seed:           3,
 	}
 }
 
@@ -31,11 +27,9 @@ func TestPlanSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutations := map[string]func(*PlanSpec){
-		"dim rows":    func(s *PlanSpec) { s.DimensionRows = 0 },
-		"fact rows":   func(s *PlanSpec) { s.FactRows = 0 },
-		"selectivity": func(s *PlanSpec) { s.ScanSelectivity = 0 },
-		"sel high":    func(s *PlanSpec) { s.ScanSelectivity = 1.5 },
-		"bucket":      func(s *PlanSpec) { s.NodesPerBucket = 0 },
+		"dim rows":  func(s *PlanSpec) { s.DimensionRows = 0 },
+		"fact rows": func(s *PlanSpec) { s.FactRows = 0 },
+		"bucket":    func(s *PlanSpec) { s.NodesPerBucket = 0 },
 	}
 	for name, mutate := range mutations {
 		s := smallSpec()
@@ -67,25 +61,59 @@ func TestRunProducesCorrectJoinResult(t *testing.T) {
 
 	// The functional aggregate must equal a plain map-based join over the
 	// same generated data.
-	db, err := colstore.GenerateDSS(colstore.DSSConfig{
-		FactRows:      spec.FactRows,
-		DimensionRows: spec.DimensionRows,
-		Dimensions:    1,
-		Seed:          spec.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	threshold := uint64(float64(10_000) * spec.ScanSelectivity)
-	selected := colstore.SelectRows(db.Fact.MustColumn("measure"), func(v uint64) bool { return v < threshold })
-	probeKeys := colstore.Gather(db.Fact.MustColumn(colstore.DimensionKey(0)), selected)
-	wantMatches, wantSum := NativeJoinAggregate(
-		db.Dimensions[0].MustColumn("key").Values,
-		db.Dimensions[0].MustColumn("value").Values,
-		probeKeys)
+	dimKeys, dimValues, probeKeys := generate(spec)
+	wantMatches, wantSum := NativeJoinAggregate(dimKeys, dimValues, probeKeys)
 	if res.MatchCount != wantMatches || res.Aggregate != wantSum {
 		t.Fatalf("engine join result (%d, %d) != native join (%d, %d)",
 			res.MatchCount, res.Aggregate, wantMatches, wantSum)
+	}
+	// The probe column in the address space is the scanned foreign keys.
+	if res.ProbeCount != len(probeKeys) {
+		t.Fatalf("%d probes, the scan selected %d rows", res.ProbeCount, len(probeKeys))
+	}
+	for i, k := range probeKeys {
+		if got := res.AS.Read64(res.ProbeKeyBase + uint64(i)*8); got != k {
+			t.Fatalf("probe column[%d] = %d, want %d", i, got, k)
+		}
+	}
+}
+
+func TestGenerate(t *testing.T) {
+	spec := smallSpec()
+	dimKeys, dimValues, probeKeys := generate(spec)
+	if len(dimKeys) != spec.DimensionRows || len(dimValues) != spec.DimensionRows {
+		t.Fatalf("%d keys and %d values, want %d of each", len(dimKeys), len(dimValues), spec.DimensionRows)
+	}
+	isKey := make(map[uint64]bool, len(dimKeys))
+	for _, k := range dimKeys {
+		if k < 1 || k > uint64(spec.DimensionRows)*keySpan || isKey[k] {
+			t.Fatalf("dimension key %d repeats or lies outside [1, %d]", k, spec.DimensionRows*keySpan)
+		}
+		isKey[k] = true
+	}
+	for _, v := range dimValues {
+		if v >= dimValueRange {
+			t.Fatalf("dimension value %d outside [0, %d)", v, dimValueRange)
+		}
+	}
+	if len(probeKeys) == 0 || len(probeKeys) >= spec.FactRows {
+		t.Fatalf("the scan kept %d of %d fact rows", len(probeKeys), spec.FactRows)
+	}
+	for _, k := range probeKeys {
+		if !isKey[k] {
+			t.Fatalf("probe key %d is not a dimension key", k)
+		}
+	}
+
+	// Deterministic per seed.
+	k2, v2, p2 := generate(spec)
+	if !slices.Equal(dimKeys, k2) || !slices.Equal(dimValues, v2) || !slices.Equal(probeKeys, p2) {
+		t.Fatal("same seed drew different tables")
+	}
+	other := spec
+	other.Seed++
+	if k3, _, _ := generate(other); slices.Equal(dimKeys, k3) {
+		t.Fatal("another seed drew the same dimension keys")
 	}
 }
 
@@ -141,8 +169,8 @@ func TestBreakdownConsistency(t *testing.T) {
 	if res.Index == nil || res.AS == nil || res.ProbeKeyBase == 0 {
 		t.Fatal("index-phase artifacts missing")
 	}
-	if len(res.Traces) != res.ProbeCount || len(res.ProbeKeys) != res.ProbeCount {
-		t.Fatal("trace/key counts inconsistent")
+	if len(res.Traces) != res.ProbeCount {
+		t.Fatal("trace and probe counts inconsistent")
 	}
 	var zero Breakdown
 	if zero.Shares().Sum() != 0 {
@@ -156,9 +184,8 @@ func TestIndexShareGrowsWithProbeVolume(t *testing.T) {
 	light.DimensionRows = 300
 
 	heavy := smallSpec()
-	heavy.FactRows = 20000
+	heavy.FactRows = 36000
 	heavy.DimensionRows = 4000
-	heavy.ScanSelectivity = 0.9
 
 	share := func(spec PlanSpec) float64 {
 		res, err := Run(spec)
@@ -185,9 +212,6 @@ func TestFromWorkload(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if spec.Layout != hashidx.LayoutIndirect {
-		t.Fatal("MonetDB-style queries should use the indirect layout")
-	}
 	if spec.DimensionRows <= 0 || spec.FactRows <= spec.DimensionRows/10 {
 		t.Fatalf("scaled sizes implausible: %+v", spec)
 	}
@@ -207,9 +231,13 @@ func TestFromWorkload(t *testing.T) {
 	if FromWorkload(q, 0).DimensionRows != q.BuildRows {
 		t.Fatal("zero scale should mean the inventory size")
 	}
-	// The plan must actually run.
-	if _, err := Run(FromWorkload(q, 0.002)); err != nil {
+	// The plan must actually run, on a MonetDB-style indirect-layout index.
+	res, err := Run(FromWorkload(q, 0.002))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Index.Config().Layout != hashidx.LayoutIndirect {
+		t.Fatal("MonetDB-style queries should use the indirect layout")
 	}
 }
 

@@ -198,6 +198,32 @@ func TestChainStatsSmallBucketCount(t *testing.T) {
 	}
 }
 
+// TestMaxChainIsLongestWalk checks MaxChain against the chains in the
+// address space: a probe walks its key's whole chain, so the longest walk
+// over every key is the longest chain.
+func TestMaxChainIsLongestWalk(t *testing.T) {
+	for _, c := range []struct {
+		layout  Layout
+		n       int
+		buckets uint64
+	}{
+		{LayoutInline, 64, 4},
+		{LayoutIndirect, 64, 4},
+		{LayoutInline, 1000, 0},
+		{LayoutIndirect, 1000, 256},
+	} {
+		tbl, keys := buildTable(t, c.layout, HashRobust, c.n, c.buckets)
+		longest := 0
+		for _, k := range keys {
+			longest = max(longest, tbl.Probe(k).NodesVisited)
+		}
+		if tbl.MaxChain() != longest {
+			t.Errorf("%v, %d keys in %d buckets: MaxChain %d, longest walk %d",
+				c.layout, c.n, tbl.BucketMask()+1, tbl.MaxChain(), longest)
+		}
+	}
+}
+
 func TestProbeTraceShape(t *testing.T) {
 	tbl, keys := buildTable(t, LayoutInline, HashSimple, 256, 256)
 	r := tbl.ProbeFrom(keys[0], 0x7000)

@@ -61,8 +61,8 @@ type Config struct {
 	// Hash selects the key-hashing function.
 	Hash HashKind
 	// BucketCount is the number of buckets; it must be a power of two.
-	// Zero lets Build pick the smallest power of two that keeps the load
-	// factor at or below one key per bucket on average.
+	// Zero lets Build pick BucketsFor(len(keys), 1): at most one key per
+	// bucket on average.
 	BucketCount uint64
 	// Name prefixes the vm region names, so multiple indexes can coexist.
 	Name string
@@ -90,16 +90,16 @@ type Table struct {
 	maxChain int
 }
 
-// nextPow2 returns the smallest power of two >= v (and at least 1).
-func nextPow2(v uint64) uint64 {
-	if v == 0 {
-		return 1
+// BucketsFor returns the power-of-two bucket count that keeps the average
+// chain of a rows-key index at or below nodesPerBucket, and at least two:
+// walker programs mask bucket indexes, and a single-bucket mask of zero is
+// rejected by program.Spec.
+func BucketsFor(rows int, nodesPerBucket float64) uint64 {
+	buckets := uint64(2)
+	for float64(rows)/float64(buckets) > nodesPerBucket {
+		buckets <<= 1
 	}
-	p := uint64(1)
-	for p < v {
-		p <<= 1
-	}
-	return p
+	return buckets
 }
 
 // Build lays out and populates an index over the given keys. For the inline
@@ -121,7 +121,7 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 	}
 	buckets := cfg.BucketCount
 	if buckets == 0 {
-		buckets = nextPow2(uint64(len(keys)))
+		buckets = BucketsFor(len(keys), 1)
 	}
 	if buckets&(buckets-1) != 0 {
 		return nil, fmt.Errorf("hashidx: bucket count %d is not a power of two", buckets)
@@ -159,6 +159,9 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 		}
 	}
 
+	// Every insert adds one node to its bucket's chain, so counting the
+	// inserts per bucket gives the longest chain without walking it.
+	chains := make([]uint32, buckets)
 	for i, k := range keys {
 		if k == EmptyKey {
 			return nil, fmt.Errorf("hashidx: key %#x is reserved as the empty marker", EmptyKey)
@@ -167,19 +170,20 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 		if payloads != nil {
 			payload = payloads[i]
 		}
-		if err := t.insert(uint64(i), k, payload); err != nil {
+		b := BucketIndex(HashOf(cfg.Hash, k), buckets)
+		if err := t.insert(b, uint64(i), k, payload); err != nil {
 			return nil, err
 		}
+		chains[b]++
+		t.maxChain = max(t.maxChain, int(chains[b]))
 	}
 	t.numKeys = uint64(len(keys))
-	t.computeChainStats()
 	return t, nil
 }
 
-// insert places one key into the index.
-func (t *Table) insert(row, key, payload uint64) error {
-	idx := BucketIndex(HashOf(t.cfg.Hash, key), t.buckets)
-	head := t.bucketBase + idx*t.nodeSize
+// insert places one key into bucket b of the index.
+func (t *Table) insert(b, row, key, payload uint64) error {
+	head := t.bucketBase + b*t.nodeSize
 
 	switch t.cfg.Layout {
 	case LayoutInline:
@@ -226,43 +230,6 @@ func (t *Table) allocNode() (uint64, error) {
 	t.poolNext += t.nodeSize
 	t.numNodes++
 	return addr, nil
-}
-
-// computeChainStats walks every bucket once to record the longest chain.
-func (t *Table) computeChainStats() {
-	t.maxChain = 0
-	for b := uint64(0); b < t.buckets; b++ {
-		t.maxChain = max(t.maxChain, t.chainLength(b))
-	}
-}
-
-// chainLength returns the number of occupied nodes in bucket b.
-func (t *Table) chainLength(b uint64) int {
-	head := t.bucketBase + b*t.nodeSize
-	switch t.cfg.Layout {
-	case LayoutInline:
-		if t.as.Read64(head+InlineKeyOffset) == EmptyKey {
-			return 0
-		}
-		n := 1
-		next := t.as.Read64(head + InlineNextOffset)
-		for next != 0 {
-			n++
-			next = t.as.Read64(next + InlineNextOffset)
-		}
-		return n
-	default:
-		if t.as.Read64(head+IndirectRefOffset) == 0 {
-			return 0
-		}
-		n := 1
-		next := t.as.Read64(head + IndirectNextOffset)
-		for next != 0 {
-			n++
-			next = t.as.Read64(next + IndirectNextOffset)
-		}
-		return n
-	}
 }
 
 // Config returns the configuration the table was built with.

@@ -195,16 +195,10 @@ func BuildKernelIn(as *vm.AddressSpace, name string, cfg KernelConfig) (*Kernel,
 		probeKeys[i] = buildKeys[rng.Intn(buildN)]
 	}
 
-	// Bucket count targets the configured chain depth.
-	buckets := uint64(1)
-	for float64(buildN)/float64(buckets) > cfg.NodesPerBucket {
-		buckets <<= 1
-	}
-
 	idx, err := hashidx.Build(as, hashidx.Config{
 		Layout:      hashidx.LayoutInline,
 		Hash:        cfg.Hash,
-		BucketCount: buckets,
+		BucketCount: hashidx.BucketsFor(buildN, cfg.NodesPerBucket),
 		Name:        name,
 	}, buildKeys, nil)
 	if err != nil {

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // RNG is a small deterministic pseudo-random number generator
 // (xorshift64* based) used for workload synthesis. The standard library's
 // math/rand would also work, but a tiny local generator keeps workload
@@ -53,11 +51,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	return r.Uint64() % n
 }
 
-// Float64 returns a pseudo-random float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
 // Perm returns a pseudo-random permutation of [0, n) as a slice of ints.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -89,50 +82,4 @@ func DistinctKeys(rng *RNG, n int) ([]uint64, map[uint64]bool) {
 		}
 	}
 	return keys, seen
-}
-
-// Zipf draws values in [0, n) following an approximate Zipfian distribution
-// with exponent s (s > 0). It uses a precomputed cumulative table, so it is
-// intended for moderate n (the workload generators use it for skewed key
-// popularity in probe streams).
-type Zipf struct {
-	rng *RNG
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over [0, n) with exponent s using rng as the
-// underlying source. It panics if n <= 0 or s <= 0.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: Zipf with non-positive n")
-	}
-	if s <= 0 {
-		panic("stats: Zipf with non-positive exponent")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1.0 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{rng: rng, cdf: cdf}
-}
-
-// Next returns the next Zipf-distributed value in [0, n).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -65,16 +65,10 @@ func buildHashJoin(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 	for i, k := range ks.keys {
 		payloads[i] = hashjoinPayload(k)
 	}
-	// At least two buckets: the walker programs mask bucket indexes, and a
-	// single-bucket mask of zero is rejected by program.Spec.
-	buckets := uint64(2)
-	for buckets < uint64(len(ks.keys)) {
-		buckets <<= 1
-	}
 	tbl, err := hashidx.Build(as, hashidx.Config{
 		Layout:      hashidx.LayoutInline,
 		Hash:        hashidx.HashSimple,
-		BucketCount: buckets,
+		BucketCount: hashidx.BucketsFor(len(ks.keys), 1),
 		Name:        cfg.Name + ".index",
 	}, ks.keys, payloads)
 	if err != nil {

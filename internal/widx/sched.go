@@ -131,10 +131,9 @@ type keyOutput struct {
 
 // sched drives one offload on the stepped execution core.
 type sched struct {
-	acc    *Accelerator
-	req    OffloadRequest
-	stride uint64
-	res    *OffloadResult
+	acc *Accelerator
+	req OffloadRequest
+	res *OffloadResult
 
 	n    int
 	mode HashingMode
@@ -196,16 +195,15 @@ type sched struct {
 }
 
 // newSched builds the units and queues for the accelerator's organization.
-func newSched(a *Accelerator, req OffloadRequest, stride uint64) (*sched, error) {
+func newSched(a *Accelerator, req OffloadRequest) (*sched, error) {
 	n := a.cfg.NumWalkers
 	s := &sched{
-		acc:    a,
-		req:    req,
-		stride: stride,
-		res:    &OffloadResult{Tuples: req.KeyCount, Walkers: make([]Breakdown, n)},
-		n:      n,
-		mode:   a.cfg.Mode,
-		done:   map[uint64]keyOutput{},
+		acc:  a,
+		req:  req,
+		res:  &OffloadResult{Tuples: req.KeyCount, Walkers: make([]Breakdown, n)},
+		n:    n,
+		mode: a.cfg.Mode,
+		done: map[uint64]keyOutput{},
 	}
 
 	var err error
@@ -362,7 +360,7 @@ func (s *sched) Settle() error {
 				if s.mode == Coupled {
 					s.laneGate[i] = false
 				}
-				if err := u.Start([]uint64{s.req.KeyBase + key*s.stride}, start); err != nil {
+				if err := u.Start([]uint64{s.req.KeyBase + key*8}, start); err != nil {
 					return err
 				}
 				progress = true

@@ -105,13 +105,11 @@ func (b *Breakdown) addItem(r ItemResult) {
 // key column and its extent. This mirrors the configuration registers the
 // host core writes before signalling Widx to start (Section 4.3).
 type OffloadRequest struct {
-	// KeyBase is the virtual address of the first probe key.
+	// KeyBase is the virtual address of the first probe key; the column is
+	// dense 64-bit keys, key i at KeyBase+8*i.
 	KeyBase uint64
 	// KeyCount is the number of keys to probe.
 	KeyCount uint64
-	// KeyStride is the distance between consecutive keys in bytes
-	// (8 for a dense 64-bit column; zero defaults to 8).
-	KeyStride uint64
 	// StartCycle is the cycle the offload begins at.
 	StartCycle uint64
 }
@@ -254,14 +252,10 @@ func (a *Accelerator) StartOffload(req OffloadRequest) (*OffloadAgent, error) {
 	if req.KeyCount == 0 {
 		return nil, fmt.Errorf("widx: offload with zero keys")
 	}
-	stride := req.KeyStride
-	if stride == 0 {
-		stride = 8
-	}
 	if a.cfg.Mode > Coupled {
 		return nil, fmt.Errorf("widx: unknown mode %v", a.cfg.Mode)
 	}
-	s, err := newSched(a, req, stride)
+	s, err := newSched(a, req)
 	if err != nil {
 		return nil, err
 	}

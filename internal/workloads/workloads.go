@@ -8,8 +8,8 @@
 // redistributable, so each query is described by the characteristics that
 // matter to Widx — the per-query index working-set size class, the node
 // layout and hash function, the probe volume and the fraction of query time
-// spent indexing — and the synthetic generators in internal/colstore and
-// internal/engine materialize a structurally equivalent workload.
+// spent indexing — and internal/engine draws a structurally equivalent
+// pair of synthetic tables for each query.
 package workloads
 
 import "fmt"
