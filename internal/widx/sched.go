@@ -16,7 +16,7 @@
 //   - the scheduler repeatedly settles all queue traffic (computation is
 //     local to a unit and needs no global ordering) and then grants the
 //     single pending memory access with the globally smallest cycle, kept in
-//     a binary min-heap keyed by (cycle, unit order) — a unit's pending
+//     a binary min-heap keyed by (cycle, grant order) — a unit's pending
 //     cycle is fixed while it waits, so the heap needs no decrease-key and
 //     selection is O(log n) instead of a per-grant scan over all units.
 //
@@ -24,12 +24,15 @@
 // one, the hierarchy's live MSHR occupancy and resource schedules are exact;
 // mem.Hierarchy.SetStrictOrder turns that contract into an assertion.
 //
-// The sched type implements system.Agent (Settle / PendingMem / GrantMem /
-// Done), so an offload can either run alone (Accelerator.Offload) or be
-// co-scheduled by internal/system's event scheduler with other agents —
-// more Widx instances, host cores — against one shared memory level. A
-// single-agent system degenerates to exactly this file's solo loop, which
-// keeps single-agent results byte-identical to the pre-system API.
+// OffloadAgent, the one offload type, is that scheduler: it keeps one lane
+// record per hashing unit (the unit, its queue, its key cursor and, in
+// Coupled mode, its gate) and one walker record per walker, and implements
+// system.Agent (Settle / PendingMem / GrantMem / Done), so an offload can
+// either run alone (Accelerator.Offload) or be co-scheduled by
+// internal/system's event scheduler with other agents — more Widx
+// instances, host cores — against one shared memory level. A single-agent
+// system degenerates to exactly this file's solo loop, which keeps
+// single-agent results byte-identical to the pre-system API.
 //
 // Functional output is timing-independent: matches are collected per probe
 // key and released to the producer in key order, so the emitted match stream
@@ -42,6 +45,7 @@ package widx
 import (
 	"fmt"
 
+	"widx/internal/mem"
 	"widx/internal/system"
 )
 
@@ -129,50 +133,57 @@ type keyOutput struct {
 	finish  uint64
 }
 
-// sched drives one offload on the stepped execution core.
-type sched struct {
-	acc *Accelerator
-	req OffloadRequest
-	res *OffloadResult
+// lane is one hashing unit and the decoupling queue it feeds: the shared
+// dispatcher (SharedDispatcher), whose queue every walker consumes, or one
+// hashing unit per walker (PerWalkerHash, Coupled), lane i feeding walker i.
+type lane struct {
+	unit *Unit
+	// queue has depth QueueDepth*walkers for the shared dispatcher,
+	// QueueDepth per lane, or 1 in Coupled mode.
+	queue dqueue
+	// next is the next key index the unit receives; it advances by the lane
+	// count. key is the key it is hashing.
+	next, key uint64
+	// open and release serialize hashing with walking in Coupled mode: the
+	// lane receives its next key only once its walker finished the previous
+	// one, at cycle release.
+	open    bool
+	release uint64
+	// last is the unit's latest finish cycle (the offload start before its
+	// first item).
+	last uint64
+}
 
-	n    int
-	mode HashingMode
+// walker is one walker unit, the key it is walking and its latest finish
+// cycle.
+type walker struct {
+	unit      *Unit
+	key, last uint64
+}
 
-	// hashUnits is the single shared dispatcher (SharedDispatcher) or one
-	// hashing unit per lane (PerWalkerHash, Coupled).
-	hashUnits []*Unit
-	walkers   []*Unit
-	producer  *Unit
+// OffloadAgent is an in-flight bulk indexing offload on the stepped
+// execution core, exposed as a resumable system.Agent: the system scheduler
+// (internal/system) can co-schedule it with other agents — more Widx
+// instances, host cores — against one shared memory level.
+// Accelerator.Offload runs it alone.
+type OffloadAgent struct {
+	acc       *Accelerator
+	req       OffloadRequest
+	res       *OffloadResult
+	memBefore mem.Stats
 
-	// units lists every unit in the fixed grant tie-break order (hash units,
-	// then walkers, then the producer). ready is the min-heap of units
-	// waiting on memory, keyed by (want cycle, unit order): a unit is
-	// pushed exactly when it enters UnitWaitMem and popped when granted, so
-	// it is never queued twice.
+	lanes    []lane
+	walkers  []walker
+	producer *Unit
+	prodLast uint64
+
+	// units lists every unit in the fixed grant tie-break order (lanes,
+	// then walkers, then the producer); a unit's index there is its grant
+	// order. ready is the min-heap of units waiting on memory, keyed by
+	// (want cycle, grant order): a unit is pushed exactly when it enters
+	// UnitWaitMem and popped when granted, so it is never queued twice.
 	units []*Unit
 	ready system.CycleHeap
-
-	// queues[i] feeds the walkers: one shared queue of depth QueueDepth*n,
-	// or per-lane queues of depth QueueDepth.
-	queues []*dqueue
-
-	// hashNext[i] is the next key index hash unit i will receive; it
-	// advances by len(hashUnits). hashKey[i] is the key it is working on.
-	hashNext []uint64
-	hashKey  []uint64
-	// laneGate/laneAvail serialize hashing with walking in Coupled mode:
-	// lane i may only receive its next key once its previous walk finished.
-	laneGate  []bool
-	laneAvail []uint64
-
-	// walkKey[i] is the key walker i is walking.
-	walkKey []uint64
-
-	// lastFinish tracks per-unit completion cycles for idle accounting and
-	// the offload end time. Index: hash units, then walkers, then producer.
-	hashLast []uint64
-	walkLast []uint64
-	prodLast uint64
 
 	// Producer-side reordering: walks complete out of order, but matches are
 	// released to the producer (and to res.Matches) in key order, which keeps
@@ -194,131 +205,80 @@ type sched struct {
 	releaseClock uint64
 }
 
-// newSched builds the units and queues for the accelerator's organization.
-func newSched(a *Accelerator, req OffloadRequest) (*sched, error) {
-	n := a.cfg.NumWalkers
-	s := &sched{
-		acc:  a,
-		req:  req,
-		res:  &OffloadResult{Tuples: req.KeyCount, Walkers: make([]Breakdown, n)},
-		n:    n,
-		mode: a.cfg.Mode,
-		done: map[uint64]keyOutput{},
+// StartOffload prepares one bulk indexing operation as a schedulable agent,
+// building the units and queues of the accelerator's organization. Its
+// Result becomes available once the agent reports Done.
+func (a *Accelerator) StartOffload(req OffloadRequest) (*OffloadAgent, error) {
+	if req.KeyCount == 0 {
+		return nil, fmt.Errorf("widx: offload with zero keys")
 	}
-
-	var err error
-	if s.mode == SharedDispatcher {
-		d, err := NewUnit("dispatcher", a.dispProg.Clone(), a.hier, a.as)
-		if err != nil {
-			return nil, err
-		}
-		s.hashUnits = []*Unit{d}
-		s.queues = []*dqueue{{cap: a.cfg.QueueDepth * n}}
-		s.hashNext = []uint64{0}
+	n := a.cfg.NumWalkers
+	o := &OffloadAgent{
+		acc:       a,
+		req:       req,
+		res:       &OffloadResult{Tuples: req.KeyCount, Walkers: make([]Breakdown, n)},
+		memBefore: a.hier.Stats(),
+		done:      map[uint64]keyOutput{},
+	}
+	if a.cfg.Mode == SharedDispatcher {
+		o.lanes = []lane{{unit: a.unit("dispatcher", a.dispProg), queue: dqueue{cap: a.cfg.QueueDepth * n}}}
 	} else {
-		s.hashUnits = make([]*Unit, n)
-		s.queues = make([]*dqueue, n)
-		s.hashNext = make([]uint64, n)
 		depth := a.cfg.QueueDepth
-		if s.mode == Coupled {
+		if a.cfg.Mode == Coupled {
 			// Hashing is serialized with the walk by the lane gate; the
 			// queue is a single-entry handoff buffer.
 			depth = 1
 		}
-		for i := 0; i < n; i++ {
-			s.hashUnits[i], err = NewUnit(fmt.Sprintf("hash%d", i), a.dispProg.Clone(), a.hier, a.as)
-			if err != nil {
-				return nil, err
-			}
-			s.queues[i] = &dqueue{cap: depth}
-			s.hashNext[i] = uint64(i)
+		o.lanes = make([]lane, n)
+		for i := range o.lanes {
+			o.lanes[i] = lane{unit: a.unit(fmt.Sprintf("hash%d", i), a.dispProg), queue: dqueue{cap: depth}, next: uint64(i)}
 		}
 	}
-	s.hashKey = make([]uint64, len(s.hashUnits))
-	s.laneGate = make([]bool, len(s.hashUnits))
-	s.laneAvail = make([]uint64, len(s.hashUnits))
-	for i := range s.laneGate {
-		s.laneGate[i] = true
-		s.laneAvail[i] = req.StartCycle
+	o.walkers = make([]walker, n)
+	o.units = make([]*Unit, 0, len(o.lanes)+n+1)
+	for i := range o.lanes {
+		l := &o.lanes[i]
+		l.open, l.release, l.last = true, req.StartCycle, req.StartCycle
+		o.units = append(o.units, l.unit)
 	}
-
-	s.walkers = make([]*Unit, n)
-	s.walkKey = make([]uint64, n)
-	for i := range s.walkers {
-		s.walkers[i], err = NewUnit(fmt.Sprintf("walker%d", i), a.walkProg.Clone(), a.hier, a.as)
-		if err != nil {
-			return nil, err
-		}
+	for i := range o.walkers {
+		o.walkers[i] = walker{unit: a.unit(fmt.Sprintf("walker%d", i), a.walkProg), last: req.StartCycle}
+		o.units = append(o.units, o.walkers[i].unit)
 	}
-	s.producer, err = NewUnit("producer", a.prodProg.Clone(), a.hier, a.as)
-	if err != nil {
-		return nil, err
-	}
-
-	s.hashLast = make([]uint64, len(s.hashUnits))
-	s.walkLast = make([]uint64, n)
-	for i := range s.hashLast {
-		s.hashLast[i] = req.StartCycle
-	}
-	for i := range s.walkLast {
-		s.walkLast[i] = req.StartCycle
-	}
-	s.prodLast = req.StartCycle
-
-	s.units = append(append(append([]*Unit{}, s.hashUnits...), s.walkers...), s.producer)
+	o.producer = a.unit("producer", a.prodProg)
+	o.prodLast = req.StartCycle
+	o.units = append(o.units, o.producer)
 	// Each unit occupies at most one ready-heap slot, so this covers the
 	// whole offload and the grant loop never grows the heap.
-	s.ready.Grow(len(s.units))
-	return s, nil
+	o.ready.Grow(len(o.units))
+	return o, nil
 }
-
-// note enqueues a unit that just entered UnitWaitMem into the ready heap,
-// keyed by its fixed tie-break order (its index in s.units). It must be
-// called after every step call (Start, GrantEmit, GrantMem) that can leave
-// the unit waiting on memory; call sites pass the order they already know,
-// keeping the scheduler's hottest path free of lookups.
-func (s *sched) note(u *Unit, order int) {
-	if u.State() == UnitWaitMem {
-		s.ready.Push(u.WantCycle(), order)
-	}
-}
-
-// walkerOrder returns walker i's index in the grant tie-break order.
-func (s *sched) walkerOrder(i int) int { return len(s.hashUnits) + i }
 
 // Name identifies the offload's agent; it is the agent label of the memory-
 // hierarchy view the accelerator is bound to.
-func (s *sched) Name() string { return s.acc.hier.Name() }
+func (o *OffloadAgent) Name() string { return o.acc.hier.Name() }
 
 // PendingMem reports the cycle of the earliest pending memory access across
-// all units (ties broken by fixed unit order: hash units, walkers,
-// producer), ok=false when no unit waits on memory.
-func (s *sched) PendingMem() (uint64, bool) {
-	cycle, _, ok := s.ready.Peek()
+// all units (ties broken by grant order), ok=false when no unit waits on
+// memory.
+func (o *OffloadAgent) PendingMem() (uint64, bool) {
+	cycle, _, ok := o.ready.Peek()
 	return cycle, ok
 }
 
 // GrantMem grants the single pending memory access with the smallest cycle
 // and folds any completed work item into the offload accounting.
-func (s *sched) GrantMem() error {
-	_, order, ok := s.ready.Pop()
+func (o *OffloadAgent) GrantMem() error {
+	_, order, ok := o.ready.Pop()
 	if !ok {
 		return fmt.Errorf("widx: %s: memory grant with no unit waiting (%d/%d keys released)",
-			s.Name(), s.nextOut, s.req.KeyCount)
+			o.Name(), o.nextOut, o.req.KeyCount)
 	}
-	u := s.units[order]
-	if err := u.GrantMem(); err != nil {
+	if err := o.units[order].GrantMem(); err != nil {
 		return err
 	}
-	if err := s.collect(u); err != nil {
-		return err
-	}
-	s.note(u, order)
-	return nil
+	return o.collect(order)
 }
-
-// Done reports whether the offload has completed all of its work.
-func (s *sched) Done() bool { return s.finished() }
 
 // Settle propagates all non-memory progress until quiescence: granting
 // emits that have queue space, starting idle units on available inputs, and
@@ -326,55 +286,49 @@ func (s *sched) Done() bool { return s.finished() }
 // computation or queue traffic local to the units, so it cannot violate the
 // global memory-cycle order; units that pause at a memory access are pushed
 // onto the ready heap.
-func (s *sched) Settle() error {
+func (o *OffloadAgent) Settle() error {
+	coupled := o.acc.cfg.Mode == Coupled
 	for {
 		progress := false
 
 		// Hashing units: unblock emits, then feed the next key.
-		for i, u := range s.hashUnits {
+		for i := range o.lanes {
+			l := &o.lanes[i]
+			u := l.unit
 			if u.State() == UnitWaitEmit {
-				q := s.queues[i]
-				if !q.canPush() {
+				if !l.queue.canPush() {
 					continue
 				}
-				at := q.pushReadyAt(u.WantCycle())
+				at := l.queue.pushReadyAt(u.WantCycle())
 				out, err := u.GrantEmit(at)
 				if err != nil {
 					return err
 				}
-				q.push(qitem{vals: out, key: s.hashKey[i], avail: at + 1})
+				l.queue.push(qitem{vals: out, key: l.key, avail: at + 1})
 				progress = true
-				if err := s.collect(u); err != nil {
+				if err := o.collect(i); err != nil {
 					return err
 				}
-				s.note(u, i)
 			}
-			if u.State() == UnitIdle && s.hashNext[i] < s.req.KeyCount && s.laneGate[i] {
-				key := s.hashNext[i]
-				start := s.hashLast[i]
-				if s.laneAvail[i] > start {
-					start = s.laneAvail[i]
-				}
-				s.hashKey[i] = key
-				s.hashNext[i] += uint64(len(s.hashUnits))
-				if s.mode == Coupled {
-					s.laneGate[i] = false
-				}
-				if err := u.Start([]uint64{s.req.KeyBase + key*8}, start); err != nil {
+			if u.State() == UnitIdle && l.next < o.req.KeyCount && l.open {
+				l.key = l.next
+				l.next += uint64(len(o.lanes))
+				l.open = !coupled
+				if err := u.Start([]uint64{o.req.KeyBase + l.key*8}, max(l.last, l.release)); err != nil {
 					return err
 				}
 				progress = true
-				if err := s.collect(u); err != nil {
+				if err := o.collect(i); err != nil {
 					return err
 				}
-				s.note(u, i)
 			}
 		}
 
 		// Walkers: unblock emits (the walker-to-producer path is staged
 		// through the reorder buffer and never exerts backpressure), then
 		// assign queued work to the walker that can start it earliest.
-		for i, u := range s.walkers {
+		for i := range o.walkers {
+			u := o.walkers[i].unit
 			if u.State() != UnitWaitEmit {
 				continue
 			}
@@ -384,64 +338,57 @@ func (s *sched) Settle() error {
 				return err
 			}
 			progress = true
-			if err := s.collect(u); err != nil {
+			if err := o.collect(len(o.lanes) + i); err != nil {
 				return err
 			}
-			s.note(u, s.walkerOrder(i))
 		}
-		for qi := range s.queues {
-			q := s.queues[qi]
+		for qi := range o.lanes {
+			q := &o.lanes[qi].queue
 			for q.len() > 0 {
 				head := q.front()
-				w := s.pickWalker(qi, head.avail)
-				if w < 0 {
+				wi := o.pickWalker(qi, head.avail)
+				if wi < 0 {
 					break
 				}
-				u := s.walkers[w]
-				start := s.walkLast[w]
+				w := &o.walkers[wi]
+				start := w.last
 				if head.avail > start {
 					// Waiting for a hashed key is walker idle time — except
 					// in Coupled mode, where the wait IS the lane's hashing
 					// (already charged to the walker via the hash item).
-					if s.mode != Coupled {
-						s.res.Walkers[w].Idle += head.avail - start
+					if !coupled {
+						o.res.Walkers[wi].Idle += head.avail - start
 					}
 					start = head.avail
 				}
 				q.pop(start)
-				s.walkKey[w] = head.key
-				if err := u.Start(head.vals, start); err != nil {
+				w.key = head.key
+				if err := w.unit.Start(head.vals, start); err != nil {
 					return err
 				}
 				progress = true
-				if err := s.collect(u); err != nil {
+				if err := o.collect(len(o.lanes) + wi); err != nil {
 					return err
 				}
-				s.note(u, s.walkerOrder(w))
 			}
 		}
 
 		// Producer: consume the released match stream in key order.
-		if s.producer.State() == UnitIdle && s.prodHead < len(s.prodQ) {
-			head := s.prodQ[s.prodHead]
-			s.prodQ[s.prodHead] = qitem{}
-			s.prodHead++
-			if s.prodHead == len(s.prodQ) {
-				s.prodQ = s.prodQ[:0]
-				s.prodHead = 0
+		if o.producer.State() == UnitIdle && o.prodHead < len(o.prodQ) {
+			head := o.prodQ[o.prodHead]
+			o.prodQ[o.prodHead] = qitem{}
+			o.prodHead++
+			if o.prodHead == len(o.prodQ) {
+				o.prodQ = o.prodQ[:0]
+				o.prodHead = 0
 			}
-			start := s.prodLast
-			if head.avail > start {
-				start = head.avail
-			}
-			if err := s.producer.Start(head.vals, start); err != nil {
+			if err := o.producer.Start(head.vals, max(o.prodLast, head.avail)); err != nil {
 				return err
 			}
 			progress = true
-			if err := s.collect(s.producer); err != nil {
+			if err := o.collect(len(o.units) - 1); err != nil {
 				return err
 			}
-			s.note(s.producer, len(s.units)-1)
 		}
 
 		if !progress {
@@ -451,80 +398,75 @@ func (s *sched) Settle() error {
 }
 
 // pickWalker selects the idle walker that can start an item available at
-// `avail` earliest (ties: lowest index), restricted to the queue's consumers.
-// It returns -1 when no eligible walker is idle.
-func (s *sched) pickWalker(qi int, avail uint64) int {
-	if s.mode != SharedDispatcher {
-		// Per-lane queues map queue i to walker i.
-		if s.walkers[qi].State() == UnitIdle {
+// `avail` earliest (ties: lowest index), restricted to the consumers of lane
+// qi's queue. It returns -1 when no eligible walker is idle.
+func (o *OffloadAgent) pickWalker(qi int, avail uint64) int {
+	if o.acc.cfg.Mode != SharedDispatcher {
+		// Per-lane queues map lane i to walker i.
+		if o.walkers[qi].unit.State() == UnitIdle {
 			return qi
 		}
 		return -1
 	}
 	best := -1
 	var bestStart uint64
-	for w, u := range s.walkers {
-		if u.State() != UnitIdle {
+	for i := range o.walkers {
+		w := &o.walkers[i]
+		if w.unit.State() != UnitIdle {
 			continue
 		}
-		start := s.walkLast[w]
-		if avail > start {
-			start = avail
-		}
-		if best < 0 || start < bestStart {
-			best, bestStart = w, start
+		if start := max(w.last, avail); best < 0 || start < bestStart {
+			best, bestStart = i, start
 		}
 	}
 	return best
 }
 
-// collect folds a just-finished work item into the offload accounting and
-// performs the completion side effects (queue releases, lane gating). It is
-// a no-op while the unit is still paused mid-item.
-func (s *sched) collect(u *Unit) error {
-	if u.State() != UnitIdle {
+// collect accounts for the unit at grant order `order` after a Start or
+// Grant call: a unit paused at a memory access joins the ready heap, and a
+// finished work item is folded into the offload accounting with its
+// completion side effects (key release, lane gating). A unit paused at an
+// EMIT waits for the next Settle pass.
+func (o *OffloadAgent) collect(order int) error {
+	u := o.units[order]
+	switch u.State() {
+	case UnitWaitMem:
+		o.ready.Push(u.WantCycle(), order)
+		return nil
+	case UnitWaitEmit:
 		return nil
 	}
 	it := u.LastResult()
-
-	for i, hu := range s.hashUnits {
-		if hu != u {
-			continue
-		}
-		s.hashLast[i] = it.FinishCycle
-		s.res.DispatcherBusy += it.Busy()
-		s.res.DispatcherStall += it.QueueStall
-		if s.mode == Coupled {
+	coupled := o.acc.cfg.Mode == Coupled
+	switch nl := len(o.lanes); {
+	case order < nl:
+		o.lanes[order].last = it.FinishCycle
+		o.res.DispatcherBusy += it.Busy()
+		o.res.DispatcherStall += it.QueueStall
+		if coupled {
 			// Coupled hashing occupies the walker itself (Figure 3b): its
 			// cycles land in the lane's walker breakdown too.
-			s.res.Walkers[i].addItem(it)
+			o.res.Walkers[order].addItem(it)
 		}
 		if len(it.Emitted) != 1 {
 			return fmt.Errorf("widx: %s emitted %d items for one key", u.Name(), len(it.Emitted))
 		}
-		return nil
-	}
-
-	for i, wu := range s.walkers {
-		if wu != u {
-			continue
+	case order < nl+len(o.walkers):
+		i := order - nl
+		w := &o.walkers[i]
+		w.last = it.FinishCycle
+		o.res.Walkers[i].addItem(it)
+		o.done[w.key] = keyOutput{emitted: it.Emitted, finish: it.FinishCycle}
+		o.releaseDone()
+		if coupled {
+			// Walker i walks only lane i's keys: reopen that lane.
+			l := &o.lanes[i]
+			l.open, l.release = true, it.FinishCycle
 		}
-		s.walkLast[i] = it.FinishCycle
-		s.res.Walkers[i].addItem(it)
-		key := s.walkKey[i]
-		s.done[key] = keyOutput{emitted: it.Emitted, finish: it.FinishCycle}
-		s.releaseDone()
-		if s.mode == Coupled {
-			lane := int(key % uint64(s.n))
-			s.laneGate[lane] = true
-			s.laneAvail[lane] = it.FinishCycle
-		}
-		return nil
+	default:
+		o.prodLast = it.FinishCycle
+		o.res.ProducerBusy += it.Busy()
 	}
-
-	// Producer.
-	s.prodLast = it.FinishCycle
-	s.res.ProducerBusy += it.Busy()
 	return nil
 }
 
@@ -532,64 +474,66 @@ func (s *sched) collect(u *Unit) error {
 // key's matches enter the producer stream (and res.Matches) only once every
 // earlier key has been released, making the match order independent of how
 // the walks interleaved.
-func (s *sched) releaseDone() {
+func (o *OffloadAgent) releaseDone() {
 	for {
-		out, ok := s.done[s.nextOut]
+		out, ok := o.done[o.nextOut]
 		if !ok {
 			return
 		}
-		delete(s.done, s.nextOut)
-		if out.finish > s.releaseClock {
-			s.releaseClock = out.finish
-		}
+		delete(o.done, o.nextOut)
+		o.releaseClock = max(o.releaseClock, out.finish)
 		for _, m := range out.emitted {
-			s.prodQ = append(s.prodQ, qitem{vals: m, key: s.nextOut, avail: s.releaseClock})
-			s.res.Matches = append(s.res.Matches, m[0])
+			o.prodQ = append(o.prodQ, qitem{vals: m, key: o.nextOut, avail: o.releaseClock})
+			o.res.Matches = append(o.res.Matches, m[0])
 		}
-		s.nextOut++
+		o.nextOut++
 	}
 }
 
-// finished reports whether every key has been hashed, walked, released and
+// Done reports whether every key has been hashed, walked, released and
 // produced, with all units idle.
-func (s *sched) finished() bool {
-	if s.nextOut != s.req.KeyCount || s.prodHead < len(s.prodQ) {
+func (o *OffloadAgent) Done() bool {
+	if o.nextOut != o.req.KeyCount || o.prodHead < len(o.prodQ) {
 		return false
 	}
-	for i, u := range s.hashUnits {
-		if u.State() != UnitIdle || s.hashNext[i] < s.req.KeyCount {
+	for i := range o.lanes {
+		l := &o.lanes[i]
+		if l.unit.State() != UnitIdle || l.next < o.req.KeyCount || l.queue.len() > 0 {
 			return false
 		}
 	}
-	for _, u := range s.walkers {
-		if u.State() != UnitIdle {
+	for i := range o.walkers {
+		if o.walkers[i].unit.State() != UnitIdle {
 			return false
 		}
 	}
-	for _, q := range s.queues {
-		if q.len() > 0 {
-			return false
-		}
-	}
-	return s.producer.State() == UnitIdle
+	return o.producer.State() == UnitIdle
 }
 
-// endCycle returns the cycle the offload completes: the latest finish across
-// every unit (idle units contribute the offload start, like the seed model).
-func (s *sched) endCycle() uint64 {
-	end := s.req.StartCycle
-	for _, f := range s.hashLast {
-		if f > end {
-			end = f
-		}
+// Result finalizes and returns the offload's functional and timing results.
+// It is only valid once Done reports true. MemStats covers the agent's own
+// hierarchy view over the offload's span, so in a multi-agent run it is the
+// per-agent attribution of the shared level's activity.
+func (o *OffloadAgent) Result() (*OffloadResult, error) {
+	if !o.Done() {
+		return nil, fmt.Errorf("widx: %s: result requested before the offload finished (%d/%d keys released)",
+			o.Name(), o.nextOut, o.req.KeyCount)
 	}
-	for _, f := range s.walkLast {
-		if f > end {
-			end = f
-		}
+	// The offload ends at the latest finish across every unit (idle units
+	// contribute the offload start, like the seed model).
+	end := o.prodLast
+	for i := range o.lanes {
+		end = max(end, o.lanes[i].last)
 	}
-	if s.prodLast > end {
-		end = s.prodLast
+	for i := range o.walkers {
+		end = max(end, o.walkers[i].last)
 	}
-	return end
+	res := o.res
+	res.TotalCycles = end - o.req.StartCycle
+	res.WalkerTotal = Breakdown{}
+	for _, w := range res.Walkers {
+		res.WalkerTotal.Add(w)
+	}
+	res.MemStats = o.acc.hier.Stats().Sub(o.memBefore)
+	return res, nil
 }

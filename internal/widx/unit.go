@@ -109,21 +109,13 @@ type Unit struct {
 	item  ItemResult
 }
 
-// NewUnit builds a unit for the given validated program. The program's
-// constant registers are loaded immediately (the control-block load).
-func NewUnit(name string, prog *isa.Program, hier *mem.Hierarchy, as *vm.AddressSpace) (*Unit, error) {
-	if prog == nil {
-		return nil, fmt.Errorf("widx: nil program")
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	if hier == nil || as == nil {
-		return nil, fmt.Errorf("widx: unit %q needs a memory hierarchy and an address space", name)
-	}
-	u := &Unit{name: name, prog: prog, hier: hier, as: as}
+// unit builds a unit running prog, one of the programs New validated, with
+// its constant registers loaded (the control-block load). A unit only reads
+// its program, so every unit of every offload shares the accelerator's.
+func (a *Accelerator) unit(name string, prog *isa.Program) *Unit {
+	u := &Unit{name: name, prog: prog, hier: a.hier, as: a.as}
 	u.Reset()
-	return u, nil
+	return u
 }
 
 // Name returns the unit's diagnostic name.

@@ -236,67 +236,6 @@ func NewFromControlBlock(cfg Config, hier *mem.Hierarchy, as *vm.AddressSpace, c
 	return New(cfg, hier, as, d, w, p)
 }
 
-// OffloadAgent is an in-flight bulk indexing offload exposed as a resumable
-// system.Agent: the system scheduler (internal/system) can co-schedule it
-// with other agents — more Widx instances, host cores — against one shared
-// memory level. Accelerator.Offload wraps it for the solo case.
-type OffloadAgent struct {
-	s         *sched
-	memBefore mem.Stats
-}
-
-// StartOffload prepares one bulk indexing operation as a schedulable agent.
-// The returned agent implements system.Agent; its Result becomes available
-// once the agent reports Done.
-func (a *Accelerator) StartOffload(req OffloadRequest) (*OffloadAgent, error) {
-	if req.KeyCount == 0 {
-		return nil, fmt.Errorf("widx: offload with zero keys")
-	}
-	if a.cfg.Mode > Coupled {
-		return nil, fmt.Errorf("widx: unknown mode %v", a.cfg.Mode)
-	}
-	s, err := newSched(a, req)
-	if err != nil {
-		return nil, err
-	}
-	return &OffloadAgent{s: s, memBefore: a.hier.Stats()}, nil
-}
-
-// Name identifies the agent (the label of its memory-hierarchy view).
-func (o *OffloadAgent) Name() string { return o.s.Name() }
-
-// Settle propagates all agent-local progress (computation and queue
-// traffic); part of the system.Agent contract.
-func (o *OffloadAgent) Settle() error { return o.s.Settle() }
-
-// PendingMem reports the cycle of the earliest pending memory access.
-func (o *OffloadAgent) PendingMem() (uint64, bool) { return o.s.PendingMem() }
-
-// GrantMem performs the earliest pending memory access.
-func (o *OffloadAgent) GrantMem() error { return o.s.GrantMem() }
-
-// Done reports whether every key has been hashed, walked and produced.
-func (o *OffloadAgent) Done() bool { return o.s.Done() }
-
-// Result finalizes and returns the offload's functional and timing results.
-// It is only valid once Done reports true. MemStats covers the agent's own
-// hierarchy view over the offload's span, so in a multi-agent run it is the
-// per-agent attribution of the shared level's activity.
-func (o *OffloadAgent) Result() (*OffloadResult, error) {
-	if !o.s.Done() {
-		return nil, fmt.Errorf("widx: %s: result requested before the offload finished (%d/%d keys released)",
-			o.s.Name(), o.s.nextOut, o.s.req.KeyCount)
-	}
-	res := o.s.res
-	res.TotalCycles = o.s.endCycle() - o.s.req.StartCycle
-	res.WalkerTotal = Breakdown{}
-	for _, w := range res.Walkers {
-		res.WalkerTotal.Add(w)
-	}
-	res.MemStats = o.s.acc.hier.Stats().Sub(o.memBefore)
-	return res, nil
-}
-
 // Offload runs one bulk indexing operation to completion and returns its
 // functional and timing results. The host core is assumed idle for the
 // duration (full offload), which the energy model relies on.

@@ -1,6 +1,8 @@
 package widx
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -222,6 +224,21 @@ func paperConfig() Config {
 	return Config{NumWalkers: 4, QueueDepth: 2, Mode: SharedDispatcher}
 }
 
+// NewUnit builds a unit outside an accelerator, checking what New checks for
+// the accelerator's units: the unit tests step single units directly.
+func NewUnit(name string, prog *isa.Program, hier *mem.Hierarchy, as *vm.AddressSpace) (*Unit, error) {
+	if prog == nil {
+		return nil, fmt.Errorf("widx: nil program")
+	}
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	if hier == nil || as == nil {
+		return nil, fmt.Errorf("widx: unit %q needs a memory hierarchy and an address space", name)
+	}
+	return (&Accelerator{hier: hier, as: as}).unit(name, prog), nil
+}
+
 // RunItem executes one work item to completion, granting every yield
 // immediately (no cross-unit interleaving, no queue backpressure). It is the
 // single-unit path of the unit tests; offloads go through the scheduler,
@@ -333,6 +350,36 @@ func TestOffloadFromControlBlock(t *testing.T) {
 	got := sortedCopy(res.Matches)
 	if len(want) != len(got) {
 		t.Fatalf("control-block offload matches %d, want %d", len(got), len(want))
+	}
+}
+
+// TestOffloadLeavesProgramsUnchanged pins the invariant that lets every
+// unit of every offload share the accelerator's programs instead of cloning
+// them: offloads only read the three programs given to New, so a second
+// offload on the same accelerator runs the same programs and emits the same
+// match stream.
+func TestOffloadLeavesProgramsUnchanged(t *testing.T) {
+	for _, mode := range []HashingMode{SharedDispatcher, PerWalkerHash, Coupled} {
+		for _, walkers := range []int{1, 4} {
+			f := newFixture(t, hashidx.LayoutIndirect, hashidx.HashRobust, 500, 300, 256)
+			progs := []*isa.Program{f.bundle.Dispatcher, f.bundle.Walker, f.bundle.Producer}
+			var before []*isa.Program
+			for _, p := range progs {
+				before = append(before, p.Clone())
+			}
+			acc := f.accelerator(t, Config{NumWalkers: walkers, QueueDepth: 2, Mode: mode})
+			first := f.offload(t, acc)
+			second := f.offload(t, acc)
+			for i, p := range progs {
+				if !reflect.DeepEqual(p, before[i]) {
+					t.Errorf("%v/w%d: offloads changed program %q:\n got %+v\nwant %+v", mode, walkers, p.Name, p, before[i])
+				}
+			}
+			if len(first.Matches) == 0 || !reflect.DeepEqual(second.Matches, first.Matches) {
+				t.Errorf("%v/w%d: second offload emitted %d matches unlike the first's %d",
+					mode, walkers, len(second.Matches), len(first.Matches))
+			}
+		}
 	}
 }
 
