@@ -22,17 +22,9 @@ type KernelPoint struct {
 	Speedup float64
 	// Raw is the offload's timing detail (per-walker breakdowns, queue
 	// stalls, memory stats with the MSHR-occupancy histogram), carried in
-	// the -json manifest for offline analysis. Its Matches slice is
-	// dropped to avoid retaining per-match payloads.
+	// the -json manifest for offline analysis. It is the aggregate over
+	// the measured spans, which carries no matches.
 	Raw *widx.OffloadResult
-}
-
-// rawDetail strips the bulk match payloads from an offload result, keeping
-// only the timing detail the report consumers read.
-func rawDetail(res *widx.OffloadResult) *widx.OffloadResult {
-	detail := *res
-	detail.Matches = nil
-	return &detail
 }
 
 // KernelExperiment is the full hash-join kernel study (Figure 8).
@@ -116,7 +108,7 @@ func (c Config) RunKernel(sizes []join.SizeClass) (*KernelExperiment, error) {
 				CyclesPerTuple: res.CyclesPerTuple(),
 				Breakdown:      scaleBreakdown(res.WalkerTotal, w, res.Tuples),
 				Speedup:        ooo.CyclesPerTuple() / res.CyclesPerTuple(),
-				Raw:            rawDetail(res),
+				Raw:            res,
 			})
 		}
 		return nil

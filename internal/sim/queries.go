@@ -30,7 +30,7 @@ type QueryResult struct {
 	WidxCyclesPerTuple map[int]float64
 	WidxBreakdown      map[int]Breakdown
 	// WidxRaw keeps the offload timing detail per walker count for offline
-	// analysis of the -json manifest; match payloads are stripped.
+	// analysis of the -json manifest; it carries no match payloads.
 	WidxRaw map[int]*widx.OffloadResult
 
 	// Speedups over the OoO baseline (Figure 10).
@@ -82,7 +82,7 @@ func (c Config) RunQuery(q workloads.QuerySpec) (*QueryResult, error) {
 		wres := widxRes[i]
 		res.WidxCyclesPerTuple[w] = wres.CyclesPerTuple()
 		res.WidxBreakdown[w] = scaleBreakdown(wres.WalkerTotal, w, wres.Tuples)
-		res.WidxRaw[w] = rawDetail(wres)
+		res.WidxRaw[w] = wres
 		res.IndexSpeedup[w] = res.OoOCyclesPerTuple / wres.CyclesPerTuple()
 	}
 

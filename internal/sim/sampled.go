@@ -171,8 +171,9 @@ type spanAgent struct {
 	// only single-agent phases on a fresh machine set it.
 	warmKey string
 
-	// Measured spans only: the engine's aggregate result (offload for Widx
-	// agents, core for host cores) and one observation per window.
+	// Measured spans only: the engine's aggregate result (offload, without
+	// matches, for Widx agents; core for host cores) and one observation
+	// per window.
 	offload widx.OffloadResult
 	core    cores.Result
 	wins    []windowSample
@@ -332,11 +333,12 @@ func addCoreResult(agg *cores.Result, r cores.Result) {
 	agg.MemStats = agg.MemStats.Add(r.MemStats)
 }
 
-// addOffloadResult accumulates one measured span's offload result.
+// addOffloadResult accumulates one measured span's offload result. The
+// aggregate keeps no matches: the span's match stream is stitched and
+// fingerprint-checked by runSpans, and no report reads the aggregate's.
 func addOffloadResult(agg *widx.OffloadResult, r *widx.OffloadResult) {
 	agg.Tuples += r.Tuples
 	agg.TotalCycles += r.TotalCycles
-	agg.Matches = append(agg.Matches, r.Matches...)
 	if agg.Walkers == nil {
 		agg.Walkers = make([]widx.Breakdown, len(r.Walkers))
 	}

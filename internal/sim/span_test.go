@@ -42,13 +42,18 @@ func fillSentinels(t *testing.T, v reflect.Value, path string, next *uint64) {
 // TestAccumulateOneSpanIsIdentity pins the invariant that makes a
 // full-detail run — the plan with one measured span — byte-identical to
 // running the engine once: accumulating a single span's result into the
-// zero aggregate must reproduce that result exactly, field for field.
+// zero aggregate must reproduce that result exactly, field for field, except
+// the offload's matches, which the aggregate does not keep.
 func TestAccumulateOneSpanIsIdentity(t *testing.T) {
 	next := uint64(1_000_003)
 	var off widx.OffloadResult
 	fillSentinels(t, reflect.ValueOf(&off).Elem(), "widx.OffloadResult", &next)
 	var gotOff widx.OffloadResult
 	addOffloadResult(&gotOff, &off)
+	if gotOff.Matches != nil {
+		t.Errorf("one-span offload aggregate keeps %d matches, want none", len(gotOff.Matches))
+	}
+	off.Matches = nil
 	if !reflect.DeepEqual(gotOff, off) {
 		t.Errorf("one-span offload aggregate differs from the span:\n got %+v\nwant %+v", gotOff, off)
 	}

@@ -39,7 +39,7 @@ type ZooPoint struct {
 	Breakdown Breakdown
 	// Speedup is over the OoO baseline replaying the same structure.
 	Speedup float64
-	// Raw is the offload's timing detail; its Matches slice is dropped.
+	// Raw is the offload's timing detail; it carries no matches.
 	Raw *widx.OffloadResult
 }
 
@@ -179,7 +179,7 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 				CyclesPerTuple: res.CyclesPerTuple(),
 				Breakdown:      scaleBreakdown(res.WalkerTotal, w, res.Tuples),
 				Speedup:        ooo.CyclesPerTuple() / res.CyclesPerTuple(),
-				Raw:            rawDetail(res),
+				Raw:            res,
 			}
 		}
 		perKindSampling[i] = rep
