@@ -91,6 +91,10 @@ func (s SizeClass) Tuples(scale float64) int {
 	return n
 }
 
+// nodesPerBucket is the kernel index's target average chain length (the
+// kernel uses up to two nodes per bucket).
+const nodesPerBucket = 2
+
 // KernelConfig describes one hash-join kernel instance.
 type KernelConfig struct {
 	// Size selects the build-side tuple count.
@@ -101,11 +105,6 @@ type KernelConfig struct {
 	// OuterTuples is the probe-side tuple count. The paper uses 128M outer
 	// tuples for every size class; zero derives a scaled value.
 	OuterTuples int
-	// NodesPerBucket is the target average chain length (the kernel uses up
-	// to two nodes per bucket).
-	NodesPerBucket float64
-	// Hash is the hash function (the kernel uses the simple masked XOR).
-	Hash hashidx.HashKind
 	// Seed makes data generation deterministic.
 	Seed uint64
 }
@@ -114,11 +113,9 @@ type KernelConfig struct {
 // class at the given scale.
 func DefaultKernelConfig(size SizeClass, scale float64) KernelConfig {
 	return KernelConfig{
-		Size:           size,
-		Scale:          scale,
-		NodesPerBucket: 2,
-		Hash:           hashidx.HashSimple,
-		Seed:           42,
+		Size:  size,
+		Scale: scale,
+		Seed:  42,
 	}
 }
 
@@ -129,9 +126,6 @@ func (c KernelConfig) Validate() error {
 	}
 	if c.Scale < 0 {
 		return fmt.Errorf("join: negative scale")
-	}
-	if c.NodesPerBucket <= 0 {
-		return fmt.Errorf("join: NodesPerBucket must be positive")
 	}
 	if c.OuterTuples < 0 {
 		return fmt.Errorf("join: negative outer tuple count")
@@ -197,8 +191,8 @@ func BuildKernelIn(as *vm.AddressSpace, name string, cfg KernelConfig) (*Kernel,
 
 	idx, err := hashidx.Build(as, hashidx.Config{
 		Layout:      hashidx.LayoutInline,
-		Hash:        cfg.Hash,
-		BucketCount: hashidx.BucketsFor(buildN, cfg.NodesPerBucket),
+		Hash:        hashidx.HashSimple, // the kernel's simple masked XOR
+		BucketCount: hashidx.BucketsFor(buildN, nodesPerBucket),
 		Name:        name,
 	}, buildKeys, nil)
 	if err != nil {

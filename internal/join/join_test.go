@@ -34,17 +34,16 @@ func TestKernelConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []KernelConfig{
-		{Size: SizeClass(7), NodesPerBucket: 2},
-		{Size: Small, Scale: -1, NodesPerBucket: 2},
-		{Size: Small, NodesPerBucket: 0},
-		{Size: Small, NodesPerBucket: 2, OuterTuples: -5},
+		{Size: SizeClass(7)},
+		{Size: Small, Scale: -1},
+		{Size: Small, OuterTuples: -5},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("invalid config accepted: %+v", c)
 		}
 	}
-	if _, err := BuildKernel(KernelConfig{Size: Small, NodesPerBucket: 0}); err == nil {
+	if _, err := BuildKernel(KernelConfig{Size: Small, OuterTuples: -5}); err == nil {
 		t.Fatal("BuildKernel accepted an invalid config")
 	}
 }

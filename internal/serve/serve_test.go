@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -617,6 +618,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := w.Statusz(ctx); err != nil {
 		t.Errorf("daemon stopped serving after the bad knobs: %v", err)
+	}
+	// A refusal for the server's state, not the request's content, is a
+	// 503: a closed server takes no job, however well formed.
+	closed, closedURL := startServer(t, serve.Options{})
+	closed.Close()
+	body, err := json.Marshal(serve.SubmitRequest{Experiment: "kernel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(closedURL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(msg), "shutting down") {
+		t.Errorf("submission to a closed server: HTTP %d %s, want %d", resp.StatusCode, msg, http.StatusServiceUnavailable)
 	}
 
 	_, curl := startServer(t, serve.Options{Workers: []string{wurl}})

@@ -38,12 +38,20 @@ type Options struct {
 	// Parallel is the default sim worker-pool width for requests that do
 	// not pin one (0 = NumCPU), mirroring the CLI's -parallel default.
 	Parallel int
-	// QueueDepth bounds the job queue (0 = 256). Submissions beyond it
-	// are rejected with 503 rather than buffered without bound.
-	QueueDepth int
 	// Logf, when non-nil, receives one line per job transition.
 	Logf func(format string, args ...any)
 }
+
+// jobQueueDepth bounds the job queue. Submissions beyond it are rejected
+// with 503 rather than buffered without bound.
+const jobQueueDepth = 256
+
+// Submissions refused for the server's state, not their content, answer
+// 503 rather than 400.
+var (
+	errQueueFull    = errors.New("job queue is full")
+	errShuttingDown = errors.New("server is shutting down")
+)
 
 // Server executes submitted experiment jobs one at a time (each job fans
 // out internally through the sim worker pool) and serves their status,
@@ -73,16 +81,12 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	depth := opts.QueueDepth
-	if depth <= 0 {
-		depth = 256
-	}
 	s := &Server{
 		opts:  opts,
 		build: BuildFingerprint(),
 		store: store,
 		jobs:  map[string]*job{},
-		queue: make(chan *job, depth),
+		queue: make(chan *job, jobQueueDepth),
 	}
 	if opts.WarmCache || opts.WarmVerify {
 		s.warm = warmstate.New()
@@ -200,7 +204,7 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return JobStatus{}, fmt.Errorf("server is shutting down")
+		return JobStatus{}, errShuttingDown
 	}
 	s.nextID++
 	j := newJob(fmt.Sprintf("j%06d", s.nextID), req)
@@ -208,7 +212,7 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	case s.queue <- j:
 	default:
 		s.mu.Unlock()
-		return JobStatus{}, fmt.Errorf("job queue is full")
+		return JobStatus{}, errQueueFull
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -437,7 +441,11 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		st, err := s.Submit(req)
-		if err != nil {
+		switch {
+		case errors.Is(err, errQueueFull) || errors.Is(err, errShuttingDown):
+			writeError(w, http.StatusServiceUnavailable, err)
+			return
+		case err != nil:
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}

@@ -151,8 +151,6 @@ func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 		Field("size", kcfg.Size).
 		Field("scale", kcfg.Scale).
 		Field("outer", kcfg.OuterTuples).
-		Field("npb", kcfg.NodesPerBucket).
-		Field("hash", kcfg.Hash).
 		Field("seed", kcfg.Seed))
 	im, err := buildImage(c, key, func() (*vm.AddressSpace, structures.Instance, error) {
 		kernel, err := join.BuildKernel(kcfg)
