@@ -231,7 +231,7 @@ func rejectUnknownKeys(set map[string]string) error {
 // knownSubset filters -set overrides down to the parameters one experiment
 // accepts, so -run all can carry overrides that only apply to some
 // experiments (the historical -agents behavior).
-func knownSubset(e exp.Experiment, set map[string]string) map[string]string {
+func knownSubset(e *exp.Experiment, set map[string]string) map[string]string {
 	known := map[string]bool{}
 	for _, s := range exp.AllParams(e) {
 		known[s.Key] = true

@@ -21,21 +21,29 @@ import (
 
 // Experiment is one registered study: a reproduction of a figure, a table
 // or an ablation of the paper, or a new sweep-shaped study built on the
-// same harness.
-type Experiment interface {
-	// Name is the canonical registry name ("kernel", "cmp", ...).
-	Name() string
-	// Describe is a one-paragraph description of what the experiment
-	// measures and which paper artifact it reproduces.
-	Describe() string
-	// Params declares the experiment-specific parameters and their
-	// defaults. Common config parameters (CommonParams) are accepted by
-	// every experiment and are not repeated here.
-	Params() []ParamSpec
-	// Run executes the experiment at a fully resolved configuration and
-	// parameter set.
-	Run(cfg sim.Config, p Params) (Result, error)
+// same harness. The catalog (and tests) build one with NewExperiment.
+type Experiment struct {
+	name     string
+	describe string
+	params   []ParamSpec
+	run      func(cfg sim.Config, p Params) (Result, error)
 }
+
+// Name is the canonical registry name ("kernel", "cmp", ...).
+func (e *Experiment) Name() string { return e.name }
+
+// Describe is a one-paragraph description of what the experiment measures
+// and which paper artifact it reproduces.
+func (e *Experiment) Describe() string { return e.describe }
+
+// Params declares the experiment-specific parameters and their defaults.
+// Common config parameters (CommonParams) are accepted by every experiment
+// and are not repeated here.
+func (e *Experiment) Params() []ParamSpec { return e.params }
+
+// Run executes the experiment at a fully resolved configuration and
+// parameter set.
+func (e *Experiment) Run(cfg sim.Config, p Params) (Result, error) { return e.run(cfg, p) }
 
 // Result is the common encoding pair every experiment returns: the
 // fixed-width text report in the shape of the paper's figures, and the JSON
@@ -45,23 +53,9 @@ type Result interface {
 	JSON() ([]byte, error)
 }
 
-// definition is the declarative Experiment implementation the catalog (and
-// tests) build via NewExperiment.
-type definition struct {
-	name     string
-	describe string
-	params   []ParamSpec
-	run      func(cfg sim.Config, p Params) (Result, error)
-}
-
-func (d *definition) Name() string                               { return d.name }
-func (d *definition) Describe() string                           { return d.describe }
-func (d *definition) Params() []ParamSpec                        { return d.params }
-func (d *definition) Run(c sim.Config, p Params) (Result, error) { return d.run(c, p) }
-
 // NewExperiment builds an Experiment from its parts.
-func NewExperiment(name, describe string, params []ParamSpec, run func(cfg sim.Config, p Params) (Result, error)) Experiment {
-	return &definition{name: name, describe: describe, params: params, run: run}
+func NewExperiment(name, describe string, params []ParamSpec, run func(cfg sim.Config, p Params) (Result, error)) *Experiment {
+	return &Experiment{name: name, describe: describe, params: params, run: run}
 }
 
 // The registry. Registration happens from init (catalog.go) and tests;
@@ -69,9 +63,9 @@ func NewExperiment(name, describe string, params []ParamSpec, run func(cfg sim.C
 var (
 	// ordered keeps the canonical registration order — the order -run all
 	// executes and -list prints.
-	ordered []Experiment
+	ordered []*Experiment
 	// byName resolves lowercase primary names and aliases to experiments.
-	byName = map[string]Experiment{}
+	byName = map[string]*Experiment{}
 	// aliasesOf lists the aliases of each primary name, in registration
 	// order.
 	aliasesOf = map[string][]string{}
@@ -81,7 +75,7 @@ var (
 // aliases (the historical -run spellings, e.g. "fig8" for "kernel"). Names
 // are case-insensitive. Duplicate names panic: they are programming errors
 // in the catalog, not runtime conditions.
-func Register(e Experiment, aliases ...string) {
+func Register(e *Experiment, aliases ...string) {
 	names := append([]string{e.Name()}, aliases...)
 	for _, n := range names {
 		key := strings.ToLower(n)
@@ -98,7 +92,7 @@ func Register(e Experiment, aliases ...string) {
 }
 
 // Lookup resolves a name or alias, case-insensitively.
-func Lookup(name string) (Experiment, bool) {
+func Lookup(name string) (*Experiment, bool) {
 	e, ok := byName[strings.ToLower(name)]
 	return e, ok
 }
@@ -154,7 +148,7 @@ func Describe(name string) (string, error) {
 	return describeOne(e), nil
 }
 
-func describeOne(e Experiment) string {
+func describeOne(e *Experiment) string {
 	var b strings.Builder
 	header := e.Name()
 	if al := Aliases(e.Name()); len(al) > 0 {

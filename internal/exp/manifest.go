@@ -48,7 +48,7 @@ func (m *Manifest) Encode() ([]byte, error) {
 // RunOutput couples one registry run (single or sweep) with everything the
 // manifest records.
 type RunOutput struct {
-	Experiment Experiment
+	Experiment *Experiment
 	// Params is the resolved parameter set. For sweeps it holds only the
 	// non-swept keys: a swept key's base value never runs, so recording it
 	// here would mislabel the sweep — per-point values live in the axes and
@@ -90,7 +90,7 @@ func (o *RunOutput) Manifest() (*Manifest, error) {
 // Run executes the experiment once at the resolved overrides: a sweep
 // with no axes, so a single run takes the same plan, run and output path
 // as every grid.
-func Run(e Experiment, cfg sim.Config, set map[string]string) (*RunOutput, error) {
+func Run(e *Experiment, cfg sim.Config, set map[string]string) (*RunOutput, error) {
 	return RunSweep(e, cfg, set, nil)
 }
 

@@ -98,14 +98,14 @@ func CommonParams() []ParamSpec {
 
 // AllParams returns every parameter an experiment accepts: the common
 // config knobs followed by the experiment's own specs.
-func AllParams(e Experiment) []ParamSpec {
+func AllParams(e *Experiment) []ParamSpec {
 	return append(CommonParams(), e.Params()...)
 }
 
 // Resolve validates a -set style override map against an experiment's
 // accepted parameters and returns the fully resolved set (defaults filled
 // in). Unknown keys are errors: a typo must not silently run the default.
-func Resolve(e Experiment, set map[string]string) (Params, error) {
+func Resolve(e *Experiment, set map[string]string) (Params, error) {
 	specs := AllParams(e)
 	known := make(map[string]bool, len(specs))
 	p := make(Params, len(specs))

@@ -137,7 +137,7 @@ func (s *SweepResult) JSON() ([]byte, error) {
 // coordinator chunk a grid across worker processes by index and merge the
 // index-tagged results back into a report byte-identical to a local run.
 type SweepPlan struct {
-	Experiment Experiment
+	Experiment *Experiment
 	Axes       []Axis
 	// Base is the resolved base parameter set, including swept keys at
 	// their base values (the form Resolve returns).
@@ -161,7 +161,7 @@ const maxGridPoints = 4096
 // anything. No axes plan a one-point grid: a single run. RunSweep is
 // PlanSweep + Run + Output; shard executors call the pieces directly to run
 // an index subset.
-func PlanSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis) (*SweepPlan, error) {
+func PlanSweep(e *Experiment, cfg sim.Config, set map[string]string, axes []Axis) (*SweepPlan, error) {
 	base, err := Resolve(e, set)
 	if err != nil {
 		return nil, err
@@ -290,7 +290,7 @@ func (pl *SweepPlan) Run(cfg sim.Config, indices []int, onPoint func(gridIndex i
 // pointError wraps a grid point's failure in the run-error form: "exp:
 // <name>: …" for a single run, "exp: <name> [<axis assignment>]: …" for a
 // sweep point.
-func pointError(e Experiment, axes []Axis, p Params, err error) error {
+func pointError(e *Experiment, axes []Axis, p Params, err error) error {
 	name := e.Name()
 	if len(axes) > 0 {
 		name += " [" + SweepRun{Params: p}.label(axes) + "]"
@@ -335,7 +335,7 @@ func (pl *SweepPlan) Output(results []Result) (*RunOutput, error) {
 // InnerConfig) and every point writes its result into its own grid index,
 // so the report is byte-identical at any parallelism level. No axes run
 // the experiment once, as a one-point grid.
-func RunSweep(e Experiment, cfg sim.Config, set map[string]string, axes []Axis) (*RunOutput, error) {
+func RunSweep(e *Experiment, cfg sim.Config, set map[string]string, axes []Axis) (*RunOutput, error) {
 	pl, err := PlanSweep(e, cfg, set, axes)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 // estimate in the sampled block must cover the reference's window mean of
 // the same metric within its 95% confidence interval. This is the
 // -sampling-verify mode of the CLIs.
-func VerifySampled(e Experiment, cfg sim.Config, set map[string]string, sampled Result) error {
+func VerifySampled(e *Experiment, cfg sim.Config, set map[string]string, sampled Result) error {
 	sr, ok := sampled.(sim.SamplingReporter)
 	if !ok || sr.SamplingReport() == nil {
 		return fmt.Errorf("exp: %s: run carries no sampling report to verify (sampling off?)", e.Name())

@@ -315,6 +315,8 @@ func Build(s Spec) (*Bundle, error) {
 }
 
 // ForTable generates the program bundle for a built index and result region.
+//
+//widxlint:ignore deadcode used by bench/widxbench
 func ForTable(t *hashidx.Table, resultBase uint64) (*Bundle, error) {
 	return Build(SpecForTable(t, resultBase))
 }

@@ -32,12 +32,12 @@ type Report struct {
 	// Degraded reports the stream was too short for the requested windows
 	// and the run fell back to full detailed simulation.
 	Degraded bool `json:"degraded,omitempty"`
-	// FingerprintVerified reports that the combined match stream —
-	// reference matches across fast-forward spans, simulated matches
-	// across detailed spans — fingerprint-matched the full software
-	// reference. A mismatch is a hard run error, so a report that exists
-	// always carries true for design points that have a match stream;
-	// false means the run had none to check (baseline-only runs).
+	// FingerprintVerified reports that every detailed span of the design
+	// points with a match stream emitted exactly the software reference's
+	// matches for its probes (fast-forward spans take the reference's). A
+	// mismatch is a hard run error, so a report that exists always carries
+	// true for design points that have a match stream; false means the run
+	// had none to check (baseline-only runs).
 	FingerprintVerified bool `json:"fingerprint_verified"`
 	// Metrics are the per-design-point estimates, in report order.
 	Metrics []Metric `json:"metrics"`

@@ -109,7 +109,7 @@ func (s *ResultStore) Stats() *StoreStats {
 // the job's base harness config; the point's own common knobs (scale,
 // mshrs, ...) are applied from p here, so the key is identical whether
 // the point runs alone, in a full grid, or in any shard of it.
-func PointKey(build string, e exp.Experiment, cfg sim.Config, p exp.Params) (string, error) {
+func PointKey(build string, e *exp.Experiment, cfg sim.Config, p exp.Params) (string, error) {
 	resolved, err := exp.ApplyConfig(cfg, p)
 	if err != nil {
 		return "", err

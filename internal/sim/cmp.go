@@ -247,8 +247,8 @@ func (e *CMPExperiment) SamplingReport() *sampling.Report { return e.Sampling }
 // cmpAgentWorkload is one agent's private partition of the CMP workload:
 // the agent's spec, its partition — a built structure whose resident
 // regions are warmed, whose traces host cores replay and sampled runs warm
-// fast-forward spans from, and whose reference matches Widx agents
-// fast-forward through and fingerprint-verify against — and, for Widx
+// fast-forward spans from, and whose reference matches every Widx agent's
+// detailed span is checked against — and, for Widx
 // agents, the program bundle pointing at a private result region.
 type cmpAgentWorkload struct {
 	name  string
@@ -387,8 +387,8 @@ func (c Config) cmpAgentSpec(top mem.Topology, name string, spec CMPAgentSpec) m
 }
 
 // cmpAgent wires one partition's agent onto a hierarchy view: a Widx
-// accelerator over the partition's key column, fingerprint-checked against
-// its reference matches, or a host core replaying its traces.
+// accelerator over the partition's key column, each detailed span checked
+// against its reference matches, or a host core replaying its traces.
 func (c Config) cmpAgent(hier *mem.Hierarchy, as *vm.AddressSpace, w *cmpAgentWorkload) (*spanAgent, error) {
 	var a *spanAgent
 	var err error

@@ -20,16 +20,17 @@
 // excluded from measurement.
 //
 // Correctness contract: the functional output is bit-identical to the
-// software reference. Every agent with a match stream concatenates the
-// reference matches of its fast-forward spans with the simulated matches of
-// its detailed spans, in probe order, and the fingerprint of that stream
-// must equal the full reference's — a mismatch is a hard run error, in full
-// detail and sampled alike. Window placement is a pure function of (stream
-// length, knobs), so results are byte-identical at every parallelism level.
+// software reference. Every detailed span of an agent with a match stream
+// must emit exactly the reference's matches for the span's probes, in
+// order — a mismatch is a hard run error naming the span, in full detail and
+// sampled alike; fast-forward spans take the reference's matches as their
+// output. Window placement is a pure function of (stream length, knobs), so
+// results are byte-identical at every parallelism level.
 package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"widx/internal/cores"
 	"widx/internal/hashidx"
@@ -157,8 +158,8 @@ type spanEngine func(sp sampling.Span, startCycle uint64) (system.Agent, error)
 
 // spanAgent is one agent of a span execution: its hierarchy view, its
 // engine constructor, the reference traces fast-forward spans warm from,
-// and — for agents that emit matches — the reference stream their output
-// is stitched from and checked against. runSpans fills the measured
+// and — for agents that emit matches — the reference stream each detailed
+// span's output is checked against. runSpans fills the measured
 // aggregates.
 type spanAgent struct {
 	name   string
@@ -251,15 +252,9 @@ func (a *spanAgent) finish(e system.Agent, sp sampling.Span) (uint64, []uint64, 
 // functionally; a detailed round starts every agent's span engine at the
 // cycle the previous round ended (agent i arriving stagger*i later) and runs
 // them together on the system scheduler, and the round ends when the last
-// agent finishes. Every agent with a reference stream has its stitched
-// output fingerprint-checked against it.
+// agent finishes. Every agent with a reference stream has each detailed
+// span's matches checked against the reference's matches for its probes.
 func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgent) (uint64, error) {
-	streams := make([][]uint64, len(agents))
-	for i, a := range agents {
-		if a.ref != nil {
-			streams[i] = make([]uint64, 0, len(a.ref.matches))
-		}
-	}
 	var cursor uint64
 	detailed := func(sp sampling.Span) error {
 		engines := make([]system.Agent, len(agents))
@@ -280,7 +275,10 @@ func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgen
 				return err
 			}
 			if a.ref != nil {
-				streams[i] = append(streams[i], matches...)
+				if want := a.ref.segment(sp.Start, sp.End); !slices.Equal(matches, want) {
+					return fmt.Errorf("sim: %s output diverged from the software reference in probes [%d, %d) (%d matches, want %d)",
+						a.name, sp.Start, sp.End, len(matches), len(want))
+				}
 			}
 			if end := uint64(i)*stagger + cycles; end > roundEnd {
 				roundEnd = end
@@ -290,10 +288,7 @@ func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgen
 		return nil
 	}
 	ff := func(sp sampling.Span) error {
-		for i, a := range agents {
-			if a.ref != nil {
-				streams[i] = append(streams[i], a.ref.segment(sp.Start, sp.End)...)
-			}
+		for _, a := range agents {
 			if err := c.ffSpan(a.hier, a.warmKey, a.traces, sp); err != nil {
 				return err
 			}
@@ -307,15 +302,6 @@ func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgen
 	}
 	if err := plan.Run(ff, detailed); err != nil {
 		return 0, err
-	}
-	for i, a := range agents {
-		if a.ref == nil {
-			continue
-		}
-		if got, want := structures.Fingerprint(streams[i]), structures.Fingerprint(a.ref.matches); got != want {
-			return 0, fmt.Errorf("sim: %s output diverged from the software reference (%d matches fp %#x, want %d fp %#x)",
-				a.name, len(streams[i]), got, len(a.ref.matches), want)
-		}
 	}
 	return cursor, nil
 }
@@ -334,8 +320,8 @@ func addCoreResult(agg *cores.Result, r cores.Result) {
 }
 
 // addOffloadResult accumulates one measured span's offload result. The
-// aggregate keeps no matches: the span's match stream is stitched and
-// fingerprint-checked by runSpans, and no report reads the aggregate's.
+// aggregate keeps no matches: runSpans checks each span's matches against
+// the reference, and no report reads the aggregate's.
 func addOffloadResult(agg *widx.OffloadResult, r *widx.OffloadResult) {
 	agg.Tuples += r.Tuples
 	agg.TotalCycles += r.TotalCycles
@@ -355,8 +341,8 @@ func addOffloadResult(agg *widx.OffloadResult, r *widx.OffloadResult) {
 // samplingReport seeds the run's sampling block from the executed plan, or
 // returns nil when sampling is off: full-detail results carry no block, so
 // their manifests stay byte-identical to pre-sampling ones. verified
-// reports that at least one agent's match stream was fingerprint-checked
-// (mismatches abort the run).
+// reports that at least one agent's detailed spans were checked against
+// the software reference (mismatches abort the run).
 func (c Config) samplingReport(plan sampling.Plan, verified bool) *sampling.Report {
 	if !c.sampling() {
 		return nil

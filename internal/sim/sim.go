@@ -16,8 +16,8 @@
 // (sampled.go) under a sampling.Plan, SMARTS-style: full detail is simply
 // the plan with one measured span covering the stream, and
 // Config.SampleWindows switches to systematic detailed windows with
-// functional fast-forward between them. Every Widx agent's match stream is
-// fingerprint-checked against the software reference either way.
+// functional fast-forward between them. Every Widx agent's detailed spans
+// are checked match for match against the software reference either way.
 //
 // Because the design points are independent experiments, the harness can run
 // them concurrently: Config.Parallelism sets the worker count, and the runner

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"widx/internal/cores"
 	"widx/internal/hashidx"
 	"widx/internal/join"
+	"widx/internal/sampling"
 	"widx/internal/structures"
 	"widx/internal/widx"
 )
@@ -98,5 +100,33 @@ func TestFullDetailChecksFingerprint(t *testing.T) {
 	_, _, _, err = c.runPhase(ph, nil, c.walkerPoints(widx.SharedDispatcher))
 	if err == nil || !strings.Contains(err.Error(), "diverged from the software reference") {
 		t.Fatalf("full-detail run with a tampered reference returned %v, want a fingerprint mismatch", err)
+	}
+}
+
+// TestSampledRunNamesDivergedSpan pins that a sampled run checks each
+// detailed span on its own: a reference tampered inside the last measured
+// window fails the run, and the error names that window's probe range.
+func TestSampledRunNamesDivergedSpan(t *testing.T) {
+	c := sampledTestConfig()
+	ph, err := c.kernelPhase(join.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, traces := ph.inst.Reference()
+	plan := c.samplePlan(len(traces))
+	sp := plan.Spans[len(plan.Spans)-1]
+	if plan.Degraded || sp.Kind != sampling.Measure || sp.Start == 0 {
+		t.Fatalf("plan ends with %+v (degraded %v), want a measured window after probe 0", sp, plan.Degraded)
+	}
+	first := ph.inst.MatchBounds()[sp.Start-1]
+	if first == len(matches) {
+		t.Fatal("last measured window has no reference matches to tamper with")
+	}
+	tampered := append([]uint64(nil), matches...)
+	tampered[first] ^= 1
+	ph.inst = tamperedInstance{Instance: ph.inst, matches: tampered}
+	_, _, _, err = c.runPhase(ph, nil, c.walkerPoints(widx.SharedDispatcher))
+	if want := fmt.Sprintf("diverged from the software reference in probes [%d, %d)", sp.Start, sp.End); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("sampled run with a tampered window returned %v, want an error containing %q", err, want)
 	}
 }

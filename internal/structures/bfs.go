@@ -120,6 +120,22 @@ func (g *bfsGraph) expand(as *vm.AddressSpace, v uint64) (payloads []uint64, ste
 	return payloads, steps
 }
 
+// dispatcherProgram generates the frontier dispatcher: it loads the vertex
+// id and emits the vertex's rowptr slot as the walk's start.
+func (g *bfsGraph) dispatcherProgram(name string) *isa.Program {
+	return isa.MustAssemble(fmt.Sprintf(`
+.unit dispatcher
+.name %s
+.in r1
+.out r2, r3
+.const r21, %d
+    ld   r3, [r1]          ; frontier vertex id
+    addshf r2, r21, r3, 3  ; its rowptr slot
+    emit
+    halt
+`, name, g.rowBase))
+}
+
 // walkerProgram generates the frontier-expansion walker. The touching
 // variant TOUCHes one cache block ahead in the edge array on every
 // iteration, covering the scan's next block before the current edge's
@@ -155,13 +171,7 @@ done:
 `, name, g.edgeBase, g.propBase, touchSrc))
 }
 
-// bfsInstance is the built BFS workload.
-type bfsInstance struct {
-	baseInstance
-	graph *bfsGraph
-}
-
-func buildBFS(as *vm.AddressSpace, cfg BuildConfig) (*bfsInstance, error) {
+func buildBFS(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	graph := buildBFSGraph(as, cfg.Name+".csr", rng, cfg.Keys)
 	order := graph.discoveryOrder(as)
@@ -169,47 +179,21 @@ func buildBFS(as *vm.AddressSpace, cfg BuildConfig) (*bfsInstance, error) {
 	for i := range probes {
 		probes[i] = order[i%len(order)]
 	}
-	probeBase := writeColumn(as, cfg.Name+".probes", probes)
-
-	inst := &bfsInstance{graph: graph}
-	inst.kind = BFS
-	inst.probeBase = probeBase
-	inst.probes = len(probes)
-	inst.regions = graph.regions
-	inst.geom = Geometry{
-		NodeBytes:      8,
-		Fanout:         (bfsMinDegree + bfsMinDegree + bfsDegreeSpread - 1) / 2,
-		Levels:         2,
-		FootprintBytes: regionSpan(inst.regions),
-		Locality:       "sequential edge scan fanning into random gathers",
+	in := &instance{
+		kind:      BFS,
+		probeBase: writeColumn(as, cfg.Name+".probes", probes),
+		regions:   graph.regions,
+		geom: Geometry{
+			NodeBytes:      8,
+			Fanout:         (bfsMinDegree + bfsMinDegree + bfsDegreeSpread - 1) / 2,
+			Levels:         2,
+			FootprintBytes: regionSpan(graph.regions),
+			Locality:       "sequential edge scan fanning into random gathers",
+		},
+		gen: func(opt ProgramOptions) (d, w *isa.Program, err error) {
+			return graph.dispatcherProgram("dispatch_bfs"), graph.walkerProgram("walk_bfs", opt.TouchWalker), nil
+		},
 	}
-	for i, v := range probes {
-		payloads, steps := graph.expand(as, v)
-		inst.matches = append(inst.matches, payloads...)
-		inst.traces = append(inst.traces, hashidx.ProbeTrace{
-			Key:        v,
-			KeyAddr:    probeBase + uint64(i)*8,
-			HashOps:    1,
-			BucketAddr: graph.rowBase + v*8,
-			Steps:      steps,
-		})
-		inst.closeProbe()
-	}
-	return inst, nil
-}
-
-func (b *bfsInstance) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
-	d := isa.MustAssemble(fmt.Sprintf(`
-.unit dispatcher
-.name dispatch_bfs
-.in r1
-.out r2, r3
-.const r21, %d
-    ld   r3, [r1]          ; frontier vertex id
-    addshf r2, r21, r3, 3  ; its rowptr slot
-    emit
-    halt
-`, b.graph.rowBase))
-	w := b.graph.walkerProgram("walk_bfs", opt.TouchWalker)
-	return finishPrograms(d, w, resultBase, opt)
+	in.reference(as, probes, func(v uint64) uint64 { return graph.rowBase + v*8 }, graph.expand)
+	return in, nil
 }

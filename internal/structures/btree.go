@@ -36,10 +36,11 @@ const btreePayloadTag = uint64(0xB7) << 40
 
 func btreePayload(key uint64) uint64 { return key ^ btreePayloadTag }
 
-// btreeIndex is one bulk-loaded B+-tree.
+// btreeIndex is one bulk-loaded B+-tree and the range span of its probes.
 type btreeIndex struct {
 	root   uint64
 	height int // inner levels above the leaves
+	span   int // consecutive key values each probe covers (1 = point probe)
 	region [2]uint64
 }
 
@@ -47,7 +48,7 @@ type btreeIndex struct {
 // inner levels bottom-up, all in one arena. Each leaf takes up to 7 keys,
 // each inner node up to 8 children with 7 separators (the children's
 // minimum keys, first child excluded).
-func buildBTreeIndex(as *vm.AddressSpace, name string, sortedKeys []uint64) *btreeIndex {
+func buildBTreeIndex(as *vm.AddressSpace, name string, sortedKeys []uint64, span int) *btreeIndex {
 	type level struct {
 		count int // nodes on this level
 	}
@@ -65,7 +66,7 @@ func buildBTreeIndex(as *vm.AddressSpace, name string, sortedKeys []uint64) *btr
 		total += n
 	}
 	base := as.AllocAligned(name, uint64(total)*btreeNodeBytes)
-	idx := &btreeIndex{height: len(levels) - 1, region: [2]uint64{base, base + uint64(total)*btreeNodeBytes}}
+	idx := &btreeIndex{height: len(levels) - 1, span: span, region: [2]uint64{base, base + uint64(total)*btreeNodeBytes}}
 
 	// Leaves first in the arena, then each inner level; node i of level l
 	// sits at levelBase[l] + i*128.
@@ -127,8 +128,8 @@ func buildBTreeIndex(as *vm.AddressSpace, name string, sortedKeys []uint64) *btr
 // leaf chain emitting every payload with key in [probe, probe+span-1]. One
 // step per visited node, CompareOps counting the separator/entry
 // comparisons performed there.
-func (bt *btreeIndex) lookup(as *vm.AddressSpace, probe uint64, span int) (payloads []uint64, steps []hashidx.TraceStep) {
-	hi := probe + uint64(span) - 1
+func (bt *btreeIndex) lookup(as *vm.AddressSpace, probe uint64) (payloads []uint64, steps []hashidx.TraceStep) {
+	hi := probe + uint64(bt.span) - 1
 	node := bt.root
 	for lvl := 0; lvl < bt.height; lvl++ {
 		count := as.Read64(node + btreeCountOff)
@@ -169,7 +170,7 @@ func (bt *btreeIndex) lookup(as *vm.AddressSpace, probe uint64, span int) (paylo
 // enters as the probe+span-1 high key. The touching variant TOUCHes the
 // node's second cache block — children on inner nodes, payloads on leaves —
 // on arrival, while the first block's keys are still being scanned.
-func (bt *btreeIndex) walkerProgram(name string, span int, touch bool) *isa.Program {
+func (bt *btreeIndex) walkerProgram(name string, touch bool) *isa.Program {
 	innerTouch, leafTouch := "", ""
 	if touch {
 		innerTouch = "    touch [r1+64]      ; prefetch the child block\n"
@@ -224,53 +225,30 @@ next:
     ba   leaf
 done:
     halt
-`, name, bt.height, span-1, innerTouch, btreeKeysOff, btreeDownOff,
+`, name, bt.height, bt.span-1, innerTouch, btreeKeysOff, btreeDownOff,
 		leafTouch, btreeKeysOff, btreeDownOff, btreeNextOff))
 }
 
-// btreeInstance is the built B+-tree workload.
-type btreeInstance struct {
-	baseInstance
-	index *btreeIndex
-	span  int
-}
-
-func buildBTree(as *vm.AddressSpace, cfg BuildConfig) (*btreeInstance, error) {
+func buildBTree(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	ks := genKeySet(rng, cfg.Keys)
-	idx := buildBTreeIndex(as, cfg.Name+".arena", ks.sorted())
+	idx := buildBTreeIndex(as, cfg.Name+".arena", ks.sorted(), cfg.Span)
 	probes := ks.probeStream(rng, cfg.Probes)
-	probeBase := writeColumn(as, cfg.Name+".probes", probes)
-
-	inst := &btreeInstance{index: idx, span: cfg.Span}
-	inst.kind = BTree
-	inst.probeBase = probeBase
-	inst.probes = len(probes)
-	inst.regions = [][2]uint64{idx.region}
-	inst.geom = Geometry{
-		NodeBytes:      btreeNodeBytes,
-		Fanout:         btreeFanout,
-		Levels:         idx.height + 1,
-		FootprintBytes: regionSpan(inst.regions),
-		Locality:       "blocked descent, two cache lines per node",
+	in := &instance{
+		kind:      BTree,
+		probeBase: writeColumn(as, cfg.Name+".probes", probes),
+		regions:   [][2]uint64{idx.region},
+		geom: Geometry{
+			NodeBytes:      btreeNodeBytes,
+			Fanout:         btreeFanout,
+			Levels:         idx.height + 1,
+			FootprintBytes: idx.region[1] - idx.region[0],
+			Locality:       "blocked descent, two cache lines per node",
+		},
+		gen: func(opt ProgramOptions) (d, w *isa.Program, err error) {
+			return constTargetDispatcher("dispatch_btree", idx.root), idx.walkerProgram("walk_btree", opt.TouchWalker), nil
+		},
 	}
-	for i, p := range probes {
-		payloads, steps := idx.lookup(as, p, cfg.Span)
-		inst.matches = append(inst.matches, payloads...)
-		inst.traces = append(inst.traces, hashidx.ProbeTrace{
-			Key:        p,
-			KeyAddr:    probeBase + uint64(i)*8,
-			HashOps:    1,
-			BucketAddr: idx.root,
-			Steps:      steps,
-		})
-		inst.closeProbe()
-	}
-	return inst, nil
-}
-
-func (bt *btreeInstance) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
-	d := constTargetDispatcher("dispatch_btree", bt.index.root)
-	w := bt.index.walkerProgram("walk_btree", bt.span, opt.TouchWalker)
-	return finishPrograms(d, w, resultBase, opt)
+	in.reference(as, probes, func(uint64) uint64 { return idx.root }, idx.lookup)
+	return in, nil
 }

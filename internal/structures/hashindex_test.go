@@ -26,8 +26,8 @@ func testKernel(t *testing.T) (*join.Kernel, Instance) {
 }
 
 // indirectIndex builds a MonetDB-layout index with a probe column of hits
-// and misses, wrapped as a HashIndex.
-func indirectIndex(t *testing.T) (*hashidx.Table, Instance, uint64) {
+// and misses, wrapped as a HashIndex, and returns its address space.
+func indirectIndex(t *testing.T) (*hashidx.Table, Instance, *vm.AddressSpace) {
 	t.Helper()
 	as := vm.New()
 	keys := []uint64{11, 22, 33, 44, 55, 66, 77, 88, 22}
@@ -41,7 +41,7 @@ func indirectIndex(t *testing.T) (*hashidx.Table, Instance, uint64) {
 	for i, p := range probes {
 		traces[i] = tbl.ProbeFrom(p, base+uint64(i)*8).Trace
 	}
-	return tbl, HashIndex(tbl, base, traces), as.AllocAligned("results", 256)
+	return tbl, HashIndex(tbl, base, traces), as
 }
 
 // TestHashIndexProgramsAreForTable pins that a HashIndex's default bundle is
@@ -111,7 +111,8 @@ func TestHashIndexReferenceIsTraceMatches(t *testing.T) {
 // TestHashIndexTouchWalkerNeedsInlineLayout pins that the touching walker,
 // which reads inline-layout node offsets, is refused for an indirect index.
 func TestHashIndexTouchWalkerNeedsInlineLayout(t *testing.T) {
-	_, inst, resultBase := indirectIndex(t)
+	_, inst, as := indirectIndex(t)
+	resultBase := as.AllocAligned("results", 256)
 	if _, err := inst.Programs(resultBase, ProgramOptions{TouchWalker: true}); err == nil {
 		t.Fatal("touching walker accepted for an indirect-layout index")
 	}

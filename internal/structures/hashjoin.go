@@ -24,36 +24,48 @@ const hashjoinPayloadTag = uint64(0x8A) << 40
 
 func hashjoinPayload(key uint64) uint64 { return key ^ hashjoinPayloadTag }
 
-// hashIndex is a built hash index probed by one key column.
-type hashIndex struct {
-	baseInstance
-	table *hashidx.Table
-}
-
 // HashIndex wraps a built hash index as an Instance: traces are the
 // reference traces of the probe stream, probe i's key read from
 // probeBase+8*i, and the reference matches are read off them
-// (hashidx.Table.TraceMatches), so the instance probes nothing itself.
+// (hashidx.Table.TraceMatches), so the instance probes nothing itself. Its
+// programs are the table's canonical dispatcher and walker
+// (program.ForTable's), or the touching walker on an inline-layout table.
 func HashIndex(tbl *hashidx.Table, probeBase uint64, traces []hashidx.ProbeTrace) Instance {
-	h := &hashIndex{table: tbl}
-	h.kind = HashJoin
-	h.probeBase = probeBase
-	h.probes = len(traces)
-	h.regions = tbl.Regions()
-	h.geom = Geometry{
-		NodeBytes:      int(tbl.NodeSize()),
-		Fanout:         1,
-		Levels:         tbl.MaxChain(),
-		FootprintBytes: tbl.FootprintBytes(),
-		Locality:       "hashed bucket headers, short collision chains",
+	// The dispatcher and walker read only the table's geometry; the result
+	// region enters through the producer.
+	spec := program.SpecForTable(tbl, 0)
+	in := &instance{
+		kind:      HashJoin,
+		probeBase: probeBase,
+		regions:   tbl.Regions(),
+		geom: Geometry{
+			NodeBytes:      int(tbl.NodeSize()),
+			Fanout:         1,
+			Levels:         tbl.MaxChain(),
+			FootprintBytes: tbl.FootprintBytes(),
+			Locality:       "hashed bucket headers, short collision chains",
+		},
+		traces: traces,
+		bounds: make([]int, len(traces)),
+		gen: func(opt ProgramOptions) (d, w *isa.Program, err error) {
+			if opt.TouchWalker && spec.Layout != hashidx.LayoutInline {
+				return nil, nil, fmt.Errorf("structures: the touching walker reads inline-layout nodes, not %s", spec.Layout)
+			}
+			if d, err = program.Dispatcher(spec); err != nil {
+				return nil, nil, err
+			}
+			if opt.TouchWalker {
+				return d, touchWalker(), nil
+			}
+			w, err = program.Walker(spec)
+			return d, w, err
+		},
 	}
-	h.traces = traces
-	h.bounds = make([]int, 0, len(traces))
 	for i := range traces {
-		h.matches = append(h.matches, tbl.TraceMatches(&traces[i])...)
-		h.closeProbe()
+		in.matches = append(in.matches, tbl.TraceMatches(&traces[i])...)
+		in.bounds[i] = len(in.matches)
 	}
-	return h
+	return in
 }
 
 // buildHashJoin builds the zoo's hash join: unique keys with tagged
@@ -111,21 +123,4 @@ step:
 done:
     halt
 `)
-}
-
-// Programs generates the table's canonical bundle (program.ForTable), with
-// the touching walker and the dispatcher prefetch applied on request.
-func (h *hashIndex) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
-	if layout := h.table.Config().Layout; opt.TouchWalker && layout != hashidx.LayoutInline {
-		return nil, fmt.Errorf("structures: the touching walker reads inline-layout nodes, not %s", layout)
-	}
-	b, err := program.ForTable(h.table, resultBase)
-	if err != nil {
-		return nil, err
-	}
-	w := b.Walker
-	if opt.TouchWalker {
-		w = touchWalker()
-	}
-	return finishPrograms(b.Dispatcher, w, resultBase, opt)
 }

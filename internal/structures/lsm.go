@@ -336,48 +336,26 @@ done:
 		skipNextOff, skipPayloadOff, blockTouch, lsmEntryOff, lsmEntryStride, lsmLevelDescSize))
 }
 
-// lsmInstance is the built LSM workload.
-type lsmInstance struct {
-	baseInstance
-	tree *lsmTree
-}
-
-func buildLSM(as *vm.AddressSpace, cfg BuildConfig) (*lsmInstance, error) {
+func buildLSM(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	ks := genKeySet(rng, cfg.Keys)
 	tree := buildLSMTree(as, cfg.Name+".lsm", rng, ks)
 	probes := ks.probeStream(rng, cfg.Probes)
-	probeBase := writeColumn(as, cfg.Name+".probes", probes)
-
-	inst := &lsmInstance{tree: tree}
-	inst.kind = LSM
-	inst.probeBase = probeBase
-	inst.probes = len(probes)
-	inst.regions = tree.regions
-	inst.geom = Geometry{
-		NodeBytes:      lsmBlockBytes,
-		Fanout:         lsmBlockEntries,
-		Levels:         1 + len(tree.levels),
-		FootprintBytes: regionSpan(inst.regions),
-		Locality:       "tower memtable, then strided fences and blocked scans",
+	in := &instance{
+		kind:      LSM,
+		probeBase: writeColumn(as, cfg.Name+".probes", probes),
+		regions:   tree.regions,
+		geom: Geometry{
+			NodeBytes:      lsmBlockBytes,
+			Fanout:         lsmBlockEntries,
+			Levels:         1 + len(tree.levels),
+			FootprintBytes: regionSpan(tree.regions),
+			Locality:       "tower memtable, then strided fences and blocked scans",
+		},
+		gen: func(opt ProgramOptions) (d, w *isa.Program, err error) {
+			return constTargetDispatcher("dispatch_lsm", tree.memtable.head), tree.walkerProgram("walk_lsm", opt.TouchWalker), nil
+		},
 	}
-	for i, p := range probes {
-		payloads, steps := tree.lookup(as, p)
-		inst.matches = append(inst.matches, payloads...)
-		inst.traces = append(inst.traces, hashidx.ProbeTrace{
-			Key:        p,
-			KeyAddr:    probeBase + uint64(i)*8,
-			HashOps:    1,
-			BucketAddr: tree.memtable.head,
-			Steps:      steps,
-		})
-		inst.closeProbe()
-	}
-	return inst, nil
-}
-
-func (l *lsmInstance) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
-	d := constTargetDispatcher("dispatch_lsm", l.tree.memtable.head)
-	w := l.tree.walkerProgram("walk_lsm", opt.TouchWalker)
-	return finishPrograms(d, w, resultBase, opt)
+	in.reference(as, probes, func(uint64) uint64 { return tree.memtable.head }, tree.lookup)
+	return in, nil
 }

@@ -179,48 +179,26 @@ done:
 `, name, skipNextOff+8*(sa.levels-1), touchSrc, skipNextOff, skipPayloadOff))
 }
 
-// skipListInstance is the built skip-list workload.
-type skipListInstance struct {
-	baseInstance
-	arena *skipArena
-}
-
-func buildSkipList(as *vm.AddressSpace, cfg BuildConfig) (*skipListInstance, error) {
+func buildSkipList(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	ks := genKeySet(rng, cfg.Keys)
 	arena := buildSkipArena(as, cfg.Name+".arena", rng, ks.sorted(), skipPayload)
 	probes := ks.probeStream(rng, cfg.Probes)
-	probeBase := writeColumn(as, cfg.Name+".probes", probes)
-
-	inst := &skipListInstance{arena: arena}
-	inst.kind = SkipList
-	inst.probeBase = probeBase
-	inst.probes = len(probes)
-	inst.regions = [][2]uint64{arena.region}
-	inst.geom = Geometry{
-		NodeBytes:      int(arena.nodeSize),
-		Fanout:         1,
-		Levels:         arena.levels,
-		FootprintBytes: regionSpan(inst.regions),
-		Locality:       "shuffled tower descent, one pointer per step",
+	in := &instance{
+		kind:      SkipList,
+		probeBase: writeColumn(as, cfg.Name+".probes", probes),
+		regions:   [][2]uint64{arena.region},
+		geom: Geometry{
+			NodeBytes:      int(arena.nodeSize),
+			Fanout:         1,
+			Levels:         arena.levels,
+			FootprintBytes: arena.region[1] - arena.region[0],
+			Locality:       "shuffled tower descent, one pointer per step",
+		},
+		gen: func(opt ProgramOptions) (d, w *isa.Program, err error) {
+			return constTargetDispatcher("dispatch_skiplist", arena.head), arena.walkerProgram("walk_skiplist", opt.TouchWalker), nil
+		},
 	}
-	for i, p := range probes {
-		payloads, steps := arena.lookup(as, p)
-		inst.matches = append(inst.matches, payloads...)
-		inst.traces = append(inst.traces, hashidx.ProbeTrace{
-			Key:        p,
-			KeyAddr:    probeBase + uint64(i)*8,
-			HashOps:    1,
-			BucketAddr: arena.head,
-			Steps:      steps,
-		})
-		inst.closeProbe()
-	}
-	return inst, nil
-}
-
-func (s *skipListInstance) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
-	d := constTargetDispatcher("dispatch_skiplist", s.arena.head)
-	w := s.arena.walkerProgram("walk_skiplist", opt.TouchWalker)
-	return finishPrograms(d, w, resultBase, opt)
+	in.reference(as, probes, func(uint64) uint64 { return arena.head }, arena.lookup)
+	return in, nil
 }

@@ -253,9 +253,9 @@ type Instance interface {
 	// MatchBounds returns the cumulative per-probe offsets into the
 	// flattened match stream: probe i's matches are
 	// matches[bounds[i]:bounds[i+1]] with an implicit bounds[-1] of 0, so
-	// bounds[i] is the stream length after probe i. The sampled simulator
-	// uses it to splice reference matches for fast-forwarded probe ranges
-	// into the combined fingerprint stream. Callers must not mutate the
+	// bounds[i] is the stream length after probe i. The span executor
+	// uses it to check each detailed span's matches against the
+	// reference's matches for the same probes. Callers must not mutate the
 	// slice.
 	MatchBounds() []int
 	// Programs generates the Widx bundle targeting resultBase. The match
@@ -305,34 +305,72 @@ func Fingerprint(matches []uint64) uint64 {
 	return h.Sum64()
 }
 
-// baseInstance carries the fields every structure shares; concrete types
-// embed it and add Programs.
-type baseInstance struct {
+// instance is the one Instance implementation. A build fills in the probe
+// column, the geometry and regions, the software reference (through
+// reference, or read off a HashIndex's traces) and gen, the structure's
+// dispatcher and walker for a ProgramOptions; Programs adds the rest.
+type instance struct {
 	kind      Kind
 	probeBase uint64
-	probes    int
 	geom      Geometry
 	regions   [][2]uint64
 	matches   []uint64
 	bounds    []int
 	traces    []hashidx.ProbeTrace
+	gen       func(opt ProgramOptions) (dispatcher, walker *isa.Program, err error)
 }
 
-func (b *baseInstance) Kind() Kind           { return b.kind }
-func (b *baseInstance) ProbeKeyBase() uint64 { return b.probeBase }
-func (b *baseInstance) ProbeCount() int      { return b.probes }
-func (b *baseInstance) Geometry() Geometry   { return b.geom }
-func (b *baseInstance) Regions() [][2]uint64 { return b.regions }
-func (b *baseInstance) Reference() ([]uint64, []hashidx.ProbeTrace) {
-	return b.matches, b.traces
+func (in *instance) Kind() Kind           { return in.kind }
+func (in *instance) ProbeKeyBase() uint64 { return in.probeBase }
+func (in *instance) ProbeCount() int      { return len(in.traces) }
+func (in *instance) Geometry() Geometry   { return in.geom }
+func (in *instance) Regions() [][2]uint64 { return in.regions }
+func (in *instance) Reference() ([]uint64, []hashidx.ProbeTrace) {
+	return in.matches, in.traces
 }
-func (b *baseInstance) MatchBounds() []int { return b.bounds }
+func (in *instance) MatchBounds() []int { return in.bounds }
 
-// closeProbe records the end of one probe's matches in the per-probe
-// bounds; every builder calls it once per probe, right after appending the
-// probe's matches and trace.
-func (b *baseInstance) closeProbe() {
-	b.bounds = append(b.bounds, len(b.matches))
+// Programs bundles gen's dispatcher, with the key prefetch applied on
+// request, gen's walker and the producer storing to resultBase.
+func (in *instance) Programs(resultBase uint64, opt ProgramOptions) (*Programs, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	d, w, err := in.gen(opt)
+	if err != nil {
+		return nil, err
+	}
+	if d, err = withKeyPrefetch(d, opt.PrefetchDist); err != nil {
+		return nil, err
+	}
+	pr, err := program.Producer(resultBase)
+	if err != nil {
+		return nil, err
+	}
+	return &Programs{Dispatcher: d, Walker: w, Producer: pr}, nil
+}
+
+// reference records the software reference of probes, whose column sits at
+// in.probeBase: probe i's matches, in traversal order, join the flattened
+// stream, and its trace loads the key from probeBase+8i and starts the
+// traversal at entry(p) with lookup's steps. lookup reads the structure
+// only through the address space this loop passes it.
+func (in *instance) reference(as *vm.AddressSpace, probes []uint64, entry func(p uint64) uint64,
+	lookup func(as *vm.AddressSpace, p uint64) (matches []uint64, steps []hashidx.TraceStep)) {
+	in.traces = make([]hashidx.ProbeTrace, len(probes))
+	in.bounds = make([]int, len(probes))
+	for i, p := range probes {
+		matches, steps := lookup(as, p)
+		in.matches = append(in.matches, matches...)
+		in.bounds[i] = len(in.matches)
+		in.traces[i] = hashidx.ProbeTrace{
+			Key:        p,
+			KeyAddr:    in.probeBase + uint64(i)*8,
+			HashOps:    1,
+			BucketAddr: entry(p),
+			Steps:      steps,
+		}
+	}
 }
 
 // regionSpan sums the regions' sizes for the geometry footprint.
@@ -427,21 +465,4 @@ func withKeyPrefetch(p *isa.Program, dist int) (*isa.Program, error) {
 		return nil, err
 	}
 	return cp, nil
-}
-
-// finishPrograms applies the dispatcher prefetch option and bundles the
-// three validated programs.
-func finishPrograms(d, w *isa.Program, resultBase uint64, opt ProgramOptions) (*Programs, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	d, err := withKeyPrefetch(d, opt.PrefetchDist)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := program.Producer(resultBase)
-	if err != nil {
-		return nil, err
-	}
-	return &Programs{Dispatcher: d, Walker: w, Producer: pr}, nil
 }

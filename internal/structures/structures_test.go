@@ -125,6 +125,43 @@ func TestDispatcherPrefetchSameMatches(t *testing.T) {
 	}
 }
 
+// TestTracesLoadEachProbeKey pins the trace invariants the reference loop
+// owns, for every structure and for a HashIndex over an indirect-layout
+// table: one trace per probe, trace i loading probe i's key from
+// ProbeKeyBase()+8i (the OoO baseline's key fetch reads KeyAddr and Key), a
+// traversal entry and at least one step.
+func TestTracesLoadEachProbeKey(t *testing.T) {
+	type built struct {
+		name string
+		inst Instance
+		as   *vm.AddressSpace
+	}
+	var cases []built
+	for _, k := range Kinds() {
+		inst, as, _ := buildTest(t, testConfig(k))
+		cases = append(cases, built{k.String(), inst, as})
+	}
+	_, indirect, as := indirectIndex(t)
+	cases = append(cases, built{"indirect hash index", indirect, as})
+	for _, c := range cases {
+		_, traces := c.inst.Reference()
+		if len(traces) != c.inst.ProbeCount() {
+			t.Fatalf("%s: %d traces for %d probes", c.name, len(traces), c.inst.ProbeCount())
+		}
+		for i, tr := range traces {
+			if want := c.inst.ProbeKeyBase() + uint64(i)*8; tr.KeyAddr != want {
+				t.Fatalf("%s: trace %d loads its key from %#x, want %#x", c.name, i, tr.KeyAddr, want)
+			}
+			if got := c.as.Read64(tr.KeyAddr); got != tr.Key {
+				t.Fatalf("%s: trace %d has key %d, its column holds %d", c.name, i, tr.Key, got)
+			}
+			if tr.BucketAddr == 0 || len(tr.Steps) == 0 {
+				t.Fatalf("%s: trace %d has entry %#x and %d steps", c.name, i, tr.BucketAddr, len(tr.Steps))
+			}
+		}
+	}
+}
+
 func TestBuildIsDeterministic(t *testing.T) {
 	for _, k := range Kinds() {
 		cfg := testConfig(k)

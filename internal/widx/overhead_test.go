@@ -2,6 +2,7 @@ package widx
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -92,6 +93,22 @@ func baselineRun(tb testing.TB, f *fixture) time.Duration {
 	return time.Since(start)
 }
 
+// bestOfThree warms a and b once each, then runs them alternately three
+// times each and returns each one's fastest run. Alternating puts both
+// sides of a guard's ratio under the same load from whatever shares the
+// CPUs (other packages' tests under go test ./...), so a burst of it cannot
+// land on one side only.
+func bestOfThree(a, b func() time.Duration) (bestA, bestB time.Duration) {
+	a()
+	b()
+	bestA, bestB = time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		bestA = min(bestA, a())
+		bestB = min(bestB, b())
+	}
+	return bestA, bestB
+}
+
 // TestSchedulerOverheadBudget is the benchmark-smoke guard: the stepped core
 // must not silently regress simulation wall-clock. The primary check is the
 // scheduler-vs-baseline ratio (runner-speed independent); the absolute floor
@@ -104,20 +121,9 @@ func TestSchedulerOverheadBudget(t *testing.T) {
 		t.Skip("perf guard skipped in short mode")
 	}
 	f := guardWorkload(t)
-	// Warm both paths once, then take the best of three to shed noise.
-	steppedRun(t, f)
-	baselineRun(t, f)
-	best := func(run func(testing.TB, *fixture) time.Duration) time.Duration {
-		b := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			if d := run(t, f); d < b {
-				b = d
-			}
-		}
-		return b
-	}
-	stepped := best(steppedRun)
-	baseline := best(baselineRun)
+	stepped, baseline := bestOfThree(
+		func() time.Duration { return steppedRun(t, f) },
+		func() time.Duration { return baselineRun(t, f) })
 
 	ratio := float64(stepped) / float64(baseline)
 	keysPerSec := float64(len(f.probeKeys)) / stepped.Seconds()
@@ -209,20 +215,7 @@ func TestMultiAgentSchedulerOverheadBudget(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	// Warm once, then best of three.
-	soloRun()
-	coRun()
-	best := func(run func() time.Duration) time.Duration {
-		b := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			if d := run(); d < b {
-				b = d
-			}
-		}
-		return b
-	}
-	solo := best(soloRun)
-	co := best(coRun)
+	solo, co := bestOfThree(soloRun, coRun)
 	ratio := float64(co) / float64(solo)
 	t.Logf("co-run(%d agents)=%v solo-sum=%v ratio=%.2fx", k, co, solo, ratio)
 	if ratio > maxMultiAgentOverheadRatio {
