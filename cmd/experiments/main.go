@@ -55,6 +55,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,49 +71,63 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the registered experiments and exit")
-	describe := flag.String("describe", "", "print the catalog entry for one experiment (or \"all\") and exit")
-	run := flag.String("run", "all", "experiment to run: all, a registered name, or a historical alias (fig2..fig11, fig5sim)")
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is the command with its arguments; it returns the exit status, so
+// the profiles stop (and are written) on every exit path: 0 on success, 1
+// when a run or its configuration fails, 2 for an unknown experiment or a
+// bad flag.
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	list := fs.Bool("list", false, "list the registered experiments and exit")
+	describe := fs.String("describe", "", "print the catalog entry for one experiment (or \"all\") and exit")
+	runName := fs.String("run", "all", "experiment to run: all, a registered name, or a historical alias (fig2..fig11, fig5sim)")
 	set := exp.KVFlag{}
-	flag.Var(set, "set", "override one experiment parameter as key=value (repeatable)")
+	fs.Var(set, "set", "override one experiment parameter as key=value (repeatable)")
 	var axes exp.AxisFlag
-	flag.Var(&axes, "sweep", "sweep one parameter axis as key=v1,v2,... (repeatable; axes form a grid)")
-	jsonOut := flag.Bool("json", false, "print the run manifest (resolved config + params + results) as JSON instead of the text report")
-	outDir := flag.String("out", "", "also write <name>.txt and <name>.json per run into this directory")
-	scale := flag.Float64("scale", 1.0/64, "workload scale relative to the paper's setup")
-	sample := flag.Int("sample", 20000, "probes simulated in detail per design (0 = all)")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for independent design points and sweep runs (1 = sequential)")
-	strictOrder := flag.Bool("strict-order", false, "assert that memory accesses reach the hierarchy in monotonic cycle order (debug)")
-	agentsSpec := flag.String("agents", "", "agent mix for the cmp experiment (shorthand for -set agents=...)")
-	samplingOn := flag.Bool("sampling", false, "systematic sampled simulation: detailed windows + functional fast-forward, 95% CIs in the manifest")
-	sampleWindows := flag.Int("sample-windows", 30, "detailed windows per design point (with -sampling)")
-	sampleWarmup := flag.Int("sample-warmup", 64, "detailed-but-unmeasured probes per window")
-	samplePeriod := flag.Int("sample-period", 256, "measured probes per window")
-	samplingVerify := flag.Bool("sampling-verify", false, "re-run each experiment as a full-detail reference and assert the sampled intervals cover it (implies -sampling)")
-	warmCache := flag.Bool("warm-cache", true, "share built workloads and warmed hierarchies across runs that differ only in timing knobs (results are byte-identical either way)")
-	warmVerify := flag.Bool("warm-cache-verify", false, "rebuild on every warm-cache hit and cross-check content hashes (slow; checks that the keys name every warm-affecting input)")
-	warmStore := flag.String("warm-store", "", "persist warm-state snapshots (fast-forward checkpoints, CMP warm-ups) under this directory across processes")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	fs.Var(&axes, "sweep", "sweep one parameter axis as key=v1,v2,... (repeatable; axes form a grid)")
+	jsonOut := fs.Bool("json", false, "print the run manifest (resolved config + params + results) as JSON instead of the text report")
+	outDir := fs.String("out", "", "also write <name>.txt and <name>.json per run into this directory")
+	scale := fs.Float64("scale", 1.0/64, "workload scale relative to the paper's setup")
+	sample := fs.Int("sample", 20000, "probes simulated in detail per design (0 = all)")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "worker goroutines for independent design points and sweep runs (1 = sequential)")
+	strictOrder := fs.Bool("strict-order", false, "assert that memory accesses reach the hierarchy in monotonic cycle order (debug)")
+	agentsSpec := fs.String("agents", "", "agent mix for the cmp experiment (shorthand for -set agents=...)")
+	samplingOn := fs.Bool("sampling", false, "systematic sampled simulation: detailed windows + functional fast-forward, 95% CIs in the manifest")
+	sampleWindows := fs.Int("sample-windows", 30, "detailed windows per design point (with -sampling)")
+	sampleWarmup := fs.Int("sample-warmup", 64, "detailed-but-unmeasured probes per window")
+	samplePeriod := fs.Int("sample-period", 256, "measured probes per window")
+	samplingVerify := fs.Bool("sampling-verify", false, "re-run each experiment as a full-detail reference and assert the sampled intervals cover it (implies -sampling)")
+	warmCache := fs.Bool("warm-cache", true, "share built workloads and warmed hierarchies across runs that differ only in timing knobs (results are byte-identical either way)")
+	warmVerify := fs.Bool("warm-cache-verify", false, "rebuild on every warm-cache hit and cross-check content hashes (slow; checks that the keys name every warm-affecting input)")
+	warmStore := fs.String("warm-store", "", "persist warm-state snapshots (fast-forward checkpoints, CMP warm-ups) under this directory across processes")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	stopProfiles, perr := profiling.Start(*cpuProfile, *memProfile)
 	if perr != nil {
-		fail(perr)
+		return fail(perr)
 	}
 	defer stopProfiles()
 
 	if *list {
 		fmt.Print(exp.List())
-		return
+		return 0
 	}
 	if *describe != "" {
 		text, err := exp.Describe(*describe)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Print(text)
-		return
+		return 0
 	}
 
 	cfg := sim.DefaultConfig()
@@ -121,10 +136,10 @@ func main() {
 	cfg.Parallelism = *parallel
 	cfg.StrictMemOrder = *strictOrder
 	if *sampleWarmup < 0 {
-		fail(fmt.Errorf("-sample-warmup must be non-negative"))
+		return fail(fmt.Errorf("-sample-warmup must be non-negative"))
 	}
 	if *samplePeriod <= 0 {
-		fail(fmt.Errorf("-sample-period must be positive"))
+		return fail(fmt.Errorf("-sample-period must be positive"))
 	}
 	cfg.SampleWarmup = uint64(*sampleWarmup)
 	cfg.SamplePeriod = uint64(*samplePeriod)
@@ -140,11 +155,11 @@ func main() {
 	}
 	if *warmStore != "" {
 		if cfg.WarmCache == nil {
-			fail(fmt.Errorf("-warm-store needs -warm-cache"))
+			return fail(fmt.Errorf("-warm-store needs -warm-cache"))
 		}
 		store, err := warmstate.OpenDiskStore(*warmStore)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		cfg.WarmStore = store
 	}
@@ -152,56 +167,57 @@ func main() {
 		set["agents"] = *agentsSpec
 	}
 
-	if strings.EqualFold(*run, "all") {
+	if strings.EqualFold(*runName, "all") {
 		if len(axes) > 0 || *jsonOut {
-			fail(fmt.Errorf("-sweep and -json need a single experiment; use -run <name>"))
+			return fail(fmt.Errorf("-sweep and -json need a single experiment; use -run <name>"))
 		}
 		if err := rejectUnknownKeys(set); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		for _, name := range exp.Names() {
 			e, _ := exp.Lookup(name)
 			sub := knownSubset(e, set)
 			out, err := exp.Run(e, cfg, sub)
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
 			if err := emit(out, false, *outDir); err != nil {
-				fail(err)
+				return fail(err)
 			}
 			// Under -run all, only the experiments that actually produced a
 			// sampled estimate are verified; the analytic studies carry none.
 			if r, ok := out.Result.(sim.SamplingReporter); *samplingVerify && ok && r.SamplingReport() != nil {
 				if err := exp.VerifySampled(e, cfg, sub, out.Result); err != nil {
-					fail(err)
+					return fail(err)
 				}
 				fmt.Fprintf(os.Stderr, "experiments: %s: sampled estimates verified against the full-detail reference\n", name)
 			}
 		}
-		return
+		return 0
 	}
 
-	e, ok := exp.Lookup(*run)
+	e, ok := exp.Lookup(*runName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (see -list)\n", *run)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (see -list)\n", *runName)
+		return 2
 	}
 	if *samplingVerify && len(axes) > 0 {
-		fail(fmt.Errorf("-sampling-verify verifies a single run; drop -sweep"))
+		return fail(fmt.Errorf("-sampling-verify verifies a single run; drop -sweep"))
 	}
 	out, err := exp.RunSweep(e, cfg, set, axes)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if err := emit(out, *jsonOut, *outDir); err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *samplingVerify {
 		if err := exp.VerifySampled(e, cfg, set, out.Result); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "experiments: %s: sampled estimates verified against the full-detail reference\n", e.Name())
 	}
+	return 0
 }
 
 // rejectUnknownKeys fails -run all when a -set key is accepted by no
@@ -280,7 +296,8 @@ func emit(out *exp.RunOutput, jsonOut bool, outDir string) error {
 	return nil
 }
 
-func fail(err error) {
+// fail reports err and returns the failing exit status.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	return 1
 }

@@ -1,6 +1,8 @@
 package hashidx
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -413,4 +415,131 @@ func TestProbeMatchesMirrorsWalkerEmission(t *testing.T) {
 			t.Fatalf("absent key matched %v", got)
 		}
 	})
+}
+
+// buildReadBackModel is Build as it was before it passed each bucket's
+// insert count to insert: every insert reads the bucket header back to
+// decide whether the bucket is empty and to link the new node in front of
+// the chain. It is the reference model of TestBuildMatchesReadBackModel.
+func buildReadBackModel(as *vm.AddressSpace, cfg Config, keys, payloads []uint64) *Table {
+	t := &Table{as: as, cfg: cfg, buckets: cfg.BucketCount, nodeSize: InlineNodeSize}
+	if cfg.Layout == LayoutIndirect {
+		t.nodeSize = IndirectNodeSize
+	}
+	t.bucketBase = as.AllocAligned(cfg.Name+".buckets", t.buckets*t.nodeSize)
+	t.poolBase = as.AllocAligned(cfg.Name+".nodes", uint64(len(keys))*t.nodeSize)
+	t.poolNext = t.poolBase
+	t.poolEnd = t.poolBase + uint64(len(keys))*t.nodeSize
+	if cfg.Layout == LayoutIndirect {
+		t.keyColBase = as.AllocAligned(cfg.Name+".keycol", uint64(len(keys))*8)
+		for i, k := range keys {
+			as.Write64(t.keyColBase+uint64(i)*8, k)
+		}
+	} else {
+		for b := uint64(0); b < t.buckets; b++ {
+			as.Write64(t.bucketBase+b*t.nodeSize+InlineKeyOffset, EmptyKey)
+		}
+	}
+	chains := make([]int, t.buckets)
+	for i, k := range keys {
+		payload := uint64(i)
+		if payloads != nil {
+			payload = payloads[i]
+		}
+		b := BucketIndex(HashOf(cfg.Hash, k), t.buckets)
+		head := t.bucketBase + b*t.nodeSize
+		if cfg.Layout == LayoutInline {
+			if as.Read64(head+InlineKeyOffset) == EmptyKey {
+				as.Write64(head+InlineKeyOffset, k)
+				as.Write64(head+InlinePayloadOffset, payload)
+			} else {
+				node, _ := t.allocNode()
+				as.Write64(node+InlineKeyOffset, k)
+				as.Write64(node+InlinePayloadOffset, payload)
+				as.Write64(node+InlineNextOffset, as.Read64(head+InlineNextOffset))
+				as.Write64(head+InlineNextOffset, node)
+			}
+		} else {
+			ref := t.keyColBase + uint64(i)*8
+			if as.Read64(head+IndirectRefOffset) == 0 {
+				as.Write64(head+IndirectRefOffset, ref)
+			} else {
+				node, _ := t.allocNode()
+				as.Write64(node+IndirectRefOffset, ref)
+				as.Write64(node+IndirectNextOffset, as.Read64(head+IndirectNextOffset))
+				as.Write64(head+IndirectNextOffset, node)
+			}
+		}
+		chains[b]++
+		t.maxChain = max(t.maxChain, chains[b])
+	}
+	t.numKeys = uint64(len(keys))
+	return t
+}
+
+// TestBuildMatchesReadBackModel builds the kernel's 4-byte keys with Build
+// and with the read-back model, in both layouts: 4096 keys in 64 buckets
+// (chains of 3 and more, so every insert branch runs, with explicit
+// payloads) and 65536 keys in the kernel's BucketsFor(n, 2). The address
+// spaces' content, the chain statistics, the regions, the footprint and
+// every key's probe must agree.
+func TestBuildMatchesReadBackModel(t *testing.T) {
+	for _, layout := range []Layout{LayoutInline, LayoutIndirect} {
+		for _, c := range []struct {
+			n        int
+			buckets  uint64
+			payloads bool
+		}{
+			{4096, 64, true},
+			{65536, BucketsFor(65536, 2), false},
+		} {
+			keys, _ := stats.DistinctKeys(stats.NewRNG(42), c.n)
+			var payloads []uint64
+			if c.payloads {
+				payloads = make([]uint64, c.n)
+				for i, k := range keys {
+					payloads[i] = k ^ 0x5555
+				}
+			}
+			cfg := Config{Layout: layout, Hash: HashSimple, BucketCount: c.buckets, Name: "kernel"}
+			as, modelAS := vm.New(), vm.New()
+			tbl, err := Build(as, cfg, keys, payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := buildReadBackModel(modelAS, cfg, keys, payloads)
+			name := fmt.Sprintf("%v, %d keys in %d buckets", layout, c.n, c.buckets)
+			if tbl.MaxChain() < 3 {
+				t.Fatalf("%s: longest chain %d, want 3 or more", name, tbl.MaxChain())
+			}
+			if as.ContentHash() != modelAS.ContentHash() {
+				t.Fatalf("%s: address space content differs from the read-back model", name)
+			}
+			if tbl.MaxChain() != model.MaxChain() || tbl.FootprintBytes() != model.FootprintBytes() ||
+				!slices.Equal(tbl.Regions(), model.Regions()) {
+				t.Fatalf("%s: chain %d, footprint %d, regions %v; model %d, %d, %v", name,
+					tbl.MaxChain(), tbl.FootprintBytes(), tbl.Regions(),
+					model.MaxChain(), model.FootprintBytes(), model.Regions())
+			}
+			for i, k := range keys {
+				keyAddr := 0x1000 + uint64(i)*8
+				if got, want := tbl.ProbeFrom(k, keyAddr), model.ProbeFrom(k, keyAddr); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: key %d probes %+v, model %+v", name, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBuild builds the Large kernel's index at scale 1/64: 2^21 keys,
+// inline layout, BucketsFor(n, 2) buckets.
+func BenchmarkBuild(b *testing.B) {
+	const n = 1 << 21
+	keys, _ := stats.DistinctKeys(stats.NewRNG(42), n)
+	cfg := Config{Layout: LayoutInline, Hash: HashSimple, BucketCount: BucketsFor(n, 2), Name: "kernel"}
+	for b.Loop() {
+		if _, err := Build(vm.New(), cfg, keys, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

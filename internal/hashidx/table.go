@@ -171,7 +171,7 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 			payload = payloads[i]
 		}
 		b := BucketIndex(HashOf(cfg.Hash, k), buckets)
-		if err := t.insert(b, uint64(i), k, payload); err != nil {
+		if err := t.insert(b, uint64(i), k, payload, chains[b]); err != nil {
 			return nil, err
 		}
 		chains[b]++
@@ -181,13 +181,17 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 	return t, nil
 }
 
-// insert places one key into bucket b of the index.
-func (t *Table) insert(b, row, key, payload uint64) error {
+// insert places one key into bucket b of the index, which already holds
+// count keys. Build allocates the buckets and the node pool fresh, so a
+// bucket's header is empty until its first insert and its next pointer
+// reads zero until its second: only the third and later inserts of a
+// bucket read the header back to link the new node in front of the chain.
+func (t *Table) insert(b, row, key, payload uint64, count uint32) error {
 	head := t.bucketBase + b*t.nodeSize
 
 	switch t.cfg.Layout {
 	case LayoutInline:
-		if t.as.Read64(head+InlineKeyOffset) == EmptyKey {
+		if count == 0 {
 			t.as.Write64(head+InlineKeyOffset, key)
 			t.as.Write64(head+InlinePayloadOffset, payload)
 			return nil
@@ -199,13 +203,15 @@ func (t *Table) insert(b, row, key, payload uint64) error {
 		t.as.Write64(node+InlineKeyOffset, key)
 		t.as.Write64(node+InlinePayloadOffset, payload)
 		// Link behind the header: header.next -> node -> old chain.
-		t.as.Write64(node+InlineNextOffset, t.as.Read64(head+InlineNextOffset))
+		if count > 1 {
+			t.as.Write64(node+InlineNextOffset, t.as.Read64(head+InlineNextOffset))
+		}
 		t.as.Write64(head+InlineNextOffset, node)
 		return nil
 
 	case LayoutIndirect:
 		ref := t.keyColBase + row*8
-		if t.as.Read64(head+IndirectRefOffset) == 0 {
+		if count == 0 {
 			t.as.Write64(head+IndirectRefOffset, ref)
 			return nil
 		}
@@ -214,7 +220,9 @@ func (t *Table) insert(b, row, key, payload uint64) error {
 			return err
 		}
 		t.as.Write64(node+IndirectRefOffset, ref)
-		t.as.Write64(node+IndirectNextOffset, t.as.Read64(head+IndirectNextOffset))
+		if count > 1 {
+			t.as.Write64(node+IndirectNextOffset, t.as.Read64(head+IndirectNextOffset))
+		}
 		t.as.Write64(head+IndirectNextOffset, node)
 		return nil
 	}

@@ -69,17 +69,62 @@ func (r *RNG) Perm(n int) []int {
 // zeros and repeats. It returns the keys in draw order and their membership
 // set, which workload generators use to draw probe misses. The hash-join
 // kernel and the keyed zoo structures draw their build keys through it.
-func DistinctKeys(rng *RNG, n int) ([]uint64, map[uint64]bool) {
+func DistinctKeys(rng *RNG, n int) ([]uint64, KeySet) {
 	keys := make([]uint64, n)
-	seen := make(map[uint64]bool, n)
+	set := newKeySet(n)
 	for i := range keys {
 		for {
-			k := uint64(rng.Uint32())
-			if k != 0 && !seen[k] {
-				keys[i], seen[k] = k, true
+			k := rng.Uint32()
+			if k != 0 && set.add(k) {
+				keys[i] = uint64(k)
 				break
 			}
 		}
 	}
-	return keys, seen
+	return keys, set
+}
+
+// KeySet is the membership set of DistinctKeys' keys: a flat
+// open-addressing table of 32-bit keys with linear probing from a
+// multiplicative hash. A zero slot is free, which is safe because no key
+// is zero; the table holds at least twice as many slots as keys, so every
+// probe sequence reaches a free slot.
+type KeySet struct {
+	slots []uint32
+	shift uint8 // 32 - log2(len(slots)): the hash's top bits index a slot
+}
+
+// newKeySet returns an empty set with room for n keys.
+func newKeySet(n int) KeySet {
+	bits := uint8(0)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	return KeySet{slots: make([]uint32, 1<<bits), shift: 32 - bits}
+}
+
+// find returns the slot that holds k, or the free slot where k's probe
+// sequence ends.
+func (s KeySet) find(k uint32) *uint32 {
+	mask := uint32(len(s.slots) - 1)
+	i := uint32(uint64(k*0x9E3779B9) >> s.shift)
+	for s.slots[i] != 0 && s.slots[i] != k {
+		i = (i + 1) & mask
+	}
+	return &s.slots[i]
+}
+
+// add inserts the nonzero key k and reports whether it was absent.
+func (s KeySet) add(k uint32) bool {
+	slot := s.find(k)
+	if *slot == k {
+		return false
+	}
+	*slot = k
+	return true
+}
+
+// Has reports whether k is one of the set's keys.
+func (s KeySet) Has(k uint64) bool {
+	return k != 0 && k <= 1<<32-1 && *s.find(uint32(k)) == uint32(k)
 }

@@ -121,11 +121,11 @@ func TestRNGPerm(t *testing.T) {
 
 func TestDistinctKeys(t *testing.T) {
 	keys, seen := DistinctKeys(NewRNG(42), 5000)
-	if len(keys) != 5000 || len(seen) != len(keys) {
-		t.Fatalf("%d keys with a %d-member set, want 5000 of each", len(keys), len(seen))
+	if len(keys) != 5000 {
+		t.Fatalf("%d keys, want 5000", len(keys))
 	}
 	for _, k := range keys {
-		if k == 0 || k > math.MaxUint32 || !seen[k] {
+		if k == 0 || k > math.MaxUint32 || !seen.Has(k) {
 			t.Fatalf("key %#x is zero, wider than 32 bits or missing from the set", k)
 		}
 	}
@@ -139,6 +139,72 @@ func TestDistinctKeys(t *testing.T) {
 	again, _ := DistinctKeys(NewRNG(42), 5000)
 	if !slices.Equal(keys, again) {
 		t.Fatal("same seed should draw the same keys")
+	}
+}
+
+// distinctKeysMapModel is the map-backed DistinctKeys the flat key set
+// replaced: the reference model of TestDistinctKeysMatchesMapModel.
+func distinctKeysMapModel(rng *RNG, n int) ([]uint64, map[uint64]bool) {
+	keys := make([]uint64, n)
+	seen := make(map[uint64]bool, n)
+	for i := range keys {
+		for {
+			k := uint64(rng.Uint32())
+			if k != 0 && !seen[k] {
+				keys[i], seen[k] = k, true
+				break
+			}
+		}
+	}
+	return keys, seen
+}
+
+// TestDistinctKeysMatchesMapModel draws keys through DistinctKeys and the
+// map model from the same seeds (0, the kernel's 42, and 2013 and 3013 of
+// the first two CMP partitions) at sizes on both sides of the set's
+// power-of-two capacity steps. The keys, the generator state after the
+// call, and membership of every key and of fresh draws (0 and values of
+// 2^32 and above among them) must agree.
+func TestDistinctKeysMatchesMapModel(t *testing.T) {
+	for _, n := range []int{1, 16, 8191, 8192, 262144, 1 << 21} {
+		for _, seed := range []uint64{0, 42, 2013, 3013} {
+			rng, ref := NewRNG(seed), NewRNG(seed)
+			keys, set := DistinctKeys(rng, n)
+			want, seen := distinctKeysMapModel(ref, n)
+			if !slices.Equal(keys, want) {
+				t.Fatalf("n=%d seed=%d: keys differ from the map model", n, seed)
+			}
+			if got, want := rng.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("n=%d seed=%d: next draw %#x, map model %#x", n, seed, got, want)
+			}
+			for _, k := range keys {
+				if !set.Has(k) {
+					t.Fatalf("n=%d seed=%d: Has(%#x) = false for a drawn key", n, seed, k)
+				}
+			}
+			fresh := NewRNG(seed + 1)
+			probes := []uint64{0, 1 << 32, 1<<32 | keys[0], math.MaxUint64}
+			for i := 0; i < 100000; i++ {
+				probes = append(probes, fresh.Uint64()>>uint(fresh.Intn(33)))
+			}
+			for _, k := range probes {
+				if got := set.Has(k); got != seen[k] {
+					t.Fatalf("n=%d seed=%d: Has(%#x) = %v, map model %v", n, seed, k, got, seen[k])
+				}
+			}
+		}
+	}
+	// The key slice and the table are the call's only allocations.
+	if allocs := testing.AllocsPerRun(10, func() { DistinctKeys(NewRNG(42), 8192) }); allocs > 2 {
+		t.Fatalf("DistinctKeys allocates %v times per call, want at most 2", allocs)
+	}
+}
+
+// BenchmarkDistinctKeys draws the Large kernel's 2^21 build keys at
+// scale 1/64.
+func BenchmarkDistinctKeys(b *testing.B) {
+	for b.Loop() {
+		DistinctKeys(NewRNG(42), 1<<21)
 	}
 }
 

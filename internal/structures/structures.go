@@ -387,7 +387,7 @@ func regionSpan(regions [][2]uint64) uint64 {
 // form) is safe, including the probe-1 strict-less-than rewrite.
 type keySet struct {
 	keys []uint64
-	seen map[uint64]bool
+	seen stats.KeySet
 }
 
 // genKeySet draws n unique keys.
@@ -411,7 +411,7 @@ func (ks *keySet) probeStream(rng *stats.RNG, n int) []uint64 {
 		if rng.Intn(10) == 0 {
 			for {
 				k := uint64(rng.Uint32())
-				if k != 0 && !ks.seen[k] {
+				if k != 0 && !ks.seen.Has(k) {
 					out[i] = k
 					break
 				}
