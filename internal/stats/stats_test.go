@@ -161,10 +161,11 @@ func distinctKeysMapModel(rng *RNG, n int) ([]uint64, map[uint64]bool) {
 
 // TestDistinctKeysMatchesMapModel draws keys through DistinctKeys and the
 // map model from the same seeds (0, the kernel's 42, and 2013 and 3013 of
-// the first two CMP partitions) at sizes on both sides of the set's
-// power-of-two capacity steps. The keys, the generator state after the
-// call, and membership of every key and of fresh draws (0 and values of
-// 2^32 and above among them) must agree.
+// the first two CMP partitions) at sizes up to the Large kernel's 2^21;
+// 8191 and 8192 keys fill the table to just under and exactly half. The
+// keys, the generator state after the call, and membership of every key
+// and of fresh draws (0 and values of 2^32 and above among them) must
+// agree.
 func TestDistinctKeysMatchesMapModel(t *testing.T) {
 	for _, n := range []int{1, 16, 8191, 8192, 262144, 1 << 21} {
 		for _, seed := range []uint64{0, 42, 2013, 3013} {
