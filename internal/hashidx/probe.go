@@ -76,103 +76,106 @@ func (t *Table) ProbeFrom(key uint64, keyAddr uint64) ProbeResult {
 }
 
 func (t *Table) probe(key uint64, keyAddr uint64) ProbeResult {
-	idx := BucketIndex(HashOf(t.cfg.Hash, key), t.buckets)
-	head := t.bucketBase + idx*t.nodeSize
-
-	res := ProbeResult{
-		Trace: ProbeTrace{
-			Key:        key,
-			KeyAddr:    keyAddr,
-			HashOps:    HashOps(t.cfg.Hash),
-			BucketAddr: head,
-		},
-	}
-
-	switch t.cfg.Layout {
-	case LayoutInline:
-		node := head
-		first := true
-		for node != 0 {
-			nodeKey := t.as.Read64(node + InlineKeyOffset)
-			if first && nodeKey == EmptyKey {
-				// Empty bucket: the header load still happened.
-				res.Trace.Steps = append(res.Trace.Steps, TraceStep{NodeAddr: node, CompareOps: 1})
-				res.NodesVisited = 1
-				return res
-			}
-			matched := nodeKey == key
-			res.Trace.Steps = append(res.Trace.Steps, TraceStep{
-				NodeAddr:   node,
-				CompareOps: 1,
-				Matched:    matched,
-			})
-			res.NodesVisited++
-			if matched {
-				if !res.Found {
-					res.Payload = t.as.Read64(node + InlinePayloadOffset)
-					res.Found = true
-				}
-				res.Matches++
-			}
-			node = t.as.Read64(node + InlineNextOffset)
-			first = false
-		}
-		return res
-
-	default: // LayoutIndirect
-		node := head
-		for node != 0 {
-			ref := t.as.Read64(node + IndirectRefOffset)
-			if ref == 0 {
-				// Empty bucket header.
-				res.Trace.Steps = append(res.Trace.Steps, TraceStep{NodeAddr: node, CompareOps: 1})
-				res.NodesVisited = 1
-				return res
-			}
-			nodeKey := t.as.Read64(ref)
-			matched := nodeKey == key
-			res.Trace.Steps = append(res.Trace.Steps, TraceStep{
-				NodeAddr:     node,
-				KeyFetchAddr: ref,
-				CompareOps:   1 + indirectAddrOps,
-				Matched:      matched,
-			})
-			res.NodesVisited++
-			if matched {
-				if !res.Found {
-					res.Payload = (ref - t.keyColBase) / 8
-					res.Found = true
-				}
-				res.Matches++
-			}
-			node = t.as.Read64(node + IndirectNextOffset)
-		}
-		return res
-	}
-}
-
-// TraceMatches returns the values a Widx walker emits for the probe that
-// recorded tr, read off its matched steps in traversal order: the payload
-// of every matching node for the inline layout, and the raw base-column
-// reference (the step's key fetch) for the indirect layout — the walker
-// emits the reference itself; row-id conversion is the host's
-// post-processing, see ProbeResult.Payload. It is the per-probe software
-// reference the sampled simulator substitutes for fast-forwarded probes
-// when checking that a sampled run's combined match stream is bit-identical
-// to the full reference.
-func (t *Table) TraceMatches(tr *ProbeTrace) []uint64 {
-	var out []uint64
+	tr, _ := t.appendTrace(key, keyAddr, nil)
+	res := ProbeResult{NodesVisited: len(tr.Steps), Trace: tr}
 	for _, s := range tr.Steps {
 		if !s.Matched {
 			continue
 		}
-		if t.cfg.Layout == LayoutInline {
-			out = append(out, t.as.Read64(s.NodeAddr+InlinePayloadOffset))
-		} else {
-			out = append(out, s.KeyFetchAddr)
+		if !res.Found {
+			res.Found = true
+			if res.Payload = t.emitted(s); t.cfg.Layout == LayoutIndirect {
+				res.Payload = (res.Payload - t.keyColBase) / 8
+			}
+		}
+		res.Matches++
+	}
+	return res
+}
+
+// AppendProbeAt probes the key stored at keyAddr in the table's address
+// space, as a Widx dispatcher loads it from the probe-key column. It appends
+// the probe's node visits to steps and the values a walker emits for it
+// (see TraceMatches) to matches, and returns the probe's trace, whose Steps
+// are the appended tail of the returned step buffer. With buffers of enough
+// capacity it allocates nothing.
+func (t *Table) AppendProbeAt(keyAddr uint64, steps []TraceStep, matches []uint64) (ProbeTrace, []TraceStep, []uint64) {
+	tr, steps := t.appendTrace(t.as.Read64(keyAddr), keyAddr, steps)
+	return tr, steps, t.appendMatches(matches, tr.Steps)
+}
+
+// appendTrace walks key's bucket chain (Listing 1 of the paper), appending
+// one TraceStep per node visited to steps, and returns the probe's trace —
+// its Steps the appended tail — and the extended buffer. Every lookup of
+// the package is this one walk.
+func (t *Table) appendTrace(key, keyAddr uint64, steps []TraceStep) (ProbeTrace, []TraceStep) {
+	head := t.bucketBase + BucketIndex(HashOf(t.cfg.Hash, key), t.buckets)*t.nodeSize
+	first := len(steps)
+	switch t.cfg.Layout {
+	case LayoutInline:
+		for node := head; node != 0; node = t.as.Read64(node + InlineNextOffset) {
+			nodeKey := t.as.Read64(node + InlineKeyOffset)
+			if node == head && nodeKey == EmptyKey {
+				// Empty bucket: the header load still happened.
+				steps = append(steps, TraceStep{NodeAddr: node, CompareOps: 1})
+				break
+			}
+			steps = append(steps, TraceStep{NodeAddr: node, CompareOps: 1, Matched: nodeKey == key})
+		}
+	default: // LayoutIndirect
+		for node := head; node != 0; node = t.as.Read64(node + IndirectNextOffset) {
+			ref := t.as.Read64(node + IndirectRefOffset)
+			if ref == 0 {
+				// Empty bucket header.
+				steps = append(steps, TraceStep{NodeAddr: node, CompareOps: 1})
+				break
+			}
+			steps = append(steps, TraceStep{
+				NodeAddr:     node,
+				KeyFetchAddr: ref,
+				CompareOps:   1 + indirectAddrOps,
+				Matched:      t.as.Read64(ref) == key,
+			})
 		}
 	}
-	return out
+	return ProbeTrace{
+		Key:        key,
+		KeyAddr:    keyAddr,
+		HashOps:    HashOps(t.cfg.Hash),
+		BucketAddr: head,
+		Steps:      steps[first:],
+	}, steps
+}
+
+// emitted is the value a Widx walker emits for the matching node visit s:
+// the node's payload for the inline layout, and the raw base-column
+// reference (the step's key fetch) for the indirect layout — the walker
+// emits the reference itself; row-id conversion is the host's
+// post-processing, see ProbeResult.Payload.
+func (t *Table) emitted(s TraceStep) uint64 {
+	if t.cfg.Layout == LayoutInline {
+		return t.as.Read64(s.NodeAddr + InlinePayloadOffset)
+	}
+	return s.KeyFetchAddr
+}
+
+// appendMatches appends the emitted value of every matching step, in
+// traversal order.
+func (t *Table) appendMatches(matches []uint64, steps []TraceStep) []uint64 {
+	for _, s := range steps {
+		if s.Matched {
+			matches = append(matches, t.emitted(s))
+		}
+	}
+	return matches
+}
+
+// TraceMatches returns the values a Widx walker emits for the probe that
+// recorded tr, read off its matched steps in traversal order (see emitted).
+// It is the per-probe software reference a walker's output is checked
+// against.
+func (t *Table) TraceMatches(tr *ProbeTrace) []uint64 {
+	return t.appendMatches(nil, tr.Steps)
 }
 
 // ProbeMatches returns the values a Widx walker emits for key (see

@@ -152,13 +152,6 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 		}
 	}
 
-	// Mark all inline bucket headers empty.
-	if cfg.Layout == LayoutInline {
-		for b := uint64(0); b < buckets; b++ {
-			as.Write64(t.bucketBase+b*t.nodeSize+InlineKeyOffset, EmptyKey)
-		}
-	}
-
 	// Every insert adds one node to its bucket's chain, so counting the
 	// inserts per bucket gives the longest chain without walking it.
 	chains := make([]uint32, buckets)
@@ -177,15 +170,25 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 		chains[b]++
 		t.maxChain = max(t.maxChain, int(chains[b]))
 	}
+	// A bucket's first insert fills its header, so only the inline headers
+	// no key reached carry the empty marker.
+	if cfg.Layout == LayoutInline {
+		for b, n := range chains {
+			if n == 0 {
+				as.Write64(t.bucketBase+uint64(b)*t.nodeSize+InlineKeyOffset, EmptyKey)
+			}
+		}
+	}
 	t.numKeys = uint64(len(keys))
 	return t, nil
 }
 
 // insert places one key into bucket b of the index, which already holds
 // count keys. Build allocates the buckets and the node pool fresh, so a
-// bucket's header is empty until its first insert and its next pointer
-// reads zero until its second: only the third and later inserts of a
-// bucket read the header back to link the new node in front of the chain.
+// bucket's header reads zero until its first insert (Build marks the
+// inline headers no insert reached afterwards) and its next pointer reads
+// zero until its second: only the third and later inserts of a bucket read
+// the header back to link the new node in front of the chain.
 func (t *Table) insert(b, row, key, payload uint64, count uint32) error {
 	head := t.bucketBase + b*t.nodeSize
 

@@ -220,7 +220,11 @@ func (k *Kernel) SoftwareProbe() int {
 }
 
 // Traces returns the per-probe traces for the baseline core timing models.
-// The optional limit truncates the probe stream (0 means all probes).
+// The optional limit truncates the probe stream (0 means all probes). The
+// simulator walks a kernel's traces span by span through its
+// structures.HashIndex instead.
+//
+//widxlint:ignore deadcode used by bench/widxbench
 func (k *Kernel) Traces(limit int) []hashidx.ProbeTrace {
 	n := len(k.ProbeKeys)
 	if limit > 0 && limit < n {

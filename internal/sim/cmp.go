@@ -282,7 +282,7 @@ func (c Config) buildCMPWorkload(size join.SizeClass, specs []CMPAgentSpec, stru
 			kcfg.OuterTuples, kcfg.Seed = perAgent, seed
 			var k *join.Kernel
 			if k, err = join.BuildKernelIn(as, "cmp."+w.name, kcfg); err == nil {
-				w.inst = structures.HashIndex(k.Index, k.ProbeKeyBase, k.Traces(0))
+				w.inst = structures.HashIndex(k.Index, k.ProbeKeyBase, len(k.ProbeKeys))
 			}
 		} else {
 			w.inst, err = structures.Build(as, structures.BuildConfig{
@@ -297,8 +297,8 @@ func (c Config) buildCMPWorkload(size join.SizeClass, specs []CMPAgentSpec, stru
 			return nil, nil, err
 		}
 		if spec.Kind == AgentWidx {
-			matches, _ := w.inst.Reference()
-			resultBase := as.AllocAligned(w.name+".results", resultBytes(len(matches)))
+			matches, _ := structures.ReferenceSummary(w.inst)
+			resultBase := as.AllocAligned(w.name+".results", resultBytes(matches))
 			if w.progs, err = w.inst.Programs(resultBase, structures.ProgramOptions{}); err != nil {
 				return nil, nil, err
 			}
@@ -392,25 +392,22 @@ func (c Config) cmpAgentSpec(top mem.Topology, name string, spec CMPAgentSpec) m
 func (c Config) cmpAgent(hier *mem.Hierarchy, as *vm.AddressSpace, w *cmpAgentWorkload) (*spanAgent, error) {
 	var a *spanAgent
 	var err error
-	traces, ref := reference(w.inst)
 	switch w.spec.Kind {
 	case AgentWidx:
-		if a, err = c.widxAgent(hier, as, w.progs, w.spec.walkers(), widx.SharedDispatcher, w.inst.ProbeKeyBase()); err != nil {
-			return nil, err
-		}
-		a.ref = ref
+		a, err = c.widxAgent(hier, as, w.inst, w.progs, w.spec.walkers(), widx.SharedDispatcher)
 	case AgentOoO, AgentInOrder:
 		cfg := cores.OoOConfig()
 		if w.spec.Kind == AgentInOrder {
 			cfg = cores.InOrderConfig()
 		}
-		if a, err = coreAgent(hier, cfg, traces); err != nil {
-			return nil, err
-		}
+		a, err = coreAgent(hier, cfg, w.inst)
 	default:
-		return nil, fmt.Errorf("sim: unknown agent kind %v", w.spec.Kind)
+		err = fmt.Errorf("sim: unknown agent kind %v", w.spec.Kind)
 	}
-	a.name, a.traces = w.name, traces
+	if err != nil {
+		return nil, err
+	}
+	a.name = w.name
 	return a, nil
 }
 
@@ -507,7 +504,7 @@ func (c Config) RunCMP(size join.SizeClass, specs []CMPAgentSpec, structure stru
 		if err != nil {
 			return nil, err
 		}
-		verified = verified || solo[0].ref != nil
+		verified = verified || spec.Kind == AgentWidx
 		a := &exp.Agents[i]
 		a.Name = workloads[i].name
 		a.Spec = spec

@@ -192,8 +192,7 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 			spaces[i] = ph.as.Clone()
 		}
 	}
-	traces, ref := reference(ph.inst)
-	plan := c.samplePlan(len(traces))
+	plan := c.samplePlan(ph.inst.ProbeCount())
 	baseWins := make([][]windowSample, len(baselines))
 	widxWins := make([][]windowSample, len(points))
 	baseRes := make([]cores.Result, len(baselines))
@@ -201,7 +200,7 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 	err := c.RunTasks(len(baselines)+len(points), func(i int) error {
 		sl := c.newSharedLevel()
 		if i < len(baselines) {
-			a, err := coreAgent(sl.NewAgent(sl.Topology().Agent("host")), baselines[i], traces)
+			a, err := coreAgent(sl.NewAgent(sl.Topology().Agent("host")), baselines[i], ph.inst)
 			if err != nil {
 				return err
 			}
@@ -217,12 +216,12 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 		if err != nil {
 			return err
 		}
-		a, err := c.widxAgent(sl.NewAgent(c.widxSpec(sl.Topology(), "widx")), spaces[j], progs, points[j].walkers, points[j].mode, ph.inst.ProbeKeyBase())
+		a, err := c.widxAgent(sl.NewAgent(c.widxSpec(sl.Topology(), "widx")), spaces[j], ph.inst, progs, points[j].walkers, points[j].mode)
 		if err != nil {
 			return err
 		}
 		a.name = fmt.Sprintf("%s %dw walker", ph.label, points[j].walkers)
-		a.traces, a.ref, a.warmKey = traces, ref, ph.warmKey
+		a.warmKey = ph.warmKey
 		if _, err := c.runSpans(plan, 0, a); err != nil {
 			return err
 		}

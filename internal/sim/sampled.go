@@ -6,6 +6,9 @@
 // machine; K > 1 is a CMP co-run on one shared level, re-staggered by
 // arrival at every round.
 //
+// Each agent walks the software reference of a span — its traces and
+// matches, structures.Instance.Span — when the span starts, into buffers it
+// reuses, so no phase holds more than one span's reference per agent.
 // Fast-forward spans (sampled plans only) perform functional state updates:
 // the software reference's matches join the output stream and the addresses
 // its traversal touches warm the cache tags and TLB pages (mem.WarmBlock),
@@ -113,61 +116,42 @@ func ffWarm(hier *mem.Hierarchy, traces []hashidx.ProbeTrace) {
 	}
 }
 
-// ffSpan executes one fast-forward span's warming. The plan's opening span
-// starts at probe 0, so on a fresh single-agent machine its warm state is a
-// pure function of the workload and the machine's warm-relevant geometry —
-// that one span is checkpointed through the warm cache (and the disk store,
-// surviving the process) under the phase's key; later fast-forward spans
-// depend on the detailed execution before them and warm inline, as does
-// every span of an agent without a phase key.
-func (c Config) ffSpan(hier *mem.Hierarchy, phaseKey string, traces []hashidx.ProbeTrace, sp sampling.Span) error {
+// ffSpan executes one fast-forward span's warming from the agent's
+// reference of the span, walked only when the warm-up runs. The plan's
+// opening span starts at probe 0, so on a fresh single-agent machine its
+// warm state is a pure function of the workload and the machine's
+// warm-relevant geometry — that one span is checkpointed through the warm
+// cache (and the disk store, surviving the process) under the phase's key;
+// later fast-forward spans depend on the detailed execution before them and
+// warm inline, as does every span of an agent without a phase key.
+func (c Config) ffSpan(a *spanAgent, sp sampling.Span) error {
 	var f *warmstate.Fingerprint
-	if phaseKey != "" && sp.Start == 0 {
-		f = warmstate.NewFingerprint("ffwarm").Field("phase", phaseKey).Field("end", sp.End)
+	if a.warmKey != "" && sp.Start == 0 {
+		f = warmstate.NewFingerprint("ffwarm").Field("phase", a.warmKey).Field("end", sp.End)
 	}
-	return c.warmed(f, []*mem.Hierarchy{hier}, func(hs []*mem.Hierarchy) { ffWarm(hs[0], traces[sp.Start:sp.End]) })
-}
-
-// matchRef is a software-reference match stream with per-probe bounds:
-// probe i's matches occupy matches[bounds[i-1]:bounds[i]] (bounds[-1] is
-// implicitly 0).
-type matchRef struct {
-	matches []uint64
-	bounds  []int
-}
-
-// reference returns a structure's reference traces and match stream.
-func reference(inst structures.Instance) ([]hashidx.ProbeTrace, *matchRef) {
-	matches, traces := inst.Reference()
-	return traces, &matchRef{matches: matches, bounds: inst.MatchBounds()}
-}
-
-// segment slices the stream to the matches of probes [lo, hi).
-func (r *matchRef) segment(lo, hi uint64) []uint64 {
-	start := 0
-	if lo > 0 {
-		start = r.bounds[lo-1]
-	}
-	return r.matches[start:r.bounds[hi-1]]
+	return c.warmed(f, []*mem.Hierarchy{a.hier}, func(hs []*mem.Hierarchy) {
+		a.walk(sp)
+		ffWarm(hs[0], a.ref.Traces)
+	})
 }
 
 // spanEngine builds one agent's engine for a detailed span: the probes of
-// sp, beginning at startCycle. The agent is a *widx.OffloadAgent or a
-// *cores.ProbeEngine.
-type spanEngine func(sp sampling.Span, startCycle uint64) (system.Agent, error)
+// sp, whose reference is ref, beginning at startCycle. The agent is a
+// *widx.OffloadAgent or a *cores.ProbeEngine.
+type spanEngine func(sp sampling.Span, ref *structures.SpanRef, startCycle uint64) (system.Agent, error)
 
 // spanAgent is one agent of a span execution: its hierarchy view, its
-// engine constructor, the reference traces fast-forward spans warm from,
-// and — for agents that emit matches — the reference stream each detailed
-// span's output is checked against. runSpans fills the measured
-// aggregates.
+// engine constructor, and the structure whose software reference each span
+// is walked from as the span starts — the traces fast-forward spans warm
+// from and host cores replay, and the matches each detailed Widx span's
+// output is checked against. runSpans fills the measured aggregates.
 type spanAgent struct {
-	name   string
-	hier   *mem.Hierarchy
-	start  spanEngine
-	traces []hashidx.ProbeTrace
-	// ref is nil for agents without a match stream (host cores).
-	ref *matchRef
+	name  string
+	hier  *mem.Hierarchy
+	start spanEngine
+	inst  structures.Instance
+	// ref is the current span's reference, refilled in place per span.
+	ref structures.SpanRef
 	// warmKey chains the opening fast-forward checkpoint ("" warms inline);
 	// only single-agent phases on a fresh machine set it.
 	warmKey string
@@ -180,14 +164,20 @@ type spanAgent struct {
 	wins    []windowSample
 }
 
-// widxAgent attaches a Widx accelerator running progs over the probe-key
-// column at keyBase to hier; the producer stores into as.
-func (c Config) widxAgent(hier *mem.Hierarchy, as *vm.AddressSpace, progs *structures.Programs, walkers int, mode widx.HashingMode, keyBase uint64) (*spanAgent, error) {
+// walk fills the agent's reference with sp's.
+func (a *spanAgent) walk(sp sampling.Span) {
+	a.inst.Span(int(sp.Start), int(sp.End), &a.ref)
+}
+
+// widxAgent attaches a Widx accelerator running progs over inst's probe-key
+// column to hier; the producer stores into as.
+func (c Config) widxAgent(hier *mem.Hierarchy, as *vm.AddressSpace, inst structures.Instance, progs *structures.Programs, walkers int, mode widx.HashingMode) (*spanAgent, error) {
 	acc, err := widx.New(c.widxConfig(walkers, mode), hier, as, progs.Dispatcher, progs.Walker, progs.Producer)
 	if err != nil {
 		return nil, err
 	}
-	return &spanAgent{hier: hier, start: func(sp sampling.Span, startCycle uint64) (system.Agent, error) {
+	keyBase := inst.ProbeKeyBase()
+	return &spanAgent{hier: hier, inst: inst, start: func(sp sampling.Span, _ *structures.SpanRef, startCycle uint64) (system.Agent, error) {
 		o, err := acc.StartOffload(widx.OffloadRequest{KeyBase: keyBase + sp.Start*8, KeyCount: sp.Len(), StartCycle: startCycle})
 		if err != nil {
 			return nil, err
@@ -196,14 +186,14 @@ func (c Config) widxAgent(hier *mem.Hierarchy, as *vm.AddressSpace, progs *struc
 	}}, nil
 }
 
-// coreAgent attaches a baseline core replaying traces to hier.
-func coreAgent(hier *mem.Hierarchy, cfg cores.Config, traces []hashidx.ProbeTrace) (*spanAgent, error) {
+// coreAgent attaches a baseline core replaying inst's traces to hier.
+func coreAgent(hier *mem.Hierarchy, cfg cores.Config, inst structures.Instance) (*spanAgent, error) {
 	core, err := cores.New(cfg, hier)
 	if err != nil {
 		return nil, err
 	}
-	return &spanAgent{hier: hier, traces: traces, start: func(sp sampling.Span, startCycle uint64) (system.Agent, error) {
-		e, err := core.NewProbeEngine(traces[sp.Start:sp.End], startCycle)
+	return &spanAgent{hier: hier, inst: inst, start: func(_ sampling.Span, ref *structures.SpanRef, startCycle uint64) (system.Agent, error) {
+		e, err := core.NewProbeEngine(ref.Traces, startCycle)
 		if err != nil {
 			return nil, err
 		}
@@ -211,40 +201,52 @@ func coreAgent(hier *mem.Hierarchy, cfg cores.Config, traces []hashidx.ProbeTrac
 	}}, nil
 }
 
-// finish collects one finished detailed span: its cycles and matches (nil
-// for host cores), folding a measured span into the agent's aggregate
-// result and window observations.
-func (a *spanAgent) finish(e system.Agent, sp sampling.Span) (uint64, []uint64, error) {
+// finish collects one finished detailed span: its cycles, folding a
+// measured span into the agent's aggregate result and window observations.
+// A Widx span's matches must equal the reference's matches for the span's
+// probes.
+func (a *spanAgent) finish(e system.Agent, sp sampling.Span) (uint64, error) {
 	var cycles uint64
 	var st mem.Stats
-	var matches []uint64
 	measured := sp.Kind == sampling.Measure
 	switch e := e.(type) {
 	case *widx.OffloadAgent:
 		r, err := e.Result()
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		cycles, st, matches = r.TotalCycles, r.MemStats, r.Matches
+		if err := a.check(r.Matches, sp); err != nil {
+			return 0, err
+		}
+		cycles, st = r.TotalCycles, r.MemStats
 		if measured {
 			addOffloadResult(&a.offload, r)
 		}
 	case *cores.ProbeEngine:
 		r, err := e.Result()
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		cycles, st = r.TotalCycles, r.MemStats
 		if measured {
 			addCoreResult(&a.core, r)
 		}
 	default:
-		return 0, nil, fmt.Errorf("sim: %s: unknown span engine %T", a.name, e)
+		return 0, fmt.Errorf("sim: %s: unknown span engine %T", a.name, e)
 	}
 	if measured {
 		a.wins = append(a.wins, windowSample{cycles: cycles, tuples: sp.Len(), mshr: st.MeanMSHROccupancy()})
 	}
-	return cycles, matches, nil
+	return cycles, nil
+}
+
+// check compares a detailed span's matches with the reference's.
+func (a *spanAgent) check(matches []uint64, sp sampling.Span) error {
+	if want := a.ref.Matches; !slices.Equal(matches, want) {
+		return fmt.Errorf("sim: %s output diverged from the software reference in probes [%d, %d) (%d matches, want %d)",
+			a.name, sp.Start, sp.End, len(matches), len(want))
+	}
+	return nil
 }
 
 // runSpans executes plan on the agents in lockstep rounds and returns the
@@ -252,14 +254,17 @@ func (a *spanAgent) finish(e system.Agent, sp sampling.Span) (uint64, []uint64, 
 // functionally; a detailed round starts every agent's span engine at the
 // cycle the previous round ended (agent i arriving stagger*i later) and runs
 // them together on the system scheduler, and the round ends when the last
-// agent finishes. Every agent with a reference stream has each detailed
-// span's matches checked against the reference's matches for its probes.
+// agent finishes. Each agent walks a span's reference as the span starts
+// (a fast-forward span only when its warm-up runs), so it holds one span's
+// reference at a time; every Widx agent has each detailed span's matches
+// checked against the reference's matches for its probes.
 func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgent) (uint64, error) {
 	var cursor uint64
 	detailed := func(sp sampling.Span) error {
 		engines := make([]system.Agent, len(agents))
 		for i, a := range agents {
-			e, err := a.start(sp, cursor+uint64(i)*stagger)
+			a.walk(sp)
+			e, err := a.start(sp, &a.ref, cursor+uint64(i)*stagger)
 			if err != nil {
 				return err
 			}
@@ -270,15 +275,9 @@ func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgen
 		}
 		var roundEnd uint64
 		for i, a := range agents {
-			cycles, matches, err := a.finish(engines[i], sp)
+			cycles, err := a.finish(engines[i], sp)
 			if err != nil {
 				return err
-			}
-			if a.ref != nil {
-				if want := a.ref.segment(sp.Start, sp.End); !slices.Equal(matches, want) {
-					return fmt.Errorf("sim: %s output diverged from the software reference in probes [%d, %d) (%d matches, want %d)",
-						a.name, sp.Start, sp.End, len(matches), len(want))
-				}
 			}
 			if end := uint64(i)*stagger + cycles; end > roundEnd {
 				roundEnd = end
@@ -289,7 +288,7 @@ func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgen
 	}
 	ff := func(sp sampling.Span) error {
 		for _, a := range agents {
-			if err := c.ffSpan(a.hier, a.warmKey, a.traces, sp); err != nil {
+			if err := c.ffSpan(a, sp); err != nil {
 				return err
 			}
 		}

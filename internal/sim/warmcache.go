@@ -4,7 +4,7 @@
 // hierarchy for every grid point. This file threads Config.WarmCache
 // through the experiment entry points: the expensive phase-independent
 // artifacts — built kernels and engine runs (address-space images, hash
-// tables, probe traces) and warmed cache/TLB content — are memoized under
+// tables) and warmed cache/TLB content — are memoized under
 // content-addressed keys (internal/warmstate) and handed out as private
 // copy-on-write clones or geometry-checked snapshot restores, so a sweep
 // pays for each distinct build and warm-up once. The keys alone decide
@@ -141,8 +141,8 @@ func (im *image[T]) space() *vm.AddressSpace {
 // for one size class. The key names every input BuildKernel consumes; the
 // probe-sample knob enters through the derived OuterTuples stream length,
 // so two configs that produce the same stream share the build. The image
-// carries the kernel's HashIndex, built over the whole probe column (which
-// is the sample), so every phase on the image shares its reference matches.
+// carries the kernel's HashIndex over the whole probe column (which is the
+// sample): the table and the column, no per-probe data.
 func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 	kcfg := join.DefaultKernelConfig(size, c.Scale)
 	// The probe stream only needs to cover the detailed sample.
@@ -157,7 +157,7 @@ func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return kernel.AS, structures.HashIndex(kernel.Index, kernel.ProbeKeyBase, kernel.Traces(0)), nil
+		return kernel.AS, structures.HashIndex(kernel.Index, kernel.ProbeKeyBase, len(kernel.ProbeKeys)), nil
 	})
 	if err != nil {
 		return nil, err
@@ -172,9 +172,10 @@ func (c Config) kernelPhase(size join.SizeClass) (*indexPhase, error) {
 // read-only. The cache key is the rendered PlanSpec — value-typed, fully
 // derived from the query spec and scale, and the complete input set of
 // engine.Run — and the phase's warm-state checkpoints chain on it. The
-// phase's HashIndex covers the probe sample, which the key does not name,
-// so it is built per call rather than cached with the image; its result
-// regions are sized for the whole probe column.
+// cached result drops the engine's probe traces. The phase's HashIndex
+// covers the probe sample, which the key does not name, so it is built per
+// call rather than cached with the image; its result regions are sized for
+// the whole probe column.
 func (c Config) queryPhase(q workloads.QuerySpec) (*engine.Result, *indexPhase, error) {
 	spec := engine.FromWorkload(q, c.Scale)
 	key := warmKey(warmstate.NewFingerprint("engine").
@@ -184,13 +185,16 @@ func (c Config) queryPhase(q workloads.QuerySpec) (*engine.Result, *indexPhase, 
 		if err != nil {
 			return nil, nil, err
 		}
+		// The phase walks each span's traces from the index when the span
+		// starts, so the cached result keeps none.
+		res.Traces = nil
 		return res.AS, res, nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: query %s %s: %w", q.Suite, q.Name, err)
 	}
 	res := im.data
-	inst := structures.HashIndex(res.Index, res.ProbeKeyBase, res.Traces[:c.sampleCount(res.ProbeCount)])
+	inst := structures.HashIndex(res.Index, res.ProbeKeyBase, c.sampleCount(res.ProbeCount))
 	return res, newIndexPhase(fmt.Sprintf("%s %s", q.Suite, q.Name), im.space(), inst, res.ProbeCount, im.key), nil
 }
 

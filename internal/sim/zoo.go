@@ -163,8 +163,8 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 		if err != nil {
 			return err
 		}
-		matches, _ := inst.Reference()
-		ph := newIndexPhase(kinds[i].String(), as, inst, len(matches), phaseKey)
+		matches, fingerprint := structures.ReferenceSummary(inst)
+		ph := newIndexPhase(kinds[i].String(), as, inst, matches, phaseKey)
 		ph.opt = opt.Prog
 		baseRes, widxRes, rep, err := inner.runPhase(ph, []cores.Config{cores.OoOConfig()}, c.walkerPoints(widx.SharedDispatcher))
 		if err != nil {
@@ -187,8 +187,8 @@ func (c Config) RunZoo(opt ZooOptions) (*ZooExperiment, error) {
 			Structure:         kinds[i],
 			Geometry:          inst.Geometry(),
 			Probes:            inst.ProbeCount(),
-			Matches:           len(matches),
-			Fingerprint:       structures.Fingerprint(matches),
+			Matches:           matches,
+			Fingerprint:       fingerprint,
 			OoOCyclesPerTuple: ooo.CyclesPerTuple(),
 			Points:            points,
 		}

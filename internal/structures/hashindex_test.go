@@ -22,7 +22,7 @@ func testKernel(t *testing.T) (*join.Kernel, Instance) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, HashIndex(k.Index, k.ProbeKeyBase, k.Traces(0))
+	return k, HashIndex(k.Index, k.ProbeKeyBase, len(k.ProbeKeys))
 }
 
 // indirectIndex builds a MonetDB-layout index with a probe column of hits
@@ -36,12 +36,7 @@ func indirectIndex(t *testing.T) (*hashidx.Table, Instance, *vm.AddressSpace) {
 		t.Fatal(err)
 	}
 	probes := []uint64{22, 5, 88, 11, 99, 22}
-	base := writeColumn(as, "probes", probes)
-	traces := make([]hashidx.ProbeTrace, len(probes))
-	for i, p := range probes {
-		traces[i] = tbl.ProbeFrom(p, base+uint64(i)*8).Trace
-	}
-	return tbl, HashIndex(tbl, base, traces), as
+	return tbl, HashIndex(tbl, writeColumn(as, "probes", probes), len(probes)), as
 }
 
 // TestHashIndexProgramsAreForTable pins that a HashIndex's default bundle is
@@ -72,7 +67,8 @@ func TestHashIndexProgramsAreForTable(t *testing.T) {
 }
 
 // TestHashIndexReferenceIsTraceMatches pins that a HashIndex's reference
-// stream is read off its traces, probe by probe, for both layouts.
+// stream is read off its traces, probe by probe, for both layouts, and that
+// each trace is the table's ProbeFrom trace of the key in the probe column.
 func TestHashIndexReferenceIsTraceMatches(t *testing.T) {
 	k, kernel := testKernel(t)
 	tbl, indirect, _ := indirectIndex(t)
@@ -93,6 +89,9 @@ func TestHashIndexReferenceIsTraceMatches(t *testing.T) {
 		}
 		lo := 0
 		for i := range traces {
+			if want := c.tbl.ProbeFrom(traces[i].Key, traces[i].KeyAddr).Trace; !reflect.DeepEqual(traces[i], want) {
+				t.Fatalf("%s: probe %d trace %+v, ProbeFrom %+v", c.name, i, traces[i], want)
+			}
 			want := c.tbl.TraceMatches(&traces[i])
 			if got := matches[lo:bounds[i]]; !slices.Equal(got, want) {
 				t.Fatalf("%s: probe %d matches %v, TraceMatches %v", c.name, i, got, want)

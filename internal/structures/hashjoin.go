@@ -1,10 +1,11 @@
 // The hash join: the paper's workload and the zoo's calibration point.
-// HashIndex wraps any built internal/hashidx table and the reference traces
-// of its probe-key column behind the Instance interface, so every
-// experiment's hash join — the zoo's, the Figure 8 kernel, each query's
-// index phase, each CMP partition — is one HashIndex, built and probed
-// through exactly the same code paths as the other structures. The
-// generated non-touching programs are the canonical internal/program
+// HashIndex wraps any built internal/hashidx table and its probe-key column
+// behind the Instance interface, so every experiment's hash join — the
+// zoo's, the Figure 8 kernel, each query's index phase, each CMP partition —
+// is one HashIndex, built and probed through exactly the same code paths as
+// the other structures. It keeps no per-probe data: each span's traces and
+// matches are walked from the table when the span executor asks for them.
+// The generated non-touching programs are the canonical internal/program
 // bundle; the touching variant (inline layout only) reorders the walker to
 // load each node's next pointer first and TOUCH it before comparing the
 // current node's key.
@@ -24,19 +25,21 @@ const hashjoinPayloadTag = uint64(0x8A) << 40
 
 func hashjoinPayload(key uint64) uint64 { return key ^ hashjoinPayloadTag }
 
-// HashIndex wraps a built hash index as an Instance: traces are the
-// reference traces of the probe stream, probe i's key read from
-// probeBase+8*i, and the reference matches are read off them
-// (hashidx.Table.TraceMatches), so the instance probes nothing itself. Its
-// programs are the table's canonical dispatcher and walker
-// (program.ForTable's), or the touching walker on an inline-layout table.
-func HashIndex(tbl *hashidx.Table, probeBase uint64, traces []hashidx.ProbeTrace) Instance {
+// HashIndex wraps a built hash index as an Instance over probes probe keys,
+// probe i's key stored at probeBase+8*i in the table's address space. It
+// holds only the table and the column: Span walks the span's probes from
+// the table (hashidx.Table.AppendProbeAt) into the SpanRef's buffers, one
+// trace and the walker's matches per probe. Its programs are the table's
+// canonical dispatcher and walker (program.ForTable's), or the touching
+// walker on an inline-layout table.
+func HashIndex(tbl *hashidx.Table, probeBase uint64, probes int) Instance {
 	// The dispatcher and walker read only the table's geometry; the result
 	// region enters through the producer.
 	spec := program.SpecForTable(tbl, 0)
-	in := &instance{
+	return &instance{
 		kind:      HashJoin,
 		probeBase: probeBase,
+		probes:    probes,
 		regions:   tbl.Regions(),
 		geom: Geometry{
 			NodeBytes:      int(tbl.NodeSize()),
@@ -45,8 +48,24 @@ func HashIndex(tbl *hashidx.Table, probeBase uint64, traces []hashidx.ProbeTrace
 			FootprintBytes: tbl.FootprintBytes(),
 			Locality:       "hashed bucket headers, short collision chains",
 		},
-		traces: traces,
-		bounds: make([]int, len(traces)),
+		span: func(lo, hi int, ref *SpanRef) {
+			ref.traces, ref.bounds = resize(ref.traces, hi-lo), resize(ref.bounds, hi-lo)
+			steps, matches := ref.steps[:0], ref.matches[:0]
+			for i := range ref.traces {
+				ref.traces[i], steps, matches = tbl.AppendProbeAt(probeBase+uint64(lo+i)*8, steps, matches)
+				ref.bounds[i] = len(matches)
+			}
+			// Appends may have moved the step buffer: point every trace at
+			// its steps in the final one.
+			next := 0
+			for i := range ref.traces {
+				n := len(ref.traces[i].Steps)
+				ref.traces[i].Steps = steps[next : next+n : next+n]
+				next += n
+			}
+			ref.steps, ref.matches = steps, matches
+			ref.Traces, ref.Matches, ref.Bounds = ref.traces, matches, ref.bounds
+		},
 		gen: func(opt ProgramOptions) (d, w *isa.Program, err error) {
 			if opt.TouchWalker && spec.Layout != hashidx.LayoutInline {
 				return nil, nil, fmt.Errorf("structures: the touching walker reads inline-layout nodes, not %s", spec.Layout)
@@ -61,11 +80,6 @@ func HashIndex(tbl *hashidx.Table, probeBase uint64, traces []hashidx.ProbeTrace
 			return d, w, err
 		},
 	}
-	for i := range traces {
-		in.matches = append(in.matches, tbl.TraceMatches(&traces[i])...)
-		in.bounds[i] = len(in.matches)
-	}
-	return in
 }
 
 // buildHashJoin builds the zoo's hash join: unique keys with tagged
@@ -87,12 +101,7 @@ func buildHashJoin(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 		return nil, err
 	}
 	probes := ks.probeStream(rng, cfg.Probes)
-	probeBase := writeColumn(as, cfg.Name+".probes", probes)
-	traces := make([]hashidx.ProbeTrace, len(probes))
-	for i, p := range probes {
-		traces[i] = tbl.ProbeFrom(p, probeBase+uint64(i)*8).Trace
-	}
-	return HashIndex(tbl, probeBase, traces), nil
+	return HashIndex(tbl, writeColumn(as, cfg.Name+".probes", probes), len(probes)), nil
 }
 
 // touchWalker is the inline-layout walker reordered for MLP: each

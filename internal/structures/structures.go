@@ -38,7 +38,9 @@
 package structures
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"sort"
 	"strings"
@@ -245,22 +247,55 @@ type Instance interface {
 	// Regions lists the structure's resident [start, end) address ranges
 	// (probe column excluded), for LLC warming.
 	Regions() [][2]uint64
+	// Span fills ref with the software reference of probes [lo, hi): their
+	// dependent-load traces for baseline-core replay and fast-forward
+	// warming, and their matches for checking a Widx span. The span
+	// executor refills one SpanRef per agent as each span starts, so a
+	// phase holds at most one span's reference per agent.
+	Span(lo, hi int, ref *SpanRef)
 	// Reference returns the software reference traversal's flattened match
 	// stream (probe order, a probe's matches in traversal order) and the
-	// per-probe dependent-load traces for baseline-core replay. Callers
-	// must not mutate either slice.
+	// per-probe dependent-load traces of the whole probe stream: Span over
+	// [0, ProbeCount()). Callers must not mutate either slice.
 	Reference() (matches []uint64, traces []hashidx.ProbeTrace)
 	// MatchBounds returns the cumulative per-probe offsets into the
-	// flattened match stream: probe i's matches are
-	// matches[bounds[i]:bounds[i+1]] with an implicit bounds[-1] of 0, so
-	// bounds[i] is the stream length after probe i. The span executor
-	// uses it to check each detailed span's matches against the
-	// reference's matches for the same probes. Callers must not mutate the
-	// slice.
+	// flattened match stream of Reference: probe i's matches are
+	// matches[bounds[i-1]:bounds[i]] with an implicit bounds[-1] of 0, so
+	// bounds[i] is the stream length after probe i. Callers must not
+	// mutate the slice.
 	MatchBounds() []int
 	// Programs generates the Widx bundle targeting resultBase. The match
 	// stream the bundle produces is identical for every option setting.
 	Programs(resultBase uint64, opt ProgramOptions) (*Programs, error)
+}
+
+// SpanRef is the software reference of one span of a probe stream, probes
+// [lo, hi): Traces[i] and the matches of probe lo+i, which are
+// Matches[Bounds[i-1]:Bounds[i]] with an implicit Bounds[-1] of 0. An
+// Instance fills it in place: a structure that materialized its reference
+// slices it, and a HashIndex walks the span's probes into buffers the
+// SpanRef keeps, so refilling a warmed SpanRef allocates nothing. The
+// slices stay valid until the next fill; callers must not mutate them.
+type SpanRef struct {
+	Traces  []hashidx.ProbeTrace
+	Matches []uint64
+	Bounds  []int
+
+	// The buffers a fill writes; Traces, Matches and Bounds view them or
+	// the instance's own reference.
+	traces  []hashidx.ProbeTrace
+	steps   []hashidx.TraceStep
+	matches []uint64
+	bounds  []int
+}
+
+// resize returns buf with length n, reallocated to exactly n only when its
+// capacity is short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Build constructs the structure into the address space and precomputes its
@@ -293,42 +328,73 @@ func Build(as *vm.AddressSpace, cfg BuildConfig) (Instance, error) {
 
 // Fingerprint hashes a match stream (FNV-1a over the 8-byte little-endian
 // payloads, the golden-test encoding used across the repository).
+//
+//widxlint:ignore deadcode used by bench/widxbench
 func Fingerprint(matches []uint64) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
-	for _, m := range matches {
-		for i := range buf {
-			buf[i] = byte(m >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	hashMatches(h, matches)
 	return h.Sum64()
 }
 
+// hashMatches feeds matches to h in Fingerprint's encoding.
+func hashMatches(h hash.Hash64, matches []uint64) {
+	var buf [8]byte
+	for _, m := range matches {
+		binary.LittleEndian.PutUint64(buf[:], m)
+		h.Write(buf[:])
+	}
+}
+
+// summaryChunk is the span length ReferenceSummary walks at a time.
+const summaryChunk = 4096
+
+// ReferenceSummary returns the length and the Fingerprint of inst's whole
+// reference match stream, walking it span by span so that no more than
+// summaryChunk probes' reference is held at once.
+func ReferenceSummary(inst Instance) (matches int, fingerprint uint64) {
+	h := fnv.New64a()
+	var ref SpanRef
+	for lo, n := 0, inst.ProbeCount(); lo < n; lo += summaryChunk {
+		inst.Span(lo, min(lo+summaryChunk, n), &ref)
+		matches += len(ref.Matches)
+		hashMatches(h, ref.Matches)
+	}
+	return matches, h.Sum64()
+}
+
 // instance is the one Instance implementation. A build fills in the probe
-// column, the geometry and regions, the software reference (through
-// reference, or read off a HashIndex's traces) and gen, the structure's
-// dispatcher and walker for a ProgramOptions; Programs adds the rest.
+// column, the geometry and regions, span, the source of the software
+// reference (a recorded reference, or a HashIndex's walk of its table), and
+// gen, the structure's dispatcher and walker for a ProgramOptions;
+// Programs adds the rest.
 type instance struct {
 	kind      Kind
 	probeBase uint64
+	probes    int
 	geom      Geometry
 	regions   [][2]uint64
-	matches   []uint64
-	bounds    []int
-	traces    []hashidx.ProbeTrace
+	span      func(lo, hi int, ref *SpanRef)
 	gen       func(opt ProgramOptions) (dispatcher, walker *isa.Program, err error)
 }
 
-func (in *instance) Kind() Kind           { return in.kind }
-func (in *instance) ProbeKeyBase() uint64 { return in.probeBase }
-func (in *instance) ProbeCount() int      { return len(in.traces) }
-func (in *instance) Geometry() Geometry   { return in.geom }
-func (in *instance) Regions() [][2]uint64 { return in.regions }
+func (in *instance) Kind() Kind                    { return in.kind }
+func (in *instance) ProbeKeyBase() uint64          { return in.probeBase }
+func (in *instance) ProbeCount() int               { return in.probes }
+func (in *instance) Geometry() Geometry            { return in.geom }
+func (in *instance) Regions() [][2]uint64          { return in.regions }
+func (in *instance) Span(lo, hi int, ref *SpanRef) { in.span(lo, hi, ref) }
 func (in *instance) Reference() ([]uint64, []hashidx.ProbeTrace) {
-	return in.matches, in.traces
+	var ref SpanRef
+	in.span(0, in.probes, &ref)
+	return ref.Matches, ref.Traces
 }
-func (in *instance) MatchBounds() []int { return in.bounds }
+
+// MatchBounds is a whole-stream Span's Bounds.
+func (in *instance) MatchBounds() []int {
+	var ref SpanRef
+	in.span(0, in.probes, &ref)
+	return ref.Bounds
+}
 
 // Programs bundles gen's dispatcher, with the key prefetch applied on
 // request, gen's walker and the producer storing to resultBase.
@@ -354,22 +420,40 @@ func (in *instance) Programs(resultBase uint64, opt ProgramOptions) (*Programs, 
 // in.probeBase: probe i's matches, in traversal order, join the flattened
 // stream, and its trace loads the key from probeBase+8i and starts the
 // traversal at entry(p) with lookup's steps. lookup reads the structure
-// only through the address space this loop passes it.
+// only through the address space this loop passes it. The instance then
+// serves every span by slicing the recording.
 func (in *instance) reference(as *vm.AddressSpace, probes []uint64, entry func(p uint64) uint64,
 	lookup func(as *vm.AddressSpace, p uint64) (matches []uint64, steps []hashidx.TraceStep)) {
-	in.traces = make([]hashidx.ProbeTrace, len(probes))
-	in.bounds = make([]int, len(probes))
+	rec := SpanRef{Traces: make([]hashidx.ProbeTrace, len(probes)), Bounds: make([]int, len(probes))}
 	for i, p := range probes {
 		matches, steps := lookup(as, p)
-		in.matches = append(in.matches, matches...)
-		in.bounds[i] = len(in.matches)
-		in.traces[i] = hashidx.ProbeTrace{
+		rec.Matches = append(rec.Matches, matches...)
+		rec.Bounds[i] = len(rec.Matches)
+		rec.Traces[i] = hashidx.ProbeTrace{
 			Key:        p,
 			KeyAddr:    in.probeBase + uint64(i)*8,
 			HashOps:    1,
 			BucketAddr: entry(p),
 			Steps:      steps,
 		}
+	}
+	in.probes = len(probes)
+	in.span = func(lo, hi int, ref *SpanRef) {
+		base := 0
+		if lo > 0 {
+			base = rec.Bounds[lo-1]
+		}
+		ref.Traces = rec.Traces[lo:hi]
+		ref.Matches = rec.Matches[base:rec.Bounds[hi-1]]
+		if base == 0 {
+			ref.Bounds = rec.Bounds[lo:hi]
+			return
+		}
+		ref.bounds = resize(ref.bounds, hi-lo)
+		for i, b := range rec.Bounds[lo:hi] {
+			ref.bounds[i] = b - base
+		}
+		ref.Bounds = ref.bounds
 	}
 }
 
