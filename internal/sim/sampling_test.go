@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,7 +209,7 @@ func TestSampledWarmStoreCrossProcess(t *testing.T) {
 }
 
 // TestWarmStoreCorruptEntryRebuilt corrupts every persisted warm state the
-// way a bad disk would, keeping the entry's JSON well formed: a flipped
+// way a bad disk would, keeping the entry's envelope well formed: a flipped
 // bit in the LLC block-size word (payload offset 32), which would make the
 // restore panic, and a cleared LLC valid flag, which would decode and
 // silently change the report. The rerun must count one store miss per
@@ -254,32 +253,26 @@ func TestWarmStoreCorruptEntryRebuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 		run(store)
-		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		files, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		corrupted := 0
 		for _, f := range files {
-			data, err := os.ReadFile(f)
+			path := filepath.Join(dir, f.Name())
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var e struct {
-				Key   string `json:"key"`
-				Value []byte `json:"value"`
-				CRC   uint32 `json:"crc"`
+			_, value, ok := warmstate.DecodeEntry(data)
+			if !ok {
+				t.Fatalf("%s is not a store entry", f.Name())
 			}
-			if err := json.Unmarshal(data, &e); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.HasPrefix(e.Value, []byte("widxwarm")) {
+			if !bytes.HasPrefix(value, []byte("widxwarm")) {
 				continue
 			}
-			edit(e.Value)
-			if data, err = json.Marshal(e); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(f, data, 0o644); err != nil {
+			edit(value) // in place: the value is a slice of data
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			corrupted++

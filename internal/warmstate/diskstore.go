@@ -1,8 +1,8 @@
 package warmstate
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -36,16 +36,65 @@ type DiskStore struct {
 	misses uint64
 }
 
-// diskEntry is the on-disk envelope of one entry.
-type diskEntry struct {
-	Key   string `json:"key"`
-	Value []byte `json:"value"`
-	CRC   uint32 `json:"crc"`
+// An entry file holds one binary envelope (EncodeEntry): entryMagic, the
+// key's length (uint64, little-endian) and bytes, the value's length and
+// bytes, and the CRC-32 of both (checksum, uint32, little-endian). Entry
+// files end in entrySuffix; a file in another format, such as the JSON
+// envelope of earlier revisions, is foreign to the store: its key misses
+// once and is rewritten as an entry.
+const (
+	entryMagic  = "widxent1"
+	entrySuffix = ".entry"
+)
+
+// EncodeEntry renders the envelope of one entry.
+func EncodeEntry(key string, value []byte) []byte {
+	data := make([]byte, 0, len(entryMagic)+8+len(key)+8+len(value)+4)
+	data = append(data, entryMagic...)
+	data = binary.LittleEndian.AppendUint64(data, uint64(len(key)))
+	data = append(data, key...)
+	data = binary.LittleEndian.AppendUint64(data, uint64(len(value)))
+	data = append(data, value...)
+	return binary.LittleEndian.AppendUint32(data, checksum(key, value))
+}
+
+// DecodeEntry parses an envelope, returning the value as a slice of data.
+// ok is false unless data is exactly one envelope whose checksum matches
+// its key and value.
+func DecodeEntry(data []byte) (key string, value []byte, ok bool) {
+	key, value, crc, ok := parseEntry(data)
+	return key, value, ok && crc == checksum(key, value)
+}
+
+// parseEntry splits an envelope into its key, its value and the checksum it
+// carries, without checking the checksum.
+func parseEntry(data []byte) (key string, value []byte, crc uint32, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(entryMagic))
+	// field cuts one length-prefixed field off rest.
+	field := func() []byte {
+		if !ok || len(rest) < 8 {
+			ok = false
+			return nil
+		}
+		n := binary.LittleEndian.Uint64(rest)
+		if rest = rest[8:]; n > uint64(len(rest)) {
+			ok = false
+			return nil
+		}
+		f := rest[:n]
+		rest = rest[n:]
+		return f
+	}
+	k := field()
+	value = field()
+	if !ok || len(rest) != 4 {
+		return "", nil, 0, false
+	}
+	return string(k), value, binary.LittleEndian.Uint32(rest), true
 }
 
 // checksum is the CRC-32 (IEEE) of an entry's length-prefixed key and its
-// value. An entry written without one decodes with CRC 0, so it misses
-// unless its content happens to checksum to 0.
+// value.
 func checksum(key string, value []byte) uint32 {
 	h := crc32.NewIEEE()
 	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(key))))
@@ -71,7 +120,7 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 func (s *DiskStore) path(key string) string {
 	h := NewHasher()
 	h.String(key)
-	return filepath.Join(s.dir, fmt.Sprintf("%016x.json", h.Sum()))
+	return filepath.Join(s.dir, fmt.Sprintf("%016x%s", h.Sum(), entrySuffix))
 }
 
 // Get returns the payload stored under key, if present. Unreadable,
@@ -86,13 +135,13 @@ func (s *DiskStore) Get(key string) ([]byte, bool, error) {
 		}
 		return nil, false, fmt.Errorf("warmstate: reading disk store entry: %w", err)
 	}
-	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != key || e.CRC != checksum(key, e.Value) {
+	stored, value, ok := DecodeEntry(data)
+	if !ok || stored != key {
 		s.count(false)
 		return nil, false, nil
 	}
 	s.count(true)
-	return e.Value, true, nil
+	return value, true, nil
 }
 
 // Put stores payload under key, atomically: the entry is written to a
@@ -100,16 +149,12 @@ func (s *DiskStore) Get(key string) ([]byte, bool, error) {
 // concurrent readers and interrupted writers never observe a partial
 // entry.
 func (s *DiskStore) Put(key string, payload []byte) error {
-	data, err := json.Marshal(diskEntry{Key: key, Value: payload, CRC: checksum(key, payload)})
-	if err != nil {
-		return fmt.Errorf("warmstate: encoding disk store entry: %w", err)
-	}
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("warmstate: writing disk store entry: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(EncodeEntry(key, payload)); err != nil {
 		tmp.Close()
 		return fmt.Errorf("warmstate: writing disk store entry: %w", err)
 	}
@@ -139,56 +184,59 @@ func (s *DiskStore) count(hit bool) {
 	s.mu.Unlock()
 }
 
-// Len counts the committed entries on disk.
-func (s *DiskStore) Len() (int, error) {
+// entryFiles lists the names of the committed entry files.
+func (s *DiskStore) entryFiles() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return 0, fmt.Errorf("warmstate: listing disk store: %w", err)
+		return nil, fmt.Errorf("warmstate: listing disk store: %w", err)
 	}
-	n := 0
+	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			n++
+		if !e.IsDir() && strings.HasSuffix(e.Name(), entrySuffix) {
+			names = append(names, e.Name())
 		}
 	}
-	return n, nil
+	return names, nil
+}
+
+// Len counts the committed entries on disk.
+func (s *DiskStore) Len() (int, error) {
+	names, err := s.entryFiles()
+	return len(names), err
 }
 
 // Verify walks every committed entry and checks its integrity: the file
-// parses, carries a non-empty key and a matching checksum, and sits at
-// the path its key hashes to. Leftover temp files from in-flight writes
-// are ignored (they are invisible to Get); anything else malformed is an
-// error. A cancelled or
-// crashed run must leave the store Verify-clean — that is the "no partial
-// entries" contract the sweep service's cancellation test asserts.
+// is one envelope, carries a non-empty key and a matching checksum, and
+// sits at the path its key hashes to. Leftover temp files from in-flight
+// writes and foreign files are ignored (they are invisible to Get);
+// anything else malformed is an error. A cancelled or crashed run must
+// leave the store Verify-clean — that is the "no partial entries" contract
+// the sweep service's cancellation test asserts.
 //
 //widxlint:ignore deadcode used by the serve tests (TestCancellation)
 func (s *DiskStore) Verify() error {
-	entries, err := os.ReadDir(s.dir)
+	names, err := s.entryFiles()
 	if err != nil {
-		return fmt.Errorf("warmstate: listing disk store: %w", err)
+		return err
 	}
-	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".json") {
-			continue
-		}
-		path := filepath.Join(s.dir, ent.Name())
+	for _, name := range names {
+		path := filepath.Join(s.dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("warmstate: verify: %w", err)
 		}
-		var e diskEntry
-		if err := json.Unmarshal(data, &e); err != nil {
-			return fmt.Errorf("warmstate: verify: entry %s is not a committed envelope: %w", ent.Name(), err)
+		key, value, crc, ok := parseEntry(data)
+		if !ok {
+			return fmt.Errorf("warmstate: verify: entry %s is not a committed envelope", name)
 		}
-		if e.Key == "" {
-			return fmt.Errorf("warmstate: verify: entry %s has an empty key", ent.Name())
+		if key == "" {
+			return fmt.Errorf("warmstate: verify: entry %s has an empty key", name)
 		}
-		if e.CRC != checksum(e.Key, e.Value) {
-			return fmt.Errorf("warmstate: verify: entry %s fails its checksum", ent.Name())
+		if crc != checksum(key, value) {
+			return fmt.Errorf("warmstate: verify: entry %s fails its checksum", name)
 		}
-		if want := s.path(e.Key); want != path {
-			return fmt.Errorf("warmstate: verify: entry %s stores key %q which hashes to %s", ent.Name(), e.Key, filepath.Base(want))
+		if want := s.path(key); want != path {
+			return fmt.Errorf("warmstate: verify: entry %s stores key %q which hashes to %s", name, key, filepath.Base(want))
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package warmstate
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,7 +84,8 @@ func TestDiskStoreVerifyPartialEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, "put-123.tmp"), []byte(`{"key":"x","val`), 0o644); err != nil {
+	partial := EncodeEntry("x", []byte("payload"))[:20]
+	if err := os.WriteFile(filepath.Join(s.dir, "put-123.tmp"), partial, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Verify(); err != nil {
@@ -94,7 +94,7 @@ func TestDiskStoreVerifyPartialEntries(t *testing.T) {
 	if n, _ := s.Len(); n != 0 {
 		t.Fatalf("temp file counted as entry: Len = %d", n)
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, "0000000000000000.json"), []byte(`{"key":"x","val`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.dir, "0000000000000000"+entrySuffix), partial, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Verify(); err == nil {
@@ -102,24 +102,20 @@ func TestDiskStoreVerifyPartialEntries(t *testing.T) {
 	}
 }
 
-// A bit flip inside a stored value that keeps the entry well formed, and an
-// entry written without a checksum (the format before checksums), are
-// counted misses that Verify reports.
+// A bit flip inside a stored value or inside the stored checksum keeps the
+// envelope well formed; either is a counted miss that Verify reports.
 func TestDiskStoreCorruptEntryIsMiss(t *testing.T) {
 	s, err := OpenDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const key = "warm/v1"
-	for name, corrupt := range map[string]func(e diskEntry) any{
-		"flipped value bit": func(e diskEntry) any { e.Value[3] ^= 1; return e },
-		"no checksum":       func(e diskEntry) any { return map[string]any{"key": e.Key, "value": e.Value} },
+	for name, offset := range map[string]int{
+		"flipped value bit":    len(entryMagic) + 8 + len(key) + 8 + 3,
+		"flipped checksum bit": len(entryMagic) + 8 + len(key) + 8 + len("payload"),
 	} {
-		e := diskEntry{Key: key, Value: []byte("payload"), CRC: checksum(key, []byte("payload"))}
-		data, err := json.Marshal(corrupt(e))
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := EncodeEntry(key, []byte("payload"))
+		data[offset] ^= 1
 		if err := os.WriteFile(s.path(key), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -133,6 +129,39 @@ func TestDiskStoreCorruptEntryIsMiss(t *testing.T) {
 		if err := s.Verify(); err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("%s: Verify missed the corrupt entry: %v", name, err)
 		}
+	}
+}
+
+// An entry in the JSON envelope of earlier revisions is a foreign file: its
+// key misses once and is rewritten as an entry, and Len and Verify see
+// only the rewritten entry.
+func TestDiskStoreJSONEntryIsForeign(t *testing.T) {
+	s, err := OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "warm/v1"
+	legacy := strings.TrimSuffix(s.path(key), entrySuffix) + ".json"
+	if err := os.WriteFile(legacy, []byte(`{"key":"warm/v1","value":"cGF5bG9hZA==","crc":1775129888}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(key); err != nil || ok {
+		t.Fatalf("JSON entry served: %v, %v", ok, err)
+	}
+	if n, err := s.Len(); err != nil || n != 0 {
+		t.Fatalf("Len = %d, %v with only a JSON entry", n, err)
+	}
+	if err := s.Put(key, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Get(key); err != nil || !ok || string(got) != "payload" {
+		t.Fatalf("rewritten entry Get = %q, %v, %v", got, ok, err)
+	}
+	if n, err := s.Len(); err != nil || n != 1 {
+		t.Fatalf("Len = %d, %v after the rewrite", n, err)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -156,8 +185,7 @@ func FuzzDiskStoreGet(f *testing.F) {
 		if !ok {
 			return
 		}
-		var e diskEntry
-		if json.Unmarshal(data, &e) != nil || e.Key != key || !bytes.Equal(e.Value, got) || e.CRC != checksum(key, got) {
+		if !bytes.Equal(EncodeEntry(key, got), data) {
 			t.Fatalf("served an entry that does not check out: %q", data)
 		}
 	})
