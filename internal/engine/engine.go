@@ -215,7 +215,9 @@ func Run(spec PlanSpec) (*Result, error) {
 		as.Write64(probeBase+uint64(i)*8, k)
 	}
 
-	// Probe: functional result plus traces for the timing model.
+	// Probe: functional result plus traces for the timing model. A probe
+	// that matches joins its first match's dimension row, whose base-column
+	// reference the walk emits.
 	res := &Result{
 		Name:         spec.Name,
 		ProbeCount:   len(probeKeys),
@@ -225,13 +227,15 @@ func Run(spec PlanSpec) (*Result, error) {
 		ProbeKeyBase: probeBase,
 		Traces:       make([]hashidx.ProbeTrace, len(probeKeys)),
 	}
-	for i, k := range probeKeys {
-		pr := idx.ProbeFrom(k, probeBase+uint64(i)*8)
-		res.Traces[i] = pr.Trace
-		if pr.Found {
+	bounds := make([]int, len(probeKeys))
+	_, refs := idx.ProbeColumn(probeBase, res.Traces, bounds, nil, nil)
+	prev := 0
+	for _, b := range bounds {
+		if b > prev {
 			res.MatchCount++
-			res.Aggregate += dimValues[pr.Payload]
+			res.Aggregate += dimValues[(refs[prev]-idx.KeyColumnBase())/8]
 		}
+		prev = b
 	}
 
 	// Post-join operators: sort the matched values, then aggregate them.

@@ -93,15 +93,30 @@ func (t *Table) probe(key uint64, keyAddr uint64) ProbeResult {
 	return res
 }
 
-// AppendProbeAt probes the key stored at keyAddr in the table's address
-// space, as a Widx dispatcher loads it from the probe-key column. It appends
-// the probe's node visits to steps and the values a walker emits for it
-// (see TraceMatches) to matches, and returns the probe's trace, whose Steps
-// are the appended tail of the returned step buffer. With buffers of enough
+// ProbeColumn probes the len(traces) keys stored at keyBase, keyBase+8, ...
+// in the table's address space, as a Widx dispatcher loads them from a
+// probe-key column. It fills traces[i] with probe i's trace, appends every
+// probe's node visits to steps and the values a walker emits for it (see
+// TraceMatches) to matches, sets bounds[i] to the number of matches
+// appended for probes 0..i, and returns the extended buffers; each trace's
+// Steps is a slice of the returned step buffer. With buffers of enough
 // capacity it allocates nothing.
-func (t *Table) AppendProbeAt(keyAddr uint64, steps []TraceStep, matches []uint64) (ProbeTrace, []TraceStep, []uint64) {
-	tr, steps := t.appendTrace(t.as.Read64(keyAddr), keyAddr, steps)
-	return tr, steps, t.appendMatches(matches, tr.Steps)
+func (t *Table) ProbeColumn(keyBase uint64, traces []ProbeTrace, bounds []int, steps []TraceStep, matches []uint64) ([]TraceStep, []uint64) {
+	first, base := len(steps), len(matches)
+	for i := range traces {
+		keyAddr := keyBase + uint64(i)*8
+		traces[i], steps = t.appendTrace(t.as.Read64(keyAddr), keyAddr, steps)
+		matches = t.appendMatches(matches, traces[i].Steps)
+		bounds[i] = len(matches) - base
+	}
+	// Appends may have moved the step buffer: point every trace at its
+	// steps in the final one.
+	for i := range traces {
+		n := len(traces[i].Steps)
+		traces[i].Steps = steps[first : first+n : first+n]
+		first += n
+	}
+	return steps, matches
 }
 
 // appendTrace walks key's bucket chain (Listing 1 of the paper), appending

@@ -28,7 +28,7 @@ func hashjoinPayload(key uint64) uint64 { return key ^ hashjoinPayloadTag }
 // HashIndex wraps a built hash index as an Instance over probes probe keys,
 // probe i's key stored at probeBase+8*i in the table's address space. It
 // holds only the table and the column: Span walks the span's probes from
-// the table (hashidx.Table.AppendProbeAt) into the SpanRef's buffers, one
+// the table (hashidx.Table.ProbeColumn) into the SpanRef's buffers, one
 // trace and the walker's matches per probe. Its programs are the table's
 // canonical dispatcher and walker (program.ForTable's), or the touching
 // walker on an inline-layout table.
@@ -50,21 +50,8 @@ func HashIndex(tbl *hashidx.Table, probeBase uint64, probes int) Instance {
 		},
 		span: func(lo, hi int, ref *SpanRef) {
 			ref.traces, ref.bounds = resize(ref.traces, hi-lo), resize(ref.bounds, hi-lo)
-			steps, matches := ref.steps[:0], ref.matches[:0]
-			for i := range ref.traces {
-				ref.traces[i], steps, matches = tbl.AppendProbeAt(probeBase+uint64(lo+i)*8, steps, matches)
-				ref.bounds[i] = len(matches)
-			}
-			// Appends may have moved the step buffer: point every trace at
-			// its steps in the final one.
-			next := 0
-			for i := range ref.traces {
-				n := len(ref.traces[i].Steps)
-				ref.traces[i].Steps = steps[next : next+n : next+n]
-				next += n
-			}
-			ref.steps, ref.matches = steps, matches
-			ref.Traces, ref.Matches, ref.Bounds = ref.traces, matches, ref.bounds
+			ref.steps, ref.matches = tbl.ProbeColumn(probeBase+uint64(lo)*8, ref.traces, ref.bounds, ref.steps[:0], ref.matches[:0])
+			ref.Traces, ref.Matches, ref.Bounds = ref.traces, ref.matches, ref.bounds
 		},
 		gen: func(opt ProgramOptions) (d, w *isa.Program, err error) {
 			if opt.TouchWalker && spec.Layout != hashidx.LayoutInline {
