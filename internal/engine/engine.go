@@ -215,9 +215,7 @@ func Run(spec PlanSpec) (*Result, error) {
 		as.Write64(probeBase+uint64(i)*8, k)
 	}
 
-	// Probe: functional result plus traces for the timing model. A probe
-	// that matches joins its first match's dimension row, whose base-column
-	// reference the walk emits.
+	// Probe: functional result plus traces for the timing model.
 	res := &Result{
 		Name:         spec.Name,
 		ProbeCount:   len(probeKeys),
@@ -227,15 +225,13 @@ func Run(spec PlanSpec) (*Result, error) {
 		ProbeKeyBase: probeBase,
 		Traces:       make([]hashidx.ProbeTrace, len(probeKeys)),
 	}
-	bounds := make([]int, len(probeKeys))
-	_, refs := idx.ProbeColumn(probeBase, res.Traces, bounds, nil, nil)
-	prev := 0
-	for _, b := range bounds {
-		if b > prev {
+	for i, k := range probeKeys {
+		pr := idx.ProbeFrom(k, probeBase+uint64(i)*8)
+		res.Traces[i] = pr.Trace
+		if pr.Found {
 			res.MatchCount++
-			res.Aggregate += dimValues[(refs[prev]-idx.KeyColumnBase())/8]
+			res.Aggregate += dimValues[pr.Payload]
 		}
-		prev = b
 	}
 
 	// Post-join operators: sort the matched values, then aggregate them.

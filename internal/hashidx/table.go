@@ -264,6 +264,8 @@ func (t *Table) BucketAddr(b uint64) uint64 {
 
 // KeyColumnBase returns the base address of the key column (indirect layout
 // only; zero otherwise).
+//
+//widxlint:ignore deadcode used by the widx tests
 func (t *Table) KeyColumnBase() uint64 { return t.keyColBase }
 
 // Regions returns the address ranges [start, end) the index occupies: the
