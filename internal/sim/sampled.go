@@ -7,8 +7,10 @@
 // arrival at every round.
 //
 // Each agent walks the software reference of a span — its traces and
-// matches, structures.Instance.Span — when the span starts, into buffers it
-// reuses, so no phase holds more than one span's reference per agent.
+// matches, structures.Instance.Span — when it needs them, into buffers it
+// reuses: a host core walks a detailed span as it starts, and fast-forward
+// warming and a Widx span's match check walk it in chunks of walkChunk
+// probes. No agent holds more than one span's reference.
 // Fast-forward spans (sampled plans only) perform functional state updates:
 // the software reference's matches join the output stream and the addresses
 // its traversal touches warm the cache tags and TLB pages (mem.WarmBlock),
@@ -117,7 +119,8 @@ func ffWarm(hier *mem.Hierarchy, traces []hashidx.ProbeTrace) {
 }
 
 // ffSpan executes one fast-forward span's warming from the agent's
-// reference of the span, walked only when the warm-up runs. The plan's
+// reference of the span, walked chunk by chunk only when the warm-up runs.
+// The plan's
 // opening span starts at probe 0, so on a fresh single-agent machine its
 // warm state is a pure function of the workload and the machine's
 // warm-relevant geometry — that one span is checkpointed through the warm
@@ -130,27 +133,27 @@ func (c Config) ffSpan(a *spanAgent, sp sampling.Span) error {
 		f = warmstate.NewFingerprint("ffwarm").Field("phase", a.warmKey).Field("end", sp.End)
 	}
 	return c.warmed(f, []*mem.Hierarchy{a.hier}, func(hs []*mem.Hierarchy) {
-		a.walk(sp)
-		ffWarm(hs[0], a.ref.Traces)
+		a.chunks(sp, func() { ffWarm(hs[0], a.ref.Traces) })
 	})
 }
 
 // spanEngine builds one agent's engine for a detailed span: the probes of
-// sp, whose reference is ref, beginning at startCycle. The agent is a
-// *widx.OffloadAgent or a *cores.ProbeEngine.
+// sp, beginning at startCycle; a host core walks the span's reference into
+// ref to replay it. The agent is a *widx.OffloadAgent or a
+// *cores.ProbeEngine.
 type spanEngine func(sp sampling.Span, ref *structures.SpanRef, startCycle uint64) (system.Agent, error)
 
 // spanAgent is one agent of a span execution: its hierarchy view, its
 // engine constructor, and the structure whose software reference each span
-// is walked from as the span starts — the traces fast-forward spans warm
-// from and host cores replay, and the matches each detailed Widx span's
-// output is checked against. runSpans fills the measured aggregates.
+// is walked from — the traces fast-forward spans warm from and host cores
+// replay, and the matches each detailed Widx span's output is checked
+// against. runSpans fills the measured aggregates.
 type spanAgent struct {
 	name  string
 	hier  *mem.Hierarchy
 	start spanEngine
 	inst  structures.Instance
-	// ref is the current span's reference, refilled in place per span.
+	// ref is the reference last walked, refilled in place.
 	ref structures.SpanRef
 	// warmKey chains the opening fast-forward checkpoint ("" warms inline);
 	// only single-agent phases on a fresh machine set it.
@@ -164,9 +167,18 @@ type spanAgent struct {
 	wins    []windowSample
 }
 
-// walk fills the agent's reference with sp's.
-func (a *spanAgent) walk(sp sampling.Span) {
-	a.inst.Span(int(sp.Start), int(sp.End), &a.ref)
+// walkChunk bounds the probes fast-forward warming and a Widx span's match
+// check walk at a time, so a whole-stream fast-forward span or full-detail
+// offload holds a chunk's reference, not the stream's.
+const walkChunk = 1024
+
+// chunks walks sp's reference into the agent's, walkChunk probes at a
+// time, calling fn on each chunk in probe order.
+func (a *spanAgent) chunks(sp sampling.Span, fn func()) {
+	for lo := sp.Start; lo < sp.End; lo += walkChunk {
+		a.inst.Span(int(lo), int(min(lo+walkChunk, sp.End)), &a.ref)
+		fn()
+	}
 }
 
 // widxAgent attaches a Widx accelerator running progs over inst's probe-key
@@ -192,7 +204,8 @@ func coreAgent(hier *mem.Hierarchy, cfg cores.Config, inst structures.Instance) 
 	if err != nil {
 		return nil, err
 	}
-	return &spanAgent{hier: hier, inst: inst, start: func(_ sampling.Span, ref *structures.SpanRef, startCycle uint64) (system.Agent, error) {
+	return &spanAgent{hier: hier, inst: inst, start: func(sp sampling.Span, ref *structures.SpanRef, startCycle uint64) (system.Agent, error) {
+		inst.Span(int(sp.Start), int(sp.End), ref)
 		e, err := core.NewProbeEngine(ref.Traces, startCycle)
 		if err != nil {
 			return nil, err
@@ -240,11 +253,18 @@ func (a *spanAgent) finish(e system.Agent, sp sampling.Span) (uint64, error) {
 	return cycles, nil
 }
 
-// check compares a detailed span's matches with the reference's.
+// check compares a detailed span's matches with the reference's, walked
+// chunk by chunk.
 func (a *spanAgent) check(matches []uint64, sp sampling.Span) error {
-	if want := a.ref.Matches; !slices.Equal(matches, want) {
+	want, equal := 0, true
+	a.chunks(sp, func() {
+		ref := a.ref.Matches
+		equal = equal && want+len(ref) <= len(matches) && slices.Equal(matches[want:want+len(ref)], ref)
+		want += len(ref)
+	})
+	if !equal || want != len(matches) {
 		return fmt.Errorf("sim: %s output diverged from the software reference in probes [%d, %d) (%d matches, want %d)",
-			a.name, sp.Start, sp.End, len(matches), len(want))
+			a.name, sp.Start, sp.End, len(matches), want)
 	}
 	return nil
 }
@@ -254,16 +274,15 @@ func (a *spanAgent) check(matches []uint64, sp sampling.Span) error {
 // functionally; a detailed round starts every agent's span engine at the
 // cycle the previous round ended (agent i arriving stagger*i later) and runs
 // them together on the system scheduler, and the round ends when the last
-// agent finishes. Each agent walks a span's reference as the span starts
-// (a fast-forward span only when its warm-up runs), so it holds one span's
-// reference at a time; every Widx agent has each detailed span's matches
+// agent finishes. Each agent walks a span's reference when it needs it (a
+// fast-forward span only when its warm-up runs), so it holds at most one
+// span's reference; every Widx agent has each detailed span's matches
 // checked against the reference's matches for its probes.
 func (c Config) runSpans(plan sampling.Plan, stagger uint64, agents ...*spanAgent) (uint64, error) {
 	var cursor uint64
 	detailed := func(sp sampling.Span) error {
 		engines := make([]system.Agent, len(agents))
 		for i, a := range agents {
-			a.walk(sp)
 			e, err := a.start(sp, &a.ref, cursor+uint64(i)*stagger)
 			if err != nil {
 				return err

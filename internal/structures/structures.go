@@ -250,8 +250,8 @@ type Instance interface {
 	// Span fills ref with the software reference of probes [lo, hi): their
 	// dependent-load traces for baseline-core replay and fast-forward
 	// warming, and their matches for checking a Widx span. The span
-	// executor refills one SpanRef per agent as each span starts, so a
-	// phase holds at most one span's reference per agent.
+	// executor refills one SpanRef per agent as it needs a span, so a phase
+	// holds at most one span's reference per agent.
 	Span(lo, hi int, ref *SpanRef)
 	// Reference returns the software reference traversal's flattened match
 	// stream (probe order, a probe's matches in traversal order) and the
