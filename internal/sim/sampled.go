@@ -120,13 +120,13 @@ func ffWarm(hier *mem.Hierarchy, traces []hashidx.ProbeTrace) {
 
 // ffSpan executes one fast-forward span's warming from the agent's
 // reference of the span, walked chunk by chunk only when the warm-up runs.
-// The plan's
-// opening span starts at probe 0, so on a fresh single-agent machine its
-// warm state is a pure function of the workload and the machine's
-// warm-relevant geometry — that one span is checkpointed through the warm
-// cache (and the disk store, surviving the process) under the phase's key;
-// later fast-forward spans depend on the detailed execution before them and
-// warm inline, as does every span of an agent without a phase key.
+// The plan's opening span starts at probe 0, so on a fresh single-agent
+// machine its warm state is a pure function of the workload and the
+// machine's warm-relevant geometry — that one span is checkpointed through
+// the warm cache (and the disk store, surviving the process) under the
+// phase's key; later fast-forward spans depend on the detailed execution
+// before them and warm inline, as does every span of an agent without a
+// phase key.
 func (c Config) ffSpan(a *spanAgent, sp sampling.Span) error {
 	var f *warmstate.Fingerprint
 	if a.warmKey != "" && sp.Start == 0 {
