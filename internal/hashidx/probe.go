@@ -186,9 +186,8 @@ func (t *Table) appendMatches(matches []uint64, steps []TraceStep) []uint64 {
 }
 
 // TraceMatches returns the values a Widx walker emits for the probe that
-// recorded tr, read off its matched steps in traversal order (see emitted).
-// It is the per-probe software reference a walker's output is checked
-// against.
+// recorded tr, read off its matched steps in traversal order (see emitted):
+// the matches ProbeColumn appends for the same probe.
 func (t *Table) TraceMatches(tr *ProbeTrace) []uint64 {
 	return t.appendMatches(nil, tr.Steps)
 }

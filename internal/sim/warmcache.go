@@ -185,8 +185,8 @@ func (c Config) queryPhase(q workloads.QuerySpec) (*engine.Result, *indexPhase, 
 		if err != nil {
 			return nil, nil, err
 		}
-		// The phase walks each span's traces from the index when the span
-		// starts, so the cached result keeps none.
+		// The phase walks its spans' traces from the index as it needs
+		// them, so the cached result keeps none.
 		res.Traces = nil
 		return res.AS, res, nil
 	})
