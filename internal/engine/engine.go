@@ -211,9 +211,7 @@ func Run(spec PlanSpec) (*Result, error) {
 		return nil, err
 	}
 	probeBase := as.AllocAligned(spec.Name+".probekeys", uint64(len(probeKeys))*8)
-	for i, k := range probeKeys {
-		as.Write64(probeBase+uint64(i)*8, k)
-	}
+	as.WriteWords(probeBase, probeKeys)
 
 	// Probe: functional result plus traces for the timing model.
 	res := &Result{

@@ -417,10 +417,11 @@ func TestProbeMatchesMirrorsWalkerEmission(t *testing.T) {
 	})
 }
 
-// buildReadBackModel is Build as it was before it passed each bucket's
-// insert count to insert: every insert reads the bucket header back to
-// decide whether the bucket is empty and to link the new node in front of
-// the chain. It is the reference model of TestBuildMatchesReadBackModel.
+// buildReadBackModel builds an index key by key, as Build did before it
+// counted each bucket's keys and wrote the image in two passes: every
+// insert reads the bucket header back to decide whether the bucket is empty
+// and to link the new node in front of the chain. It is the reference model
+// of TestBuildMatchesReadBackModel.
 func buildReadBackModel(as *vm.AddressSpace, cfg Config, keys, payloads []uint64) *Table {
 	t := &Table{as: as, cfg: cfg, buckets: cfg.BucketCount, nodeSize: InlineNodeSize}
 	if cfg.Layout == LayoutIndirect {
@@ -428,8 +429,10 @@ func buildReadBackModel(as *vm.AddressSpace, cfg Config, keys, payloads []uint64
 	}
 	t.bucketBase = as.AllocAligned(cfg.Name+".buckets", t.buckets*t.nodeSize)
 	t.poolBase = as.AllocAligned(cfg.Name+".nodes", uint64(len(keys))*t.nodeSize)
-	t.poolNext = t.poolBase
-	t.poolEnd = t.poolBase + uint64(len(keys))*t.nodeSize
+	allocNode := func() uint64 {
+		t.numNodes++
+		return t.poolBase + (t.numNodes-1)*t.nodeSize
+	}
 	if cfg.Layout == LayoutIndirect {
 		t.keyColBase = as.AllocAligned(cfg.Name+".keycol", uint64(len(keys))*8)
 		for i, k := range keys {
@@ -453,7 +456,7 @@ func buildReadBackModel(as *vm.AddressSpace, cfg Config, keys, payloads []uint64
 				as.Write64(head+InlineKeyOffset, k)
 				as.Write64(head+InlinePayloadOffset, payload)
 			} else {
-				node, _ := t.allocNode()
+				node := allocNode()
 				as.Write64(node+InlineKeyOffset, k)
 				as.Write64(node+InlinePayloadOffset, payload)
 				as.Write64(node+InlineNextOffset, as.Read64(head+InlineNextOffset))
@@ -464,7 +467,7 @@ func buildReadBackModel(as *vm.AddressSpace, cfg Config, keys, payloads []uint64
 			if as.Read64(head+IndirectRefOffset) == 0 {
 				as.Write64(head+IndirectRefOffset, ref)
 			} else {
-				node, _ := t.allocNode()
+				node := allocNode()
 				as.Write64(node+IndirectRefOffset, ref)
 				as.Write64(node+IndirectNextOffset, as.Read64(head+IndirectNextOffset))
 				as.Write64(head+IndirectNextOffset, node)
@@ -479,20 +482,37 @@ func buildReadBackModel(as *vm.AddressSpace, cfg Config, keys, payloads []uint64
 
 // TestBuildMatchesReadBackModel builds the kernel's 4-byte keys with Build
 // and with the read-back model, in both layouts: 4096 keys in 64 buckets
-// (chains of 3 and more, so every insert branch runs, with explicit
-// payloads) and 65536 keys in the kernel's BucketsFor(n, 2). The address
-// spaces' content, the chain statistics, the regions, the footprint and
-// every key's probe must agree.
+// (chains of 3 and more, so every link case runs, with explicit payloads),
+// 1024 keys in 2 buckets (chains past the count Build keeps exactly), 65536
+// keys in the kernel's BucketsFor(n, 2) under both hashes, 64 keys in 2^14
+// buckets (header pages no key reaches, which the indirect layout leaves
+// untouched), one key, and the Large kernel's inline index, 2^21 keys at
+// scale 1/64 (skipped under the race detector). The address spaces'
+// content (every touched page, the allocation map and the break) and the
+// tables' fields, and so their chain statistics, regions and footprint,
+// must agree, and so must the probes of every key (of every 32nd key of
+// the Large index).
 func TestBuildMatchesReadBackModel(t *testing.T) {
 	for _, layout := range []Layout{LayoutInline, LayoutIndirect} {
 		for _, c := range []struct {
 			n        int
 			buckets  uint64
+			hash     HashKind
 			payloads bool
+			minChain int
 		}{
-			{4096, 64, true},
-			{65536, BucketsFor(65536, 2), false},
+			{4096, 64, HashSimple, true, 3},
+			{1024, 2, HashRobust, false, maxCount + 1},
+			{65536, BucketsFor(65536, 2), HashSimple, false, 8},
+			{65536, BucketsFor(65536, 2), HashRobust, true, 8},
+			{64, 1 << 14, HashSimple, false, 1},
+			{1, 2, HashRobust, false, 1},
+			{1 << 21, BucketsFor(1<<21, 2), HashSimple, false, 8},
 		} {
+			name := fmt.Sprintf("%v, %v hash, %d keys in %d buckets", layout, c.hash, c.n, c.buckets)
+			if c.n == 1<<21 && (raceEnabled || layout != LayoutInline) {
+				continue
+			}
 			keys, _ := stats.DistinctKeys(stats.NewRNG(42), c.n)
 			var payloads []uint64
 			if c.payloads {
@@ -501,29 +521,27 @@ func TestBuildMatchesReadBackModel(t *testing.T) {
 					payloads[i] = k ^ 0x5555
 				}
 			}
-			cfg := Config{Layout: layout, Hash: HashSimple, BucketCount: c.buckets, Name: "kernel"}
+			cfg := Config{Layout: layout, Hash: c.hash, BucketCount: c.buckets, Name: "kernel"}
 			as, modelAS := vm.New(), vm.New()
 			tbl, err := Build(as, cfg, keys, payloads)
 			if err != nil {
 				t.Fatal(err)
 			}
 			model := buildReadBackModel(modelAS, cfg, keys, payloads)
-			name := fmt.Sprintf("%v, %d keys in %d buckets", layout, c.n, c.buckets)
-			if tbl.MaxChain() < 3 {
-				t.Fatalf("%s: longest chain %d, want 3 or more", name, tbl.MaxChain())
+			if tbl.MaxChain() < c.minChain {
+				t.Fatalf("%s: longest chain %d, want %d or more", name, tbl.MaxChain(), c.minChain)
 			}
 			if as.ContentHash() != modelAS.ContentHash() {
 				t.Fatalf("%s: address space content differs from the read-back model", name)
 			}
-			if tbl.MaxChain() != model.MaxChain() || tbl.FootprintBytes() != model.FootprintBytes() ||
-				!slices.Equal(tbl.Regions(), model.Regions()) {
-				t.Fatalf("%s: chain %d, footprint %d, regions %v; model %d, %d, %v", name,
-					tbl.MaxChain(), tbl.FootprintBytes(), tbl.Regions(),
-					model.MaxChain(), model.FootprintBytes(), model.Regions())
+			got, want := *tbl, *model
+			if got.as, want.as = nil, nil; got != want {
+				t.Fatalf("%s: table %+v, model %+v", name, got, want)
 			}
-			for i, k := range keys {
+			stride := max(1, c.n>>16)
+			for i := 0; i < c.n; i += stride {
 				keyAddr := 0x1000 + uint64(i)*8
-				if got, want := tbl.ProbeFrom(k, keyAddr), model.ProbeFrom(k, keyAddr); !reflect.DeepEqual(got, want) {
+				if got, want := tbl.ProbeFrom(keys[i], keyAddr), model.ProbeFrom(keys[i], keyAddr); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: key %d probes %+v, model %+v", name, i, got, want)
 				}
 			}
@@ -531,15 +549,44 @@ func TestBuildMatchesReadBackModel(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild builds the Large kernel's index at scale 1/64: 2^21 keys,
-// inline layout, BucketsFor(n, 2) buckets.
+// TestRejectedBuildLeavesNoState checks that Build rejects a key set
+// before it allocates: a rejected build leaves the address space's
+// content, allocation map and break as a fresh space's.
+func TestRejectedBuildLeavesNoState(t *testing.T) {
+	fresh := vm.New().ContentHash()
+	for _, layout := range []Layout{LayoutInline, LayoutIndirect} {
+		for name, c := range map[string]struct {
+			keys, payloads []uint64
+		}{
+			"reserved last key": {[]uint64{1, 2, 3, EmptyKey}, nil},
+			"reserved key":      {[]uint64{EmptyKey, 2}, nil},
+			"short payloads":    {[]uint64{1, 2, 3}, []uint64{1}},
+		} {
+			as := vm.New()
+			if _, err := Build(as, Config{Layout: layout, BucketCount: 4}, c.keys, c.payloads); err == nil {
+				t.Fatalf("%v, %s: build accepted", layout, name)
+			}
+			if as.ContentHash() != fresh || as.Footprint() != 0 {
+				t.Errorf("%v, %s: a rejected build left %d bytes allocated or content behind", layout, name, as.Footprint())
+			}
+		}
+	}
+}
+
+// BenchmarkBuild builds the Large kernel's index at scale 1/64: 2^21 keys
+// in BucketsFor(n, 2) buckets, in the kernel's inline layout and in the
+// indirect layout the query engine uses.
 func BenchmarkBuild(b *testing.B) {
 	const n = 1 << 21
 	keys, _ := stats.DistinctKeys(stats.NewRNG(42), n)
-	cfg := Config{Layout: LayoutInline, Hash: HashSimple, BucketCount: BucketsFor(n, 2), Name: "kernel"}
-	for b.Loop() {
-		if _, err := Build(vm.New(), cfg, keys, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, layout := range []Layout{LayoutInline, LayoutIndirect} {
+		b.Run(layout.String(), func(b *testing.B) {
+			cfg := Config{Layout: layout, Hash: HashSimple, BucketCount: BucketsFor(n, 2), Name: "kernel"}
+			for b.Loop() {
+				if _, err := Build(vm.New(), cfg, keys, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,10 @@
 package hashidx
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"widx/internal/vm"
 )
@@ -77,10 +80,9 @@ type Table struct {
 	nodeSize   uint64
 	bucketBase uint64
 
-	// Overflow node pool: a bump allocator within a pre-sized region.
+	// Overflow node pool: a region sized for every key, of which the first
+	// numNodes nodes are in use.
 	poolBase uint64
-	poolNext uint64
-	poolEnd  uint64
 
 	// Base key column for the indirect layout.
 	keyColBase uint64
@@ -106,6 +108,14 @@ func BucketsFor(rows int, nodesPerBucket float64) uint64 {
 // layout payloads[i] is stored with keys[i]; when payloads is nil the row
 // index is used. For the indirect layout the keys are first materialized into
 // a base column and nodes reference it; the emitted payload is the row index.
+// A rejected key set leaves the address space as it was.
+//
+// Every key after a bucket's first goes into an overflow node linked in
+// front of the bucket's chain, so a probe meets a bucket's keys in the
+// order header, newest, ..., second. Build writes that image in two
+// address-ordered passes instead of inserting key by key (which reads and
+// rewrites a random header per key): link writes the overflow nodes in
+// allocation order, then writeHeaders writes each bucket header once.
 func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*Table, error) {
 	if as == nil {
 		return nil, fmt.Errorf("hashidx: nil address space")
@@ -113,8 +123,14 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("hashidx: no keys to index")
 	}
+	if uint64(len(keys)) > math.MaxUint32 {
+		return nil, fmt.Errorf("hashidx: %d keys, more than the %d a build indexes", len(keys), uint32(math.MaxUint32))
+	}
 	if payloads != nil && len(payloads) != len(keys) {
 		return nil, fmt.Errorf("hashidx: %d payloads for %d keys", len(payloads), len(keys))
+	}
+	if slices.Contains(keys, EmptyKey) {
+		return nil, fmt.Errorf("hashidx: key %#x is reserved as the empty marker", EmptyKey)
 	}
 	if cfg.Name == "" {
 		cfg.Name = "index"
@@ -127,7 +143,7 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 		return nil, fmt.Errorf("hashidx: bucket count %d is not a power of two", buckets)
 	}
 
-	t := &Table{as: as, cfg: cfg, buckets: buckets}
+	t := &Table{as: as, cfg: cfg, buckets: buckets, numKeys: uint64(len(keys))}
 	switch cfg.Layout {
 	case LayoutInline:
 		t.nodeSize = InlineNodeSize
@@ -142,105 +158,127 @@ func Build(as *vm.AddressSpace, cfg Config, keys []uint64, payloads []uint64) (*
 	t.bucketBase = as.AllocAligned(cfg.Name+".buckets", buckets*t.nodeSize)
 	// Worst case every key overflows, so size the pool for len(keys) nodes.
 	t.poolBase = as.AllocAligned(cfg.Name+".nodes", uint64(len(keys))*t.nodeSize)
-	t.poolNext = t.poolBase
-	t.poolEnd = t.poolBase + uint64(len(keys))*t.nodeSize
-
 	if cfg.Layout == LayoutIndirect {
 		t.keyColBase = as.AllocAligned(cfg.Name+".keycol", uint64(len(keys))*8)
-		for i, k := range keys {
-			as.Write64(t.keyColBase+uint64(i)*8, k)
-		}
+		as.WriteWords(t.keyColBase, keys)
 	}
 
-	// Every insert adds one node to its bucket's chain, so counting the
-	// inserts per bucket gives the longest chain without walking it.
-	chains := make([]uint32, buckets)
-	for i, k := range keys {
-		if k == EmptyKey {
-			return nil, fmt.Errorf("hashidx: key %#x is reserved as the empty marker", EmptyKey)
-		}
-		payload := uint64(i)
-		if payloads != nil {
-			payload = payloads[i]
-		}
-		b := BucketIndex(HashOf(cfg.Hash, k), buckets)
-		if err := t.insert(b, uint64(i), k, payload, chains[b]); err != nil {
-			return nil, err
-		}
-		chains[b]++
-		t.maxChain = max(t.maxChain, int(chains[b]))
-	}
-	// A bucket's first insert fills its header, so only the inline headers
-	// no key reached carry the empty marker.
-	if cfg.Layout == LayoutInline {
-		for b, n := range chains {
-			if n == 0 {
-				as.Write64(t.bucketBase+uint64(b)*t.nodeSize+InlineKeyOffset, EmptyKey)
-			}
-		}
-	}
-	t.numKeys = uint64(len(keys))
+	chains := make([]chain, buckets)
+	buf := make([]uint64, 0, vm.PageSize/8)
+	t.link(keys, payloads, chains, buf)
+	t.writeHeaders(keys, payloads, chains, buf)
 	return t, nil
 }
 
-// insert places one key into bucket b of the index, which already holds
-// count keys. Build allocates the buckets and the node pool fresh, so a
-// bucket's header reads zero until its first insert (Build marks the
-// inline headers no insert reached afterwards) and its next pointer reads
-// zero until its second: only the third and later inserts of a bucket read
-// the header back to link the new node in front of the chain.
-func (t *Table) insert(b, row, key, payload uint64, count uint32) error {
-	head := t.bucketBase + b*t.nodeSize
-
-	switch t.cfg.Layout {
-	case LayoutInline:
-		if count == 0 {
-			t.as.Write64(head+InlineKeyOffset, key)
-			t.as.Write64(head+InlinePayloadOffset, payload)
-			return nil
-		}
-		node, err := t.allocNode()
-		if err != nil {
-			return err
-		}
-		t.as.Write64(node+InlineKeyOffset, key)
-		t.as.Write64(node+InlinePayloadOffset, payload)
-		// Link behind the header: header.next -> node -> old chain.
-		if count > 1 {
-			t.as.Write64(node+InlineNextOffset, t.as.Read64(head+InlineNextOffset))
-		}
-		t.as.Write64(head+InlineNextOffset, node)
-		return nil
-
-	case LayoutIndirect:
-		ref := t.keyColBase + row*8
-		if count == 0 {
-			t.as.Write64(head+IndirectRefOffset, ref)
-			return nil
-		}
-		node, err := t.allocNode()
-		if err != nil {
-			return err
-		}
-		t.as.Write64(node+IndirectRefOffset, ref)
-		if count > 1 {
-			t.as.Write64(node+IndirectNextOffset, t.as.Read64(head+IndirectNextOffset))
-		}
-		t.as.Write64(head+IndirectNextOffset, node)
-		return nil
-	}
-	return fmt.Errorf("hashidx: unknown layout")
+// chain is one bucket's chain during Build, packed into 9 bytes (the Large
+// kernel's 2^20 buckets take 9 MiB): the row of its first key, which the
+// header holds, the pool index of its newest overflow node, and its key
+// count, which stops at maxCount.
+type chain struct {
+	first, newest [4]byte
+	count         uint8
 }
 
-// allocNode carves one overflow node from the pool.
-func (t *Table) allocNode() (uint64, error) {
-	if t.poolNext+t.nodeSize > t.poolEnd {
-		return 0, fmt.Errorf("hashidx: node pool exhausted")
+// maxCount is where a chain's count stops; writeHeaders walks a chain that
+// reached it to find its length.
+const maxCount = math.MaxUint8
+
+// link is Build's first pass: it assigns every key to its bucket in row
+// order, recording each bucket's first row in chains and writing every
+// later key's overflow node into the pool, in allocation order, linked to
+// the bucket's previous newest node. buf is scratch space of a page.
+func (t *Table) link(keys, payloads []uint64, chains []chain, buf []uint64) {
+	pool := t.poolBase
+	for i, k := range keys {
+		c := &chains[BucketIndex(HashOf(t.cfg.Hash, k), t.buckets)]
+		if c.count == 0 {
+			binary.LittleEndian.PutUint32(c.first[:], uint32(i))
+			c.count = 1
+			continue
+		}
+		buf = t.appendNode(buf, keys, payloads, i, t.next(c))
+		binary.LittleEndian.PutUint32(c.newest[:], uint32(t.numNodes))
+		t.numNodes++
+		if c.count < maxCount {
+			c.count++
+		}
+		if len(buf) == cap(buf) {
+			t.as.WriteWords(pool, buf)
+			pool += uint64(len(buf)) * 8
+			buf = buf[:0]
+		}
 	}
-	addr := t.poolNext
-	t.poolNext += t.nodeSize
-	t.numNodes++
-	return addr, nil
+	t.as.WriteWords(pool, buf)
+}
+
+// writeHeaders is Build's second pass: it writes the bucket headers in
+// address order, a page at a time, and takes the longest chain. A keyed
+// header holds its first key and links to its newest overflow node; an
+// empty inline header holds EmptyKey; an empty indirect header stays zero,
+// and a page of them is never written, as no key reached it.
+func (t *Table) writeHeaders(keys, payloads []uint64, chains []chain, buf []uint64) {
+	for b := uint64(0); b < t.buckets; {
+		addr := t.bucketBase + b*t.nodeSize
+		end := min(t.buckets, b+(vm.PageSize-addr%vm.PageSize)/t.nodeSize)
+		written := t.cfg.Layout == LayoutInline
+		for ; b < end; b++ {
+			c := &chains[b]
+			switch {
+			case c.count > 0:
+				buf = t.appendNode(buf, keys, payloads, int(binary.LittleEndian.Uint32(c.first[:])), t.next(c))
+			case t.cfg.Layout == LayoutInline:
+				buf = append(buf, EmptyKey, 0, 0, 0)
+			default:
+				buf = append(buf, 0, 0)
+			}
+			written = written || c.count > 0
+			t.maxChain = max(t.maxChain, int(c.count))
+			if c.count == maxCount {
+				t.maxChain = max(t.maxChain, t.chainLength(c))
+			}
+		}
+		if written {
+			t.as.WriteWords(addr, buf)
+		}
+		buf = buf[:0]
+	}
+}
+
+// next returns the address a node linked in front of c's overflow nodes
+// points to: c's newest overflow node, or 0, the end of a chain, while c
+// has none.
+func (t *Table) next(c *chain) uint64 {
+	if c.count < 2 {
+		return 0
+	}
+	return t.poolBase + uint64(binary.LittleEndian.Uint32(c.newest[:]))*t.nodeSize
+}
+
+// appendNode appends the words of the node that holds row (its key and
+// payload inline, its key-column reference indirect) and links to next.
+func (t *Table) appendNode(buf, keys, payloads []uint64, row int, next uint64) []uint64 {
+	if t.cfg.Layout == LayoutIndirect {
+		return append(buf, t.keyColBase+uint64(row)*8, next)
+	}
+	payload := uint64(row)
+	if payloads != nil {
+		payload = payloads[row]
+	}
+	return append(buf, keys[row], payload, next, 0)
+}
+
+// chainLength counts the nodes of a chain that has overflow nodes: its
+// header and every node from its newest on.
+func (t *Table) chainLength(c *chain) int {
+	next := uint64(InlineNextOffset)
+	if t.cfg.Layout == LayoutIndirect {
+		next = IndirectNextOffset
+	}
+	n := 1
+	for node := t.next(c); node != 0; node = t.as.Read64(node + next) {
+		n++
+	}
+	return n
 }
 
 // Config returns the configuration the table was built with.
@@ -274,8 +312,8 @@ func (t *Table) KeyColumnBase() uint64 { return t.keyColBase }
 // set, the steady state the paper's warmed checkpoints measure from.
 func (t *Table) Regions() [][2]uint64 {
 	r := [][2]uint64{{t.bucketBase, t.bucketBase + t.buckets*t.nodeSize}}
-	if t.poolNext > t.poolBase {
-		r = append(r, [2]uint64{t.poolBase, t.poolNext})
+	if t.numNodes > 0 {
+		r = append(r, [2]uint64{t.poolBase, t.poolBase + t.numNodes*t.nodeSize})
 	}
 	if t.cfg.Layout == LayoutIndirect {
 		r = append(r, [2]uint64{t.keyColBase, t.keyColBase + t.numKeys*8})

@@ -200,9 +200,7 @@ func BuildKernelIn(as *vm.AddressSpace, name string, cfg KernelConfig) (*Kernel,
 	}
 
 	probeBase := as.AllocAligned(name+".probekeys", uint64(outerN)*8)
-	for i, k := range probeKeys {
-		as.Write64(probeBase+uint64(i)*8, k)
-	}
+	as.WriteWords(probeBase, probeKeys)
 
 	return &Kernel{
 		AS:           as,

@@ -510,9 +510,7 @@ func (ks *keySet) probeStream(rng *stats.RNG, n int) []uint64 {
 // writeColumn allocates a named 8-byte-stride column and writes the values.
 func writeColumn(as *vm.AddressSpace, name string, vals []uint64) uint64 {
 	base := as.AllocAligned(name, uint64(len(vals))*8)
-	for i, v := range vals {
-		as.Write64(base+uint64(i)*8, v)
-	}
+	as.WriteWords(base, vals)
 	return base
 }
 

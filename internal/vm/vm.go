@@ -191,6 +191,13 @@ func (as *AddressSpace) writePage(addr, n uint64) *[PageSize]byte {
 		panic(fmt.Sprintf("vm: %d-byte write at %#x outside the allocated range [%#x, %#x)",
 			n, addr, uint64(baseAddress), as.brk))
 	}
+	return as.ownPage(addr)
+}
+
+// ownPage returns the backing page of addr, which must lie in the allocated
+// range, ready to be written: it creates the page on its first write and
+// privately copies a page shared with a Clone.
+func (as *AddressSpace) ownPage(addr uint64) *[PageSize]byte {
 	i := (addr - baseAddress) >> PageBits
 	p := as.pages[i]
 	switch {
@@ -233,6 +240,39 @@ func (as *AddressSpace) Write64(addr uint64, v uint64) {
 	}
 	for i := uint64(0); i < 8; i++ {
 		as.Write8(addr+i, byte(v>>(8*i)))
+	}
+}
+
+// WriteWords writes vals as consecutive 64-bit little-endian values from
+// addr, as Write64 at addr, addr+8, ... would, but resolves each page once.
+// The whole range must lie in the allocated range: otherwise it panics as
+// Write64 does, before writing anything. An empty vals writes nothing and
+// touches no page.
+func (as *AddressSpace) WriteWords(addr uint64, vals []uint64) {
+	if len(vals) == 0 {
+		return
+	}
+	p := as.writePage(addr, uint64(len(vals))*8)
+	for {
+		off := addr & pageMask
+		n := min(uint64(len(vals)), (PageSize-off)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(p[off+uint64(i)*8:], v)
+		}
+		addr, vals = addr+n*8, vals[n:]
+		if len(vals) == 0 {
+			return
+		}
+		next := as.ownPage(addr + 7)
+		if off = addr & pageMask; off != 0 {
+			// The next word straddles the page boundary: its low bytes
+			// end this page and its high bytes open the next.
+			var w [8]byte
+			binary.LittleEndian.PutUint64(w[:], vals[0])
+			copy(next[:], w[copy(p[off:], w[:]):])
+			addr, vals = addr+8, vals[1:]
+		}
+		p = next
 	}
 }
 

@@ -260,3 +260,143 @@ func TestClone(t *testing.T) {
 		t.Fatal("second clone contents wrong")
 	}
 }
+
+// writeWordsModel is WriteWords as one Write64 per word.
+func writeWordsModel(as *AddressSpace, addr uint64, vals []uint64) {
+	for i, v := range vals {
+		as.Write64(addr+uint64(i)*8, v)
+	}
+}
+
+// TestWriteWordsMatchesWrite64 writes runs that end inside a page, cross
+// page boundaries at a word boundary and straddle them mid-word, and checks
+// that WriteWords leaves the same content and the same touched pages as
+// Write64 word by word.
+func TestWriteWordsMatchesWrite64(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		off  uint64 // offset of the write from the region's page-aligned base
+		n    int
+	}{
+		{"within a page", 64, 100},
+		{"ends at a page boundary", PageSize - 80, 10},
+		{"crosses two boundaries", 8, 1100},
+		{"straddles a boundary", PageSize - 4, 3},
+		{"starts straddling", PageSize - 3, 1},
+		{"straddles twice", 5, 2 * PageSize / 8},
+	} {
+		as, model := New(), New()
+		base := as.Alloc("data", 4*PageSize, PageSize)
+		model.Alloc("data", 4*PageSize, PageSize)
+		vals := make([]uint64, c.n)
+		for i := range vals {
+			vals[i] = 0x0102030405060708 * uint64(i+1)
+		}
+		as.WriteWords(base+c.off, vals)
+		writeWordsModel(model, base+c.off, vals)
+		if as.ContentHash() != model.ContentHash() || backedPages(as) != backedPages(model) {
+			t.Errorf("%s: content or touched pages (%d) differ from Write64's (%d)",
+				c.name, backedPages(as), backedPages(model))
+		}
+		for i, v := range vals {
+			if got := as.Read64(base + c.off + uint64(i)*8); got != v {
+				t.Fatalf("%s: word %d reads %#x, want %#x", c.name, i, got, v)
+			}
+		}
+	}
+}
+
+// Property: WriteWords at any offset and length agrees with Write64.
+func TestPropertyWriteWords(t *testing.T) {
+	f := func(off uint16, n uint16, seed uint64) bool {
+		as, model := New(), New()
+		base := as.Alloc("prop", 1<<17, 64)
+		model.Alloc("prop", 1<<17, 64)
+		vals := make([]uint64, int(n)%2048)
+		for i := range vals {
+			vals[i] = seed ^ uint64(i)*0x9E3779B97F4A7C15
+		}
+		as.WriteWords(base+uint64(off), vals)
+		writeWordsModel(model, base+uint64(off), vals)
+		return as.ContentHash() == model.ContentHash()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A WriteWords into pages shared with a Clone copies them privately: the
+// other space keeps its content.
+func TestWriteWordsCopiesSharedPages(t *testing.T) {
+	as := New()
+	base := as.Alloc("data", 2*PageSize, PageSize)
+	as.Write64(base, 0x1111)
+	as.Write64(base+PageSize, 0x2222)
+	before := as.ContentHash()
+
+	c := as.Clone()
+	c.WriteWords(base+PageSize-16, []uint64{0xA, 0xB, 0xC, 0xD})
+	if as.ContentHash() != before || as.Read64(base+PageSize) != 0x2222 {
+		t.Fatal("a write through the clone changed the original")
+	}
+	if c.Read64(base) != 0x1111 || c.Read64(base+PageSize-16) != 0xA || c.Read64(base+PageSize) != 0xC {
+		t.Fatal("the clone does not read its own write over the shared pages")
+	}
+	as.WriteWords(base, []uint64{0x3333})
+	if c.Read64(base) != 0x1111 {
+		t.Fatal("a write through the original changed the clone")
+	}
+}
+
+// A WriteWords outside [baseAddress, brk) panics with Write64's message,
+// naming the whole write, before it touches a page; an empty one touches
+// nothing.
+func TestWriteWordsOutOfRange(t *testing.T) {
+	as := New()
+	base := as.Alloc("data", 100, 64)
+	end := base + 100
+	for name, w := range map[string]struct {
+		addr uint64
+		n    int
+	}{
+		"below base":   {baseAddress - 8, 2},
+		"null":         {0, 1},
+		"at break":     {end, 1},
+		"across break": {end - 16, 3},
+		"past the end": {base + 3*PageSize, 4},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("vm: %d-byte write at %#x outside the allocated range", w.n*8, w.addr)
+				if !strings.HasPrefix(msg, want) {
+					t.Errorf("%s: panic %q, want %q...", name, msg, want)
+				}
+			}()
+			as.WriteWords(w.addr, make([]uint64, w.n))
+		}()
+	}
+	for _, addr := range []uint64{base, end, 0} {
+		as.WriteWords(addr, nil)
+	}
+	if n := backedPages(as); n != 0 {
+		t.Errorf("backing pages = %d, want 0: a rejected or empty write touched a page", n)
+	}
+}
+
+// WriteWords allocates nothing but the pages it writes first.
+func TestWriteWordsAllocs(t *testing.T) {
+	as := New()
+	base := as.Alloc("data", 64*PageSize, PageSize)
+	vals := make([]uint64, 2*PageSize/8)
+	if n := testing.AllocsPerRun(100, func() { as.WriteWords(base+8, vals) }); n != 0 {
+		t.Errorf("a write into backed pages made %v allocations, want 0", n)
+	}
+	next := base + 4*PageSize
+	if n := testing.AllocsPerRun(16, func() {
+		as.WriteWords(next, vals)
+		next += uint64(len(vals)) * 8
+	}); n != 2 {
+		t.Errorf("a write over two fresh pages made %v allocations, want 2", n)
+	}
+}
