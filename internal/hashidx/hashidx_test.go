@@ -483,15 +483,15 @@ func buildReadBackModel(as *vm.AddressSpace, cfg Config, keys, payloads []uint64
 // TestBuildMatchesReadBackModel builds the kernel's 4-byte keys with Build
 // and with the read-back model, in both layouts: 4096 keys in 64 buckets
 // (chains of 3 and more, so every link case runs, with explicit payloads),
-// 1024 keys in 2 buckets (chains past the count Build keeps exactly), 65536
-// keys in the kernel's BucketsFor(n, 2) under both hashes, 64 keys in 2^14
-// buckets (header pages no key reaches, which the indirect layout leaves
-// untouched), one key, and the Large kernel's inline index, 2^21 keys at
-// scale 1/64 (skipped under the race detector). The address spaces'
-// content (every touched page, the allocation map and the break) and the
-// tables' fields, and so their chain statistics, regions and footprint,
-// must agree, and so must the probes of every key (of every 32nd key of
-// the Large index).
+// 600 keys in 2 buckets (chains past the count Build keeps exactly), 65536
+// and 16384 keys in the kernel's BucketsFor(n, 2) under the simple and the
+// robust hash, 64 keys in 2^14 buckets (header pages no key reaches, which
+// the indirect layout leaves untouched), one key, and the Large kernel's
+// inline index, 2^21 keys at scale 1/64 (skipped under the race detector).
+// The address spaces' content (every touched page, the allocation map and
+// the break) and the tables' fields, and so their chain statistics, regions
+// and footprint, must agree, and so must the probes of every key (of every
+// 32nd key of the Large index).
 func TestBuildMatchesReadBackModel(t *testing.T) {
 	for _, layout := range []Layout{LayoutInline, LayoutIndirect} {
 		for _, c := range []struct {
@@ -502,9 +502,9 @@ func TestBuildMatchesReadBackModel(t *testing.T) {
 			minChain int
 		}{
 			{4096, 64, HashSimple, true, 3},
-			{1024, 2, HashRobust, false, maxCount + 1},
+			{600, 2, HashRobust, false, maxCount + 1},
 			{65536, BucketsFor(65536, 2), HashSimple, false, 8},
-			{65536, BucketsFor(65536, 2), HashRobust, true, 8},
+			{16384, BucketsFor(16384, 2), HashRobust, true, 8},
 			{64, 1 << 14, HashSimple, false, 1},
 			{1, 2, HashRobust, false, 1},
 			{1 << 21, BucketsFor(1<<21, 2), HashSimple, false, 8},

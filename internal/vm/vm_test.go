@@ -306,25 +306,6 @@ func TestWriteWordsMatchesWrite64(t *testing.T) {
 	}
 }
 
-// Property: WriteWords at any offset and length agrees with Write64.
-func TestPropertyWriteWords(t *testing.T) {
-	f := func(off uint16, n uint16, seed uint64) bool {
-		as, model := New(), New()
-		base := as.Alloc("prop", 1<<17, 64)
-		model.Alloc("prop", 1<<17, 64)
-		vals := make([]uint64, int(n)%2048)
-		for i := range vals {
-			vals[i] = seed ^ uint64(i)*0x9E3779B97F4A7C15
-		}
-		as.WriteWords(base+uint64(off), vals)
-		writeWordsModel(model, base+uint64(off), vals)
-		return as.ContentHash() == model.ContentHash()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A WriteWords into pages shared with a Clone copies them privately: the
 // other space keeps its content.
 func TestWriteWordsCopiesSharedPages(t *testing.T) {
