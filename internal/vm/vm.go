@@ -244,10 +244,11 @@ func (as *AddressSpace) Write64(addr uint64, v uint64) {
 }
 
 // WriteWords writes vals as consecutive 64-bit little-endian values from
-// addr, as Write64 at addr, addr+8, ... would, but resolves each page once.
-// The whole range must lie in the allocated range: otherwise it panics as
-// Write64 does, before writing anything. An empty vals writes nothing and
-// touches no page.
+// addr, as Write64 at addr, addr+8, ... would, but resolves each page once
+// for all the words it holds whole (a word straddling two pages goes
+// through Write64). The whole range must lie in the allocated range:
+// otherwise it panics as Write64 does, before writing anything. An empty
+// vals writes nothing and touches no page.
 func (as *AddressSpace) WriteWords(addr uint64, vals []uint64) {
 	if len(vals) == 0 {
 		return
@@ -263,16 +264,13 @@ func (as *AddressSpace) WriteWords(addr uint64, vals []uint64) {
 		if len(vals) == 0 {
 			return
 		}
-		next := as.ownPage(addr + 7)
-		if off = addr & pageMask; off != 0 {
-			// The next word straddles the page boundary: its low bytes
-			// end this page and its high bytes open the next.
-			var w [8]byte
-			binary.LittleEndian.PutUint64(w[:], vals[0])
-			copy(next[:], w[copy(p[off:], w[:]):])
+		if addr&pageMask != 0 {
+			// The next word straddles the page boundary; Write64 splits
+			// it between the two pages.
+			as.Write64(addr, vals[0])
 			addr, vals = addr+8, vals[1:]
 		}
-		p = next
+		p = as.ownPage(addr)
 	}
 }
 
