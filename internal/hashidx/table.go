@@ -186,7 +186,7 @@ const maxCount = math.MaxUint8
 // link is Build's first pass: it assigns every key to its bucket in row
 // order, recording each bucket's first row in chains and writing every
 // later key's overflow node into the pool, in allocation order, linked to
-// the bucket's previous newest node. buf is scratch space of a page.
+// the bucket's previous newest node. buf holds a page of words.
 func (t *Table) link(keys, payloads []uint64, chains []chain, buf []uint64) {
 	pool := t.poolBase
 	for i, k := range keys {
