@@ -3,7 +3,7 @@ package mem
 // Cache is a set-associative tag-only cache model with true-LRU replacement.
 // Only tags are tracked: the simulated data itself lives in the vm package's
 // address space, so the cache's job is purely to decide hits and misses for
-// the timing model and to expose hit/miss counters.
+// the timing model; Hierarchy.Stats counts them.
 type Cache struct {
 	name      string
 	sets      int
@@ -23,9 +23,6 @@ type Cache struct {
 	tags  []uint64
 	lru   []uint64
 	clock uint64
-
-	hits   uint64
-	misses uint64
 }
 
 // NewCache builds a cache with the given capacity, associativity and block
@@ -76,7 +73,7 @@ func (c *Cache) block(addr uint64) uint64 {
 }
 
 // Lookup probes the cache for the block containing addr. On a hit the LRU
-// state is updated and true is returned; counters are updated either way.
+// state is updated and true is returned.
 // Lookup does not allocate on a miss — call InsertWays for that — so callers
 // can model no-allocate operations (e.g. prefetch probes that get dropped).
 func (c *Cache) Lookup(addr uint64) bool {
@@ -87,16 +84,14 @@ func (c *Cache) Lookup(addr uint64) bool {
 	for w := range tags {
 		if tags[w] == want {
 			c.lru[base+w] = c.clock
-			c.hits++
 			return true
 		}
 	}
-	c.misses++
 	return false
 }
 
 // Contains reports whether the block containing addr is present without
-// updating LRU state or counters.
+// updating LRU state.
 //
 //widxlint:ignore deadcode used by the sim tests (TestCMPWarmingInterleavedSymmetric)
 func (c *Cache) Contains(addr uint64) bool {
@@ -158,10 +153,4 @@ func (c *Cache) InsertWays(addr uint64, mask uint64) (evicted uint64, didEvict b
 	tags[victim] = want
 	lru[victim] = c.clock
 	return evicted, true
-}
-
-// ResetCounters clears the hit/miss counters but keeps content, which is
-// how measurement phases start after cache warm-up.
-func (c *Cache) ResetCounters() {
-	c.hits, c.misses = 0, 0
 }

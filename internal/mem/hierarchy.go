@@ -501,9 +501,6 @@ func (h *Hierarchy) WarmBlock(addr uint64) {
 	h.l1.InsertWays(addr, 0)
 	h.shared.llc.InsertWays(addr, h.wayMask)
 	h.tlb.WarmPage(addr)
-	h.l1.ResetCounters()
-	h.shared.llc.ResetCounters()
-	h.tlb.ResetCounters()
 }
 
 // WarmLLCOnly installs addr's block into the agent's ways of the shared LLC
@@ -512,6 +509,4 @@ func (h *Hierarchy) WarmBlock(addr uint64) {
 func (h *Hierarchy) WarmLLCOnly(addr uint64) {
 	h.shared.llc.InsertWays(addr, h.wayMask)
 	h.tlb.WarmPage(addr)
-	h.shared.llc.ResetCounters()
-	h.tlb.ResetCounters()
 }

@@ -48,7 +48,13 @@ func TestConfigValidateRejectsBadConfigs(t *testing.T) {
 		"freq":       func(c *Config) { c.FrequencyGHz = 0 },
 		"l1 size":    func(c *Config) { c.L1SizeBytes = 0 },
 		"block":      func(c *Config) { c.L1BlockBytes = 60 },
+		"byte block": func(c *Config) { c.L1BlockBytes = 1 },
+		"huge block": func(c *Config) { c.L1BlockBytes = 8192 },
+		"llc sets":   func(c *Config) { c.LLCSizeBytes = 3 * 16 * 64 },
+		"l1 sets":    func(c *Config) { c.L1SizeBytes = 3 * 8 * 64 },
 		"assoc":      func(c *Config) { c.L1Assoc = 0 },
+		"huge assoc": func(c *Config) { c.L1Assoc = 1 << 58 },
+		"llc assoc":  func(c *Config) { c.LLCAssoc = 1 << 58 },
 		"divide":     func(c *Config) { c.L1SizeBytes = 1000 },
 		"llc divide": func(c *Config) { c.LLCSizeBytes = 777 },
 		"ports":      func(c *Config) { c.L1Ports = 0 },
@@ -56,6 +62,7 @@ func TestConfigValidateRejectsBadConfigs(t *testing.T) {
 		"mcs":        func(c *Config) { c.MemControllers = 0 },
 		"bw":         func(c *Config) { c.MemEffectiveShare = 1.5 },
 		"tlb":        func(c *Config) { c.TLBEntries = 0 },
+		"huge tlb":   func(c *Config) { c.TLBEntries = 1<<16 + 1 },
 		"page":       func(c *Config) { c.PageBytes = 1000 },
 	}
 	for name, mutate := range mutations {

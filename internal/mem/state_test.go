@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -213,12 +215,30 @@ func TestWarmStateCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded snapshot diverges from the original:\n%s\nvs\n%s", a, b)
 	}
 
+	// tiny is a one-agent payload: a 1-set 2-way LLC with a valid first
+	// way and the given second way, a 1-way L1 and the given TLB record.
+	tiny := func(valid byte, tag uint64, tlb ...uint64) []byte {
+		b := appendWords([]byte(warmStateMagic), warmStateVersion, 1, 2, 6, 3)
+		b = appendWords(append(b, 1), 0x40, 1)
+		b = appendWords(append(b, valid), tag, 0)
+		b = appendWords(append(appendWords(b, 1, 1, 1, 6, 1), 1), 0x40, 1)
+		return appendWords(b, tlb...)
+	}
+	if _, err := DecodeWarmState(tiny(0, 0, 4, 12, 2, 2, 1, 1, 5, 2)); err != nil {
+		t.Fatalf("a reachable one-agent payload is rejected: %v", err)
+	}
+
 	for name, payload := range map[string][]byte{
 		"empty":       nil,
 		"bad magic":   []byte("notawarms" + string(data[9:])),
 		"truncated":   data[:len(data)/2],
 		"trailing":    append(append([]byte(nil), data...), 0),
 		"bad version": append(append([]byte(nil), data[:8]...), 0xff, 0, 0, 0, 0, 0, 0, 0),
+		// Restoring either would make the way resident, or fill the TLB
+		// past its entries.
+		"invalid way with bit 0 set": tiny(0, 0x41, 4, 12, 2, 2, 1, 1, 5, 2),
+		"tag below the block size":   tiny(1, 0x48, 4, 12, 2, 2, 1, 1, 5, 2),
+		"TLB past its entries":       tiny(0, 0, 2, 12, 3, 3, 1, 1, 5, 2, 9, 3),
 	} {
 		if _, err := DecodeWarmState(payload); err == nil {
 			t.Errorf("%s payload decoded without error", name)
@@ -226,18 +246,84 @@ func TestWarmStateCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeWarmState feeds arbitrary bytes to the warm-state codec, the
-// boundary every -warm-store entry crosses: decoding either fails cleanly
-// or yields a snapshot that re-encodes to the input byte for byte. Its seed
-// corpus is testdata/fuzz/FuzzDecodeWarmState.
+// TestWarmStateEncodingPinned pins the version-1 encoding of the
+// heterogeneous warm-up (FNV-1a 64 of the bytes, and their length). A
+// change to the format must bump warmStateVersion, so that a -warm-store
+// entry written before it misses instead of being misread, and re-pin.
+func TestWarmStateEncodingPinned(t *testing.T) {
+	sl, agents := hetLevel()
+	warmHet(agents)
+	data := sl.CaptureWarmState().EncodeBinary()
+	h := fnv.New64a()
+	h.Write(data)
+	if got := h.Sum64(); got != 0x35cc02422c609ea2 || len(data) != 1140520 {
+		t.Fatalf("version-%d encoding is %d bytes hashing to %#x, want 1140520 bytes hashing to 0x35cc02422c609ea2",
+			warmStateVersion, len(data), got)
+	}
+}
+
+// FuzzDecodeWarmState feeds arbitrary bytes to the warm-state decoder, the
+// boundary every -warm-store entry crosses: decoding either fails cleanly,
+// or the payload restores into a level built from its own geometry and
+// re-captures byte for byte. Its seed corpus is
+// testdata/fuzz/FuzzDecodeWarmState.
 func FuzzDecodeWarmState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ws, err := DecodeWarmState(data)
 		if err != nil {
 			return
 		}
-		if got := ws.EncodeBinary(); !bytes.Equal(got, data) {
-			t.Fatalf("payload re-encodes to different bytes:\n got %x\nwant %x", got, data)
+		sl := levelFor(data)
+		if sl == nil {
+			return
+		}
+		sl.RestoreWarmState(ws)
+		if got := sl.CaptureWarmState().EncodeBinary(); !bytes.Equal(got, data) {
+			t.Fatalf("payload re-captures to different bytes:\n got %x\nwant %x", got, data)
 		}
 	})
+}
+
+// levelFor builds a level with a decoded payload's geometry: block size
+// and LLC from its LLC record, one agent per L1 and TLB record, every
+// other parameter the default topology's. It returns nil for a geometry
+// Topology.Validate rejects, an L1 block size other than the LLC's (no
+// topology has one) and more than 16 agents (each allocates a 256 KiB
+// port schedule, too much per fuzz input).
+func levelFor(data []byte) *SharedLevel {
+	off := len(warmStateMagic) + 8
+	word := func() uint64 {
+		off += 8
+		return binary.LittleEndian.Uint64(data[off-8:])
+	}
+	// cache skips a cache record, returning its size, ways and block-size log2.
+	cache := func() (size, ways int, blockBits uint64) {
+		sets, w, bits := word(), word(), word()
+		word() // the LRU clock
+		off += int(sets*w) * cacheEntryBytes
+		return int(sets * w << bits), int(w), bits
+	}
+	top := DefaultTopology()
+	var blockBits uint64
+	top.Shared.LLCSizeBytes, top.Shared.LLCAssoc, blockBits = cache()
+	top.Shared.BlockBytes = 1 << blockBits
+	n := word()
+	if top.Shared.Validate() != nil || n > 16 {
+		return nil
+	}
+	sl := NewSharedLevel(top)
+	for range n {
+		a := top.Agent("")
+		var l1Bits uint64
+		a.L1SizeBytes, a.L1Assoc, l1Bits = cache()
+		entries, pageBits := word(), word()
+		word() // the TLB clock
+		off += int(word()) * 16
+		a.TLBEntries, a.PageBytes = int(entries), 1<<pageBits
+		if l1Bits != blockBits || a.Validate(top.Shared) != nil {
+			return nil
+		}
+		sl.NewAgent(a)
+	}
+	return sl
 }

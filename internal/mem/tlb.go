@@ -29,9 +29,6 @@ type TLB struct {
 
 	// Completion cycles of outstanding page walks (bounded by inFlight).
 	walks []uint64
-
-	hits   uint64
-	misses uint64
 }
 
 // NewTLB builds a TLB with the given entry count, page size, walk latency and
@@ -81,10 +78,8 @@ func (t *TLB) Translate(addr uint64, cycle uint64) (ready uint64, miss bool) {
 	if i := t.find(vpn); i >= 0 {
 		t.pages[i].used = t.clock
 		t.mru = i
-		t.hits++
 		return cycle, false
 	}
-	t.misses++
 
 	// A page walk must find a free walk slot: at most inFlight walks may be
 	// outstanding, so the walk start is delayed until one finishes.
@@ -149,6 +144,3 @@ func (t *TLB) WarmPage(addr uint64) {
 	t.clock++
 	t.insert(addr >> t.pageBits)
 }
-
-// ResetCounters clears hit/miss counters but keeps TLB content.
-func (t *TLB) ResetCounters() { t.hits, t.misses = 0, 0 }

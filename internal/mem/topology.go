@@ -200,19 +200,32 @@ const (
 	maxFillBuffers = 1024
 )
 
+// A TLB allocates its entries up front, so the entry count is bounded far
+// above any real TLB (the Table 2 machine's has 128). The block size gets
+// a generous physical ceiling like the latencies: no block exceeds a
+// 4 KiB page.
+const (
+	maxTLBEntries = 1 << 16
+	maxBlockBytes = 4096
+)
+
 // Validate reports shared-level configuration errors.
 func (s SharedSpec) Validate() error {
 	switch {
 	case s.FrequencyGHz <= 0 || math.IsInf(s.FrequencyGHz, 0) || math.IsNaN(s.FrequencyGHz):
 		return errConfig("FrequencyGHz must be positive and finite")
-	case s.BlockBytes <= 0 || s.BlockBytes&(s.BlockBytes-1) != 0:
-		return errConfig("BlockBytes must be a positive power of two")
+	case s.BlockBytes < 2 || s.BlockBytes > maxBlockBytes || !powerOfTwo(s.BlockBytes):
+		// A block keeps bit 0 of its address clear for the cache's valid bit.
+		return errConfig(fmt.Sprintf("BlockBytes must be a power of two in [2, %d]", maxBlockBytes))
 	case s.LLCSizeBytes <= 0:
 		return errConfig("cache sizes must be positive")
 	case s.LLCAssoc <= 0:
 		return errConfig("associativities must be positive")
-	case s.LLCSizeBytes%(s.BlockBytes*s.LLCAssoc) != 0:
+	case s.LLCAssoc > s.LLCSizeBytes/s.BlockBytes || s.LLCSizeBytes%(s.BlockBytes*s.LLCAssoc) != 0:
+		// The first test keeps the product from overflowing.
 		return errConfig("LLC size must be divisible by block size times associativity")
+	case !powerOfTwo(s.LLCSizeBytes / (s.BlockBytes * s.LLCAssoc)):
+		return errConfig("LLC set count must be a power of two")
 	case s.LLCLatencyCyc == 0 || s.LLCLatencyCyc > maxLLCLatencyCyc:
 		return errConfig("LLCLatencyCyc must be in [1, 10000] cycles")
 	case s.InterconnectCyc > maxXbarCyc:
@@ -238,8 +251,10 @@ func (a AgentSpec) Validate(shared SharedSpec) error {
 		return errConfig("cache sizes must be positive")
 	case a.L1Assoc <= 0:
 		return errConfig("associativities must be positive")
-	case a.L1SizeBytes%(shared.BlockBytes*a.L1Assoc) != 0:
+	case a.L1Assoc > a.L1SizeBytes/shared.BlockBytes || a.L1SizeBytes%(shared.BlockBytes*a.L1Assoc) != 0:
 		return errConfig("L1 size must be divisible by block size times associativity")
+	case !powerOfTwo(a.L1SizeBytes / (shared.BlockBytes * a.L1Assoc)):
+		return errConfig("L1 set count must be a power of two")
 	case a.L1Ports <= 0:
 		return errConfig("L1Ports must be positive")
 	case a.L1LatencyCyc == 0 || a.L1LatencyCyc > maxL1LatencyCyc:
@@ -248,9 +263,11 @@ func (a AgentSpec) Validate(shared SharedSpec) error {
 		return errConfig(fmt.Sprintf("MSHRs must be in [1, %d]", maxMSHRs))
 	case a.TLBEntries <= 0 || a.TLBInFlight <= 0:
 		return errConfig("TLB parameters must be positive")
+	case a.TLBEntries > maxTLBEntries:
+		return errConfig(fmt.Sprintf("TLBEntries must be at most %d", maxTLBEntries))
 	case a.TLBWalkCyc == 0 || a.TLBWalkCyc > maxTLBWalkCyc:
 		return errConfig("TLBWalkCyc must be in [1, 1000000] cycles")
-	case a.PageBytes <= 0 || a.PageBytes&(a.PageBytes-1) != 0:
+	case !powerOfTwo(a.PageBytes):
 		return errConfig("PageBytes must be a positive power of two")
 	case a.LLCWays < 0 || a.LLCWays > shared.LLCAssoc:
 		return errConfig("LLCWays must be in [0, LLC associativity]")
@@ -261,6 +278,9 @@ func (a AgentSpec) Validate(shared SharedSpec) error {
 	}
 	return nil
 }
+
+// powerOfTwo reports whether n is a positive power of two.
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Validate reports topology errors: the shared spec and the default private
 // spec must both be usable.

@@ -21,7 +21,10 @@ import (
 
 // shardSweep splits a job's grid round-robin across the workers (worker
 // w runs grid indices i with i % W == w), waits for every shard, and
-// merges the index-placed results into the full-grid report.
+// merges the index-placed results into the full-grid report. The first
+// shard to fail cancels the others and fails the job with its own error;
+// the job's context is left to the job's owner, so a failed shard does
+// not read as a cancelled job.
 func (s *Server) shardSweep(j *job) error {
 	e, _ := exp.Lookup(j.req.Experiment)
 	pl, err := exp.PlanSweep(e, s.config(j.req.Config), j.req.Set, j.req.Sweep)
@@ -41,32 +44,33 @@ func (s *Server) shardSweep(j *job) error {
 	}
 
 	results := make([]exp.Result, len(pl.Points))
-	var wg sync.WaitGroup
-	errs := make([]error, len(workers))
+	ctx, abort := context.WithCancel(j.ctx)
+	defer abort()
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error // the failure that aborted the other shards
+	)
 	for w := range workers {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if err := s.runShard(j, pl, workers[w], chunks[w], results); err != nil {
-				errs[w] = fmt.Errorf("worker %s: %w", workers[w], err)
-				j.cancel() // one failed shard aborts the others
+			if err := s.runShard(ctx, j, pl, workers[w], chunks[w], results); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = fmt.Errorf("worker %s: %w", workers[w], err)
+				}
+				mu.Unlock()
+				abort()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if err := j.ctx.Err(); err != nil {
-		// Prefer the shard error that triggered the abort, if any.
-		for _, werr := range errs {
-			if werr != nil {
-				return werr
-			}
-		}
-		return err
+	if first != nil {
+		return first
 	}
-	for _, werr := range errs {
-		if werr != nil {
-			return werr
-		}
+	if err := j.ctx.Err(); err != nil {
+		return err
 	}
 
 	out, err := pl.Output(results)
@@ -90,16 +94,16 @@ func (s *Server) shardSweep(j *job) error {
 // are cross-checked against the locally expanded grid, so a worker
 // running a different build (skewed registry, changed defaults) fails
 // the merge loudly instead of producing a silently mixed report.
-func (s *Server) runShard(j *job, pl *exp.SweepPlan, worker string, indices []int, results []exp.Result) error {
+func (s *Server) runShard(ctx context.Context, j *job, pl *exp.SweepPlan, worker string, indices []int, results []exp.Result) error {
 	c := NewClient(worker)
 	req := j.req
 	req.Indices = indices
-	st, err := c.Submit(j.ctx, req)
+	st, err := c.Submit(ctx, req)
 	if err != nil {
 		return err
 	}
-	defer s.reapRemote(j, c, st.ID)
-	st, err = c.Watch(j.ctx, st.ID, func(ev Event) {
+	defer s.reapRemote(ctx, c, st.ID)
+	st, err = c.Watch(ctx, st.ID, func(ev Event) {
 		if ev.Type == "point" {
 			j.mirrorPoint(ev)
 		}
@@ -110,7 +114,7 @@ func (s *Server) runShard(j *job, pl *exp.SweepPlan, worker string, indices []in
 	if st.State != JobDone {
 		return fmt.Errorf("shard job %s: %s: %s", st.ID, st.State, st.Error)
 	}
-	pts, err := c.Points(j.ctx, st.ID)
+	pts, err := c.Points(ctx, st.ID)
 	if err != nil {
 		return err
 	}
@@ -134,10 +138,11 @@ func (s *Server) runShard(j *job, pl *exp.SweepPlan, worker string, indices []in
 	return nil
 }
 
-// reapRemote best-effort cancels a worker job when the coordinator job
-// was cancelled, so aborted sweeps do not keep burning worker CPU.
-func (s *Server) reapRemote(j *job, c *Client, id string) {
-	if j.ctx.Err() == nil {
+// reapRemote best-effort cancels a worker job when its shard was
+// aborted — the coordinator job cancelled, or another shard failed — so
+// aborted sweeps do not keep burning worker CPU.
+func (s *Server) reapRemote(shard context.Context, c *Client, id string) {
+	if shard.Err() == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -243,6 +243,83 @@ func TestCoordinatorForwardsSingleRun(t *testing.T) {
 	}
 }
 
+// TestCoordinatorFailsOnDeadWorker: a worker that accepts its shard and
+// then dies — its /events stream drops once the other shard runs, and so
+// does every later request — fails the coordinator job with an error
+// naming that worker. The job serves no partial merged report, and the
+// healthy worker's shard is cancelled, not left running.
+func TestCoordinatorFailsOnDeadWorker(t *testing.T) {
+	ctx := testCtx(t)
+	_, healthy := startServer(t, serve.Options{StoreDir: t.TempDir()})
+	jobsOf := func(url string) []serve.JobStatus {
+		resp, err := http.Get(url + "/api/v1/jobs")
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer resp.Body.Close()
+		var jobs []serve.JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+			t.Error(err)
+		}
+		return jobs
+	}
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/api/v1/jobs" {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(serve.JobStatus{ID: "lost", State: serve.JobQueued})
+			return
+		}
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+				if jobs := jobsOf(healthy); len(jobs) == 1 && jobs[0].State == serve.JobRunning {
+					break
+				}
+			}
+		}
+		if conn, _, err := http.NewResponseController(w).Hijack(); err == nil {
+			conn.Close()
+		}
+	}))
+	t.Cleanup(dead.Close)
+	_, coordURL := startServer(t, serve.Options{Workers: []string{healthy, dead.URL}})
+
+	st := submitAndWait(t, serve.NewClient(coordURL), serve.SubmitRequest{
+		Experiment: slowExperiment,
+		Sweep:      []exp.Axis{{Key: "mshrs", Values: []string{"4", "8"}}},
+	})
+	if st.State != serve.JobFailed || !strings.Contains(st.Error, "worker "+dead.URL) {
+		t.Fatalf("coordinator job = %+v, want failed by worker %s", st, dead.URL)
+	}
+	for _, artifact := range []string{"manifest", "text"} {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, coordURL+"/api/v1/jobs/"+st.ID+"/"+artifact, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("GET %s of the failed job: HTTP %d, want 409", artifact, resp.StatusCode)
+		}
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		jobs := jobsOf(healthy)
+		if len(jobs) != 1 {
+			t.Fatalf("healthy worker ran %d jobs, want its one shard", len(jobs))
+		}
+		if jobs[0].State == serve.JobCancelled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy worker's shard = %+v, want cancelled", jobs[0])
+		}
+	}
+}
+
 // TestPersistentCacheSurvivesRestart: a fresh server over the same store
 // directory serves an earlier server's results without simulating.
 func TestPersistentCacheSurvivesRestart(t *testing.T) {

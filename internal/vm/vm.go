@@ -231,16 +231,21 @@ func (as *AddressSpace) Read64(addr uint64) uint64 {
 	return v
 }
 
-// Write64 writes a 64-bit little-endian value at addr.
+// Write64 writes a 64-bit little-endian value at addr. All 8 bytes must
+// lie in the allocated range: otherwise it panics before writing any.
 func (as *AddressSpace) Write64(addr uint64, v uint64) {
-	if addr&pageMask <= PageSize-8 {
-		p := as.writePage(addr, 8)
-		binary.LittleEndian.PutUint64(p[addr&pageMask:], v)
+	p := as.writePage(addr, 8)
+	off := addr & pageMask
+	if off <= PageSize-8 {
+		binary.LittleEndian.PutUint64(p[off:], v)
 		return
 	}
-	for i := uint64(0); i < 8; i++ {
-		as.Write8(addr+i, byte(v>>(8*i)))
-	}
+	// The word straddles a page boundary: its low bytes end this page and
+	// its high bytes start the next.
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	k := copy(p[off:], b[:])
+	copy(as.ownPage(addr + uint64(k))[:], b[k:])
 }
 
 // WriteWords writes vals as consecutive 64-bit little-endian values from
@@ -281,9 +286,4 @@ func (as *AddressSpace) Read8(addr uint64) byte {
 		return 0
 	}
 	return p[addr&pageMask]
-}
-
-// Write8 writes one byte at addr.
-func (as *AddressSpace) Write8(addr uint64, v byte) {
-	as.writePage(addr, 1)[addr&pageMask] = v
 }

@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// Write8 writes one byte at addr, a test-only counterpart of Read8.
+func (as *AddressSpace) Write8(addr uint64, v byte) {
+	as.writePage(addr, 1)[addr&pageMask] = v
+}
+
 func TestAllocAlignmentAndOrdering(t *testing.T) {
 	as := New()
 	a := as.Alloc("a", 100, 64)
@@ -175,6 +180,30 @@ func TestOutOfRangeAccess(t *testing.T) {
 	}
 	if n := backedPages(as); n != 1 {
 		t.Errorf("backing pages = %d, want 1: a rejected write allocated a page", n)
+	}
+}
+
+// A word straddling the page boundary at the break is rejected whole: the
+// panic names the 8-byte write, and the bytes below the break keep their
+// content.
+func TestWrite64StraddlingBreak(t *testing.T) {
+	as := New()
+	base := as.Alloc("page", PageSize, PageSize)
+	as.Write64(base+PageSize-8, 0x0102030405060708)
+	before := as.ContentHash()
+	addr := base + PageSize - 4
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			want := fmt.Sprintf("vm: 8-byte write at %#x outside the allocated range", addr)
+			if !strings.HasPrefix(msg, want) {
+				t.Errorf("panic %q, want %q...", msg, want)
+			}
+		}()
+		as.Write64(addr, 0x1122334455667788)
+	}()
+	if as.ContentHash() != before {
+		t.Errorf("the rejected write changed the content: last word reads %#x", as.Read64(base+PageSize-8))
 	}
 }
 

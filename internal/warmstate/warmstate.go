@@ -168,15 +168,6 @@ func (h *Hasher) Word(v uint64) {
 	h.h = d
 }
 
-// Bool folds a boolean into the digest.
-func (h *Hasher) Bool(b bool) {
-	if b {
-		h.Byte(1)
-	} else {
-		h.Byte(0)
-	}
-}
-
 // String folds a length-prefixed string into the digest. The length
 // prefix keeps ("ab","c") distinct from ("a","bc").
 func (h *Hasher) String(s string) {
