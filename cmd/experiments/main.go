@@ -61,11 +61,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
 	"widx/internal/exp"
-	"widx/internal/profiling"
 	"widx/internal/sim"
 	"widx/internal/warmstate"
 )
@@ -111,7 +111,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	stopProfiles, perr := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, perr := startProfiles(*cpuProfile, *memProfile)
 	if perr != nil {
 		return fail(perr)
 	}
@@ -294,6 +294,48 @@ func emit(out *exp.RunOutput, jsonOut bool, outDir string) error {
 		}
 	}
 	return nil
+}
+
+// startProfiles begins a CPU profile (cpuPath) and/or schedules a heap
+// profile (memPath); either may be empty to skip. The returned stop
+// function ends the CPU profile and writes the heap snapshot; run defers
+// it, so it runs once on every exit path. Profile-write failures at stop
+// time are reported on stderr rather than returned: by then the command's
+// real work has finished and its exit status should reflect that work.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		cpuFile, err = os.Create(cpuPath)
+		if err != nil {
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("profiling: start CPU profile: %w", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "profiling:", err)
+			}
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "profiling:", err)
+				return
+			}
+			runtime.GC() // materialize final live-heap statistics
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "profiling: write heap profile:", err)
+			}
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "profiling:", err)
+			}
+		}
+	}, nil
 }
 
 // fail reports err and returns the failing exit status.

@@ -1,11 +1,8 @@
 // Command widxlint machine-checks the simulator's load-bearing invariants:
 // byte-identical output at any -parallel (no map-iteration order in
 // anything emitted, no wall-clock/ambient-randomness/environment reads in
-// the simulation core), per-agent stats summing to shared totals (every
-// field covered by the mem.Stats Add/Sub pair), an honest experiment
-// manifest schema (declared parameters are read, read parameters are
-// declared), and no internal/ declaration that only tests reference
-// (deadcode, one pass over the whole module).
+// the simulation core), and no internal/ declaration that only tests
+// reference (deadcode, one pass over the whole module).
 //
 // Usage (CI's lint job runs the first form):
 //

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 
 	"widx/internal/join"
@@ -21,9 +21,10 @@ func init() {
 		"Figures 4a-4c and 5: the Section 3.2 analytical model of walker scaling\n"+
 			"limits (L1 ports, MSHRs, off-chip bandwidth), evaluated in closed form\n"+
 			"from the configured memory hierarchy — no simulation.",
-		nil,
-		func(cfg sim.Config, p Params) (Result, error) {
-			return sim.ModelFigures{Params: model.FromMemConfig(cfg.Mem)}, nil
+		func(e *Experiment) RunFunc {
+			return func(cfg sim.Config, _ Values) (Result, error) {
+				return sim.ModelFigures{Params: model.FromMemConfig(cfg.Mem)}, nil
+			}
 		}), "fig4", "fig5")
 
 	Register(NewExperiment("breakdowns",
@@ -31,68 +32,49 @@ func init() {
 			"shares, and the hash/walk split of the index phase) next to the paper's\n"+
 			"reported shares. The query engine executes each query; its index phase\n"+
 			"is costed on the OoO design point, as in the queries experiment.",
-		[]ParamSpec{
-			{Key: "simulated", Default: "false", Help: "restrict to the twelve simulated (Figure 2b) queries"},
-		},
-		func(cfg sim.Config, p Params) (Result, error) {
-			simulatedOnly, err := p.Bool("simulated")
-			if err != nil {
-				return nil, err
+		func(e *Experiment) RunFunc {
+			simulatedOnly := Declare(e, "simulated", "false", "restrict to the twelve simulated (Figure 2b) queries", boolean)
+			return func(cfg sim.Config, v Values) (Result, error) {
+				rows, err := cfg.RunBreakdowns(simulatedOnly.Get(v))
+				if err != nil {
+					return nil, err
+				}
+				return rows, nil
 			}
-			rows, err := cfg.RunBreakdowns(simulatedOnly)
-			if err != nil {
-				return nil, err
-			}
-			return rows, nil
 		}), "fig2")
 
 	Register(NewExperiment("kernel",
 		"Figure 8a/8b: the hash-join kernel study — Widx cycles per tuple with the\n"+
 			"Comp/Mem/TLB/Idle breakdown per size class and walker count, and the\n"+
 			"indexing speedup over the OoO baseline.",
-		[]ParamSpec{
-			{Key: "sizes", Default: "Small,Medium,Large", Help: "comma-separated kernel size classes"},
-			{Key: "walkers", Default: "", Help: "comma-separated Widx walker counts"},
-		},
-		func(cfg sim.Config, p Params) (Result, error) {
-			cfg, err := applyWalkers(cfg, p)
-			if err != nil {
-				return nil, err
+		func(e *Experiment) RunFunc {
+			sizes := Declare(e, "sizes", "Small,Medium,Large", "comma-separated kernel size classes", sizeClasses)
+			walkers := declareWalkers(e)
+			return func(cfg sim.Config, v Values) (Result, error) {
+				return walkers(cfg, v).RunKernel(sizes.Get(v))
 			}
-			sizes, err := parseSizes(p.String("sizes"))
-			if err != nil {
-				return nil, err
-			}
-			return cfg.RunKernel(sizes)
 		}), "fig8")
 
 	Register(NewExperiment("queries",
 		"Figures 9, 10 and 11: the twelve simulated DSS queries — per-query walker\n"+
 			"breakdowns, indexing and query-level speedups over the OoO baseline, and\n"+
 			"the runtime/energy/energy-delay comparison with the Section 6.3 area table.",
-		nil,
-		func(cfg sim.Config, p Params) (Result, error) {
-			return cfg.RunSimulatedQueries()
+		func(e *Experiment) RunFunc {
+			return func(cfg sim.Config, _ Values) (Result, error) {
+				return cfg.RunSimulatedQueries()
+			}
 		}), "fig9", "fig10", "fig11")
 
 	Register(NewExperiment("walkerutil",
 		"Figure 5, simulator-driven: walker utilization and the measured MSHR\n"+
 			"occupancy histogram across walker counts, locating the saturation knee\n"+
 			"where the simulated MSHR pool actually fills.",
-		[]ParamSpec{
-			{Key: "size", Default: "Medium", Help: "kernel size class the sweep probes"},
-			{Key: "max-walkers", Default: "8", Help: "sweep walker counts 1..max-walkers"},
-		},
-		func(cfg sim.Config, p Params) (Result, error) {
-			size, err := join.ParseSizeClass(p.String("size"))
-			if err != nil {
-				return nil, err
+		func(e *Experiment) RunFunc {
+			size := Declare(e, "size", "Medium", "kernel size class the sweep probes", join.ParseSizeClass)
+			maxWalkers := Declare(e, "max-walkers", "8", "sweep walker counts 1..max-walkers", positive)
+			return func(cfg sim.Config, v Values) (Result, error) {
+				return cfg.RunWalkerUtilization(size.Get(v), maxWalkers.Get(v))
 			}
-			maxWalkers, err := p.Int("max-walkers")
-			if err != nil {
-				return nil, err
-			}
-			return cfg.RunWalkerUtilization(size, maxWalkers)
 		}), "fig5sim")
 
 	Register(NewExperiment("cmp",
@@ -101,34 +83,15 @@ func init() {
 			"hash join on one shared LLC / MSHR pool / memory-bandwidth schedule and\n"+
 			"are compared against solo reference runs (slowdown, LLC miss inflation,\n"+
 			"MSHR saturation, bandwidth utilization).",
-		[]ParamSpec{
-			{Key: "agents", Default: "4xwidx:4w", Help: "agent mix, e.g. 1xooo+2xwidx:4w:mshrs=5:ways=4"},
-			{Key: "size", Default: "Medium", Help: "kernel size class each partition is built at"},
-			{Key: "structure", Default: "hashjoin", Help: "traversal structure every partition is built as"},
-			{Key: "stagger", Default: "0", Help: "arrival stagger: co-running agent i starts at cycle i*stagger"},
-		},
-		func(cfg sim.Config, p Params) (Result, error) {
-			specs, err := sim.ParseAgents(p.String("agents"))
-			if err != nil {
-				return nil, err
+		func(e *Experiment) RunFunc {
+			agents := Declare(e, "agents", "4xwidx:4w", "agent mix, e.g. 1xooo+2xwidx:4w:mshrs=5:ways=4", sim.ParseAgents)
+			size := Declare(e, "size", "Medium", "kernel size class each partition is built at", join.ParseSizeClass)
+			structure := Declare(e, "structure", "hashjoin", "traversal structure every partition is built as", structures.ParseKind)
+			stagger := Declare(e, "stagger", "0", "arrival stagger: co-running agent i starts at cycle i*stagger", nonNegative)
+			return func(cfg sim.Config, v Values) (Result, error) {
+				cfg.Stagger = uint64(stagger.Get(v))
+				return cfg.RunCMP(size.Get(v), agents.Get(v), structure.Get(v))
 			}
-			size, err := join.ParseSizeClass(p.String("size"))
-			if err != nil {
-				return nil, err
-			}
-			structure, err := structures.ParseKind(p.String("structure"))
-			if err != nil {
-				return nil, err
-			}
-			stagger, err := p.Int("stagger")
-			if err != nil {
-				return nil, err
-			}
-			if stagger < 0 {
-				return nil, fmt.Errorf("exp: parameter stagger=%q: want a non-negative integer", p.String("stagger"))
-			}
-			cfg.Stagger = uint64(stagger)
-			return cfg.RunCMP(size, specs, structure)
 		}))
 
 	Register(NewExperiment("zoo",
@@ -138,91 +101,74 @@ func init() {
 			"generated Widx program whose match stream is checked bit-identical\n"+
 			"to a software reference — per-structure geometry, walker scaling\n"+
 			"against the OoO baseline, and the match-stream fingerprint.",
-		[]ParamSpec{
-			{Key: "structure", Default: "hashjoin,skiplist,btree,lsm,bfs", Help: "comma-separated traversal structures to run"},
-			{Key: "walkers", Default: "", Help: "comma-separated Widx walker counts"},
-			{Key: "span", Default: "1", Help: "B+-tree range-probe width: each probe matches the key values [probe, probe+span-1]"},
-			{Key: "prefetch-dist", Default: "0", Help: "dispatcher prefetch distance into the probe-key column (keys ahead, 0 = off)"},
-			{Key: "touch-walker", Default: "false", Help: "use the TOUCHing walker variant (non-blocking node prefetch ahead of the demand load)"},
-		},
-		func(cfg sim.Config, p Params) (Result, error) {
-			cfg, err := applyWalkers(cfg, p)
-			if err != nil {
-				return nil, err
+		func(e *Experiment) RunFunc {
+			kinds := Declare(e, "structure", "hashjoin,skiplist,btree,lsm,bfs", "comma-separated traversal structures to run", structures.ParseKinds)
+			walkers := declareWalkers(e)
+			span := Declare(e, "span", "1", "B+-tree range-probe width: each probe matches the key values [probe, probe+span-1]", positive)
+			dist := Declare(e, "prefetch-dist", "0", "dispatcher prefetch distance into the probe-key column (keys ahead, 0 = off)", nonNegative)
+			touch := Declare(e, "touch-walker", "false", "use the TOUCHing walker variant (non-blocking node prefetch ahead of the demand load)", boolean)
+			return func(cfg sim.Config, v Values) (Result, error) {
+				return walkers(cfg, v).RunZoo(sim.ZooOptions{
+					Structures: kinds.Get(v),
+					Span:       span.Get(v),
+					Prog:       structures.ProgramOptions{PrefetchDist: dist.Get(v), TouchWalker: touch.Get(v)},
+				})
 			}
-			kinds, err := structures.ParseKinds(p.String("structure"))
-			if err != nil {
-				return nil, err
-			}
-			span, err := p.Int("span")
-			if err != nil {
-				return nil, err
-			}
-			if span < 1 {
-				return nil, fmt.Errorf("exp: parameter span=%q: want a positive integer", p.String("span"))
-			}
-			dist, err := p.Int("prefetch-dist")
-			if err != nil {
-				return nil, err
-			}
-			if dist < 0 {
-				return nil, fmt.Errorf("exp: parameter prefetch-dist=%q: want a non-negative integer", p.String("prefetch-dist"))
-			}
-			touch, err := p.Bool("touch-walker")
-			if err != nil {
-				return nil, err
-			}
-			return cfg.RunZoo(sim.ZooOptions{
-				Structures: kinds,
-				Span:       span,
-				Prog:       structures.ProgramOptions{PrefetchDist: dist, TouchWalker: touch},
-			})
 		}), "structures")
 
 	Register(NewExperiment("ablation",
 		"The Figure 3 hashing-organization ablation: coupled hash+walk vs.\n"+
 			"per-walker decoupled hashing vs. one shared dispatcher, on one\n"+
 			"memory-resident query (the Section 3.1 decoupling claim).",
-		[]ParamSpec{
-			{Key: "suite", Default: "TPC-H", Help: "benchmark suite of the workload query"},
-			{Key: "query", Default: "q20", Help: "workload query name"},
-			{Key: "walkers", Default: "4", Help: "walker count of every design point"},
-		},
-		func(cfg sim.Config, p Params) (Result, error) {
-			suite, err := workloads.ParseSuite(p.String("suite"))
-			if err != nil {
-				return nil, err
+		func(e *Experiment) RunFunc {
+			suite := Declare(e, "suite", "TPC-H", "benchmark suite of the workload query", workloads.ParseSuite)
+			// The query name is looked up in its suite when the run starts:
+			// a parser sees one value, not the suite it belongs to.
+			query := Declare(e, "query", "q20", "workload query name", text)
+			walkers := Declare(e, "walkers", "4", "walker count of every design point", positive)
+			return func(cfg sim.Config, v Values) (Result, error) {
+				q, err := workloads.ByName(suite.Get(v), query.Get(v))
+				if err != nil {
+					return nil, err
+				}
+				return cfg.RunHashingAblation(q, walkers.Get(v))
 			}
-			q, err := workloads.ByName(suite, p.String("query"))
-			if err != nil {
-				return nil, err
-			}
-			walkers, err := p.Int("walkers")
-			if err != nil {
-				return nil, err
-			}
-			return cfg.RunHashingAblation(q, walkers)
 		}))
 }
 
-// applyWalkers folds an optional comma-separated "walkers" parameter into
-// the configured walker sweep.
-func applyWalkers(cfg sim.Config, p Params) (sim.Config, error) {
-	if p.String("walkers") == "" {
-		return cfg, nil
+// declareWalkers declares the optional "walkers" list of the experiments
+// that sweep walker counts. Its reader folds a set list into the
+// configured walker sweep; the default "" keeps the configured one.
+func declareWalkers(e *Experiment) func(sim.Config, Values) sim.Config {
+	walkers := Declare(e, "walkers", "", "comma-separated Widx walker counts", func(s string) ([]int, error) {
+		if s == "" {
+			return nil, nil
+		}
+		var out []int
+		for _, part := range strings.Split(s, ",") {
+			n, err := positive(part)
+			if err != nil {
+				return nil, errors.New("want comma-separated positive integers")
+			}
+			out = append(out, n)
+		}
+		return out, nil
+	})
+	return func(cfg sim.Config, v Values) sim.Config {
+		if ws := walkers.Get(v); ws != nil {
+			cfg.Walkers = ws
+		}
+		return cfg
 	}
-	ws, err := p.Ints("walkers")
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Walkers = ws
-	return cfg, nil
 }
 
-// parseSizes parses a comma-separated kernel size-class list.
-func parseSizes(s string) ([]join.SizeClass, error) {
+// sizeClasses parses a comma-separated kernel size-class list.
+func sizeClasses(s string) ([]join.SizeClass, error) {
 	var out []join.SizeClass
-	for _, part := range splitNonEmpty(s) {
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
 		size, err := join.ParseSizeClass(part)
 		if err != nil {
 			return nil, err
@@ -230,17 +176,7 @@ func parseSizes(s string) ([]join.SizeClass, error) {
 		out = append(out, size)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("exp: no kernel size classes in %q", s)
+		return nil, errors.New("want at least one kernel size class")
 	}
 	return out, nil
-}
-
-func splitNonEmpty(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -26,8 +26,14 @@ type Experiment struct {
 	name     string
 	describe string
 	params   []ParamSpec
-	run      func(cfg sim.Config, p Params) (Result, error)
+	// parsers[i] parses the value of params[i] (Declare).
+	parsers []func(string) (any, error)
+	run     RunFunc
 }
+
+// RunFunc runs an experiment at a resolved configuration and the parsed
+// values of its declared parameters.
+type RunFunc func(cfg sim.Config, v Values) (Result, error)
 
 // Name is the canonical registry name ("kernel", "cmp", ...).
 func (e *Experiment) Name() string { return e.name }
@@ -37,13 +43,32 @@ func (e *Experiment) Name() string { return e.name }
 func (e *Experiment) Describe() string { return e.describe }
 
 // Params declares the experiment-specific parameters and their defaults.
-// Common config parameters (CommonParams) are accepted by every experiment
-// and are not repeated here.
+// Common config parameters are accepted by every experiment and are not
+// repeated here (AllParams lists both).
 func (e *Experiment) Params() []ParamSpec { return e.params }
+
+// values parses every declared parameter of a resolved parameter set.
+func (e *Experiment) values(p Params) (Values, error) {
+	v := make(Values, len(e.params))
+	for i, s := range e.params {
+		x, err := e.parsers[i](p[s.Key])
+		if err != nil {
+			return nil, paramError(s.Key, p[s.Key], err)
+		}
+		v[i] = x
+	}
+	return v, nil
+}
 
 // Run executes the experiment at a fully resolved configuration and
 // parameter set.
-func (e *Experiment) Run(cfg sim.Config, p Params) (Result, error) { return e.run(cfg, p) }
+func (e *Experiment) Run(cfg sim.Config, p Params) (Result, error) {
+	v, err := e.values(p)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(cfg, v)
+}
 
 // Result is the common encoding pair every experiment returns: the
 // fixed-width text report in the shape of the paper's figures, and the JSON
@@ -53,9 +78,13 @@ type Result interface {
 	JSON() ([]byte, error)
 }
 
-// NewExperiment builds an Experiment from its parts.
-func NewExperiment(name, describe string, params []ParamSpec, run func(cfg sim.Config, p Params) (Result, error)) *Experiment {
-	return &Experiment{name: name, describe: describe, params: params, run: run}
+// NewExperiment builds an Experiment. declare declares the experiment's
+// parameters on it (Declare) and returns the run function, which reads
+// them through the handles Declare returned.
+func NewExperiment(name, describe string, declare func(e *Experiment) RunFunc) *Experiment {
+	e := &Experiment{name: name, describe: describe}
+	e.run = declare(e)
+	return e
 }
 
 // The registry. Registration happens from init (catalog.go) and tests;

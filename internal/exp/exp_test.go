@@ -145,9 +145,11 @@ func TestParamResolution(t *testing.T) {
 	if _, err := ApplyConfig(cfg, Params{"llc-ways": "-1"}); err == nil {
 		t.Fatal("negative llc-ways accepted")
 	}
-	// Typed getters report the offending key.
-	if _, err := (Params{"walkers": "x"}).Ints("walkers"); err == nil || !strings.Contains(err.Error(), "walkers") {
-		t.Fatalf("Ints error: %v", err)
+	// A declared parameter that does not parse is reported by its key.
+	kernel, _ := Lookup("kernel")
+	if _, err := kernel.values(Params{"sizes": "Small", "walkers": "1,x"}); err == nil ||
+		err.Error() != `exp: parameter walkers="1,x": want comma-separated positive integers` {
+		t.Fatalf("walkers error: %v", err)
 	}
 }
 
@@ -203,15 +205,23 @@ type fakeResult string
 func (r fakeResult) Text() string          { return string(r) + "\n" }
 func (r fakeResult) JSON() ([]byte, error) { return json.Marshal(string(r)) }
 
+// gridExperiment is a fake experiment over two free-text parameters, a
+// and b (default "0"), whose result is "a/b".
+func gridExperiment(name string) *Experiment {
+	return NewExperiment(name, "test grid", func(e *Experiment) RunFunc {
+		a := Declare(e, "a", "0", "", text)
+		b := Declare(e, "b", "0", "", text)
+		return func(cfg sim.Config, v Values) (Result, error) {
+			return fakeResult(a.Get(v) + "/" + b.Get(v)), nil
+		}
+	})
+}
+
 // TestSweepGrid checks grid expansion: full-factorial, last axis fastest,
 // every point running at its own resolved parameters, results placed by
 // grid index at any parallelism.
 func TestSweepGrid(t *testing.T) {
-	e := NewExperiment("grid", "test grid", []ParamSpec{
-		{Key: "a", Default: "0"}, {Key: "b", Default: "0"},
-	}, func(cfg sim.Config, p Params) (Result, error) {
-		return fakeResult(p.String("a") + "/" + p.String("b")), nil
-	})
+	e := gridExperiment("grid")
 	axes := []Axis{{Key: "a", Values: []string{"1", "2"}}, {Key: "b", Values: []string{"x", "y", "z"}}}
 	want := []string{"1/x", "1/y", "1/z", "2/x", "2/y", "2/z"}
 
@@ -310,8 +320,8 @@ func TestSweepGrid(t *testing.T) {
 
 // A failing single run reports "exp: <name>: ..." with no empty axis label.
 func TestRunErrorForm(t *testing.T) {
-	e := NewExperiment("failing", "always fails", nil, func(cfg sim.Config, p Params) (Result, error) {
-		return nil, errors.New("boom")
+	e := NewExperiment("failing", "always fails", func(*Experiment) RunFunc {
+		return func(sim.Config, Values) (Result, error) { return nil, errors.New("boom") }
 	})
 	if _, err := Run(e, quickConfig(), nil); err == nil || err.Error() != "exp: failing: boom" {
 		t.Fatalf("single-run error = %v, want \"exp: failing: boom\"", err)

@@ -84,6 +84,17 @@ func TestGoldenManifests(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.Config.Parallelism = 0
+				// -sampling-verify pairs sampled and reference metrics by
+				// name, so a sampled manifest must not repeat one.
+				if m.Sampling != nil {
+					seen := map[string]bool{}
+					for _, x := range m.Sampling.Metrics {
+						if seen[x.Name] {
+							t.Errorf("sampled metric %q appears more than once", x.Name)
+						}
+						seen[x.Name] = true
+					}
+				}
 				got, err := m.Encode()
 				if err != nil {
 					t.Fatal(err)

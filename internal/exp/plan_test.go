@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"maps"
 	"reflect"
 	"strings"
@@ -16,11 +17,7 @@ import (
 // through the wire encoding (RawResult) and merged by Output produces a
 // report and manifest byte-identical to a single RunSweep.
 func TestPlanShardMergeByteIdentical(t *testing.T) {
-	e := NewExperiment("shardgrid", "test grid", []ParamSpec{
-		{Key: "a", Default: "0"}, {Key: "b", Default: "0"},
-	}, func(cfg sim.Config, p Params) (Result, error) {
-		return fakeResult(p.String("a") + "/" + p.String("b")), nil
-	})
+	e := gridExperiment("shardgrid")
 	axes := []Axis{{Key: "a", Values: []string{"1", "2"}}, {Key: "b", Values: []string{"x", "y", "z"}}}
 	cfg := quickConfig()
 
@@ -91,11 +88,7 @@ func TestPlanShardMergeByteIdentical(t *testing.T) {
 // Plan-level validation: bad index subsets and incomplete merges are
 // rejected rather than silently mis-assembled.
 func TestPlanIndexValidation(t *testing.T) {
-	e := NewExperiment("idxgrid", "test grid", []ParamSpec{
-		{Key: "a", Default: "0"},
-	}, func(cfg sim.Config, p Params) (Result, error) {
-		return fakeResult(p.String("a")), nil
-	})
+	e := gridExperiment("idxgrid")
 	axes := []Axis{{Key: "a", Values: []string{"1", "2", "3"}}}
 	pl, err := PlanSweep(e, quickConfig(), nil, axes)
 	if err != nil {
@@ -127,8 +120,8 @@ func TestPlanIndexValidation(t *testing.T) {
 // Planning resolves every point's config, so a bad knob value fails the
 // plan in the run-error form instead of failing its run later.
 func TestPlanRejectsBadKnobs(t *testing.T) {
-	e := NewExperiment("knobs", "test grid", nil, func(cfg sim.Config, p Params) (Result, error) {
-		return fakeResult("ran"), nil
+	e := NewExperiment("knobs", "test grid", func(*Experiment) RunFunc {
+		return func(sim.Config, Values) (Result, error) { return fakeResult("ran"), nil }
 	})
 	for _, tc := range []struct {
 		set  map[string]string
@@ -154,13 +147,53 @@ func TestPlanRejectsBadKnobs(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsBadExperimentParams gives every declared parameter of
+// every registered experiment malformed values: each must fail the plan,
+// set or swept, with an error naming the key. A parameter without an
+// entry here fails the test, so a new one needs its bad values too.
+func TestPlanRejectsBadExperimentParams(t *testing.T) {
+	bad := map[string][]string{
+		"simulated":     {"2", "maybe"},
+		"sizes":         {"Huge", "Small,Huge", ","},
+		"walkers":       {"x", "0", "1,,2", "-2"},
+		"size":          {"Huge", ""},
+		"max-walkers":   {"x", "0"},
+		"agents":        {"7xgpu", "", "0xooo"},
+		"structure":     {"heap", ""},
+		"stagger":       {"-5", "x"},
+		"span":          {"0", "x"},
+		"prefetch-dist": {"-1", "x"},
+		"touch-walker":  {"maybe"},
+		"suite":         {"TPC-C"},
+	}
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		for _, s := range e.Params() {
+			if name == "ablation" && s.Key == "query" {
+				continue // looked up in its suite when the run starts
+			}
+			values, ok := bad[s.Key]
+			if !ok {
+				t.Errorf("%s: no malformed values for parameter %q", name, s.Key)
+				continue
+			}
+			for _, v := range values {
+				want := fmt.Sprintf("exp: parameter %s=%q: ", s.Key, v)
+				if _, err := PlanSweep(e, quickConfig(), map[string]string{s.Key: v}, nil); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s -set %s=%s: %v, want an error containing %q", name, s.Key, v, err, want)
+				}
+				axes := []Axis{{Key: s.Key, Values: []string{s.Default, v}}}
+				if _, err := PlanSweep(e, quickConfig(), nil, axes); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s -sweep %s=%s,%s: %v, want an error containing %q", name, s.Key, s.Default, v, err, want)
+				}
+			}
+		}
+	}
+}
+
 // The onPoint hook fires once per executed point with its grid index.
 func TestPlanRunOnPoint(t *testing.T) {
-	e := NewExperiment("hookgrid", "test grid", []ParamSpec{
-		{Key: "a", Default: "0"},
-	}, func(cfg sim.Config, p Params) (Result, error) {
-		return fakeResult(p.String("a")), nil
-	})
+	e := gridExperiment("hookgrid")
 	axes := []Axis{{Key: "a", Values: []string{"1", "2", "3", "4"}}}
 	pl, err := PlanSweep(e, quickConfig(), nil, axes)
 	if err != nil {
@@ -174,7 +207,7 @@ func TestPlanRunOnPoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]string{1: fakeResult("2").Text(), 3: fakeResult("4").Text()}
+	want := map[int]string{1: fakeResult("2/0").Text(), 3: fakeResult("4/0").Text()}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("onPoint saw %v, want %v", got, want)
 	}
@@ -182,17 +215,15 @@ func TestPlanRunOnPoint(t *testing.T) {
 
 // FuzzPlan checks the -set/-sweep boundary on arbitrary flags: newline-
 // separated -set pairs parsed by KVFlag.Set and axes parsed by
-// AxisFlag.Set, planned over a small experiment. Planning either fails
-// cleanly or yields a grid of exactly the product of the axis lengths (1
-// with no axes), within the bound, whose every point is the base params
-// with exactly its own axis values. Its seed corpus is
-// testdata/fuzz/FuzzPlan.
+// AxisFlag.Set. Planned over every registered experiment, so every
+// catalog parser sees the fuzzed values, planning never panics, and every
+// declared parameter of a planned point parses. Planned over a small fake
+// experiment, planning either fails cleanly or yields a grid of exactly
+// the product of the axis lengths (1 with no axes), within the bound,
+// whose every point is the base params with exactly its own axis values.
+// Its seed corpus is testdata/fuzz/FuzzPlan.
 func FuzzPlan(f *testing.F) {
-	e := NewExperiment("fuzzgrid", "fuzz grid", []ParamSpec{
-		{Key: "a", Default: "0"}, {Key: "b", Default: "0"},
-	}, func(cfg sim.Config, p Params) (Result, error) {
-		return fakeResult(p.String("a") + "/" + p.String("b")), nil
-	})
+	e := gridExperiment("fuzzgrid")
 	f.Fuzz(func(t *testing.T, sets, sweeps string) {
 		set := KVFlag{}
 		for _, s := range strings.Split(sets, "\n") {
@@ -204,6 +235,18 @@ func FuzzPlan(f *testing.F) {
 		for _, s := range strings.Split(sweeps, "\n") {
 			if s != "" && axes.Set(s) != nil {
 				return
+			}
+		}
+		for _, name := range Names() {
+			reg, _ := Lookup(name)
+			pl, err := PlanSweep(reg, quickConfig(), set, axes)
+			if err != nil {
+				continue
+			}
+			for i, p := range pl.Points {
+				if _, err := reg.values(p); err != nil {
+					t.Fatalf("%s: grid point %d planned, yet %v", name, i, err)
+				}
 			}
 		}
 		pl, err := PlanSweep(e, quickConfig(), set, axes)

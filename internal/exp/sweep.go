@@ -194,8 +194,8 @@ func PlanSweep(e *Experiment, cfg sim.Config, set map[string]string, axes []Axis
 
 	// Decode every grid point up front — each point's parameter set is fixed
 	// by its index alone (last axis varies fastest) — and resolve its config
-	// now, so a bad knob value fails the plan, in the form its run would
-	// have failed, instead of a queued job.
+	// and parse its declared parameters now, so a bad value fails the plan,
+	// in the form its run would have failed, instead of a queued job.
 	points := make([]Params, n)
 	for i := 0; i < n; i++ {
 		p := base.clone()
@@ -208,6 +208,9 @@ func PlanSweep(e *Experiment, cfg sim.Config, set map[string]string, axes []Axis
 		pcfg, err := ApplyConfig(cfg, p)
 		if err == nil {
 			err = pcfg.Validate()
+		}
+		if err == nil {
+			_, err = e.values(p)
 		}
 		if err != nil {
 			return nil, pointError(e, axes, p, err)

@@ -15,8 +15,8 @@ import (
 // encodes one whose results are the payload, byte for byte after
 // json.Compact. Its seed corpus is testdata/fuzz/FuzzRawResult.
 func FuzzRawResult(f *testing.F) {
-	e := NewExperiment("fuzzwire", "fuzz wire", nil, func(cfg sim.Config, p Params) (Result, error) {
-		return fakeResult("x"), nil
+	e := NewExperiment("fuzzwire", "fuzz wire", func(*Experiment) RunFunc {
+		return func(sim.Config, Values) (Result, error) { return fakeResult("x"), nil }
 	})
 	pl, err := PlanSweep(e, quickConfig(), nil, nil)
 	if err != nil {
@@ -63,8 +63,7 @@ func FuzzRawResult(f *testing.F) {
 // payload's <, > and & pass through unescaped, and an empty payload is an
 // error rather than a null result.
 func TestSweepKeepsRestoredPayloads(t *testing.T) {
-	e := NewExperiment("wiregrid", "wire grid", []ParamSpec{{Key: "a", Default: "0"}},
-		func(cfg sim.Config, p Params) (Result, error) { return fakeResult(p.String("a")), nil })
+	e := gridExperiment("wiregrid")
 	pl, err := PlanSweep(e, quickConfig(), nil, []Axis{{Key: "a", Values: []string{"1", "2"}}})
 	if err != nil {
 		t.Fatal(err)

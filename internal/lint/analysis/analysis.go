@@ -7,7 +7,7 @@
 // golang.org/x/tools/go/analysis (and its unitchecker / multichecker /
 // analysistest drivers) once a vendored or proxied copy is available.
 //
-// Only what the four widxlint analyzers need is implemented: syntax plus
+// Only what the widxlint analyzers need is implemented: syntax plus
 // full type information for one package at a time. There is no fact
 // propagation, no Requires graph, and no SSA.
 package analysis

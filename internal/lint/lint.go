@@ -1,10 +1,8 @@
 // Package lint assembles the widxlint analyzer suite: the custom analyzers
-// that machine-check the simulator's two load-bearing invariants —
-// byte-identical output at any -parallel (detmap, nondet) and per-agent
-// stats summing to shared totals (statssum) — plus the experiment manifest
-// schema's honesty (paramuse) and the module-level deadcode check (no
-// internal/ declaration that only tests reference). cmd/widxlint drives the
-// suite (`go run ./cmd/widxlint ./...`).
+// that machine-check byte-identical output at any -parallel (detmap,
+// nondet), plus the module-level deadcode check (no internal/ declaration
+// that only tests reference). cmd/widxlint drives the suite (`go run
+// ./cmd/widxlint ./...`).
 package lint
 
 import (
@@ -19,8 +17,6 @@ import (
 	"widx/internal/lint/detmap"
 	"widx/internal/lint/loader"
 	"widx/internal/lint/nondet"
-	"widx/internal/lint/paramuse"
-	"widx/internal/lint/statssum"
 )
 
 // Analyzers returns the full widxlint suite in stable order.
@@ -29,8 +25,6 @@ func Analyzers() []*analysis.Analyzer {
 		Deadcode,
 		detmap.Analyzer,
 		nondet.Analyzer,
-		paramuse.Analyzer,
-		statssum.Analyzer,
 	}
 }
 

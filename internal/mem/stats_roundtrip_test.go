@@ -7,9 +7,9 @@ import (
 
 // fillStatsSentinels returns a Stats whose every field holds a distinct
 // sentinel value, assigned by reflection so a newly added field is filled
-// (or rejected) without touching this test. It is the runtime twin of the
-// statssum analyzer: the static check proves Add and Sub mention every
-// field, this one proves the arithmetic actually round-trips.
+// (or rejected) without touching this test. The three tests below built on
+// it check that Add and Sub cover every field of Stats, so per-agent stats
+// sum exactly to the shared totals.
 func fillStatsSentinels(t *testing.T, base uint64) Stats {
 	t.Helper()
 	var s Stats

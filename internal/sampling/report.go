@@ -90,16 +90,19 @@ const verifyGuardBand = 0.02
 // -sampling-verify contract: the sampled estimate must cover what the
 // identical windows measure under true machine history. Both reports are
 // built by the same code, so a metric of r missing from ref is an error,
-// as is a report with no metrics at all (the check would be vacuous).
+// as is a report with no metrics at all (the check would be vacuous) and a
+// metric name either report repeats (the pairing by name would be
+// ambiguous).
 func (r *Report) Verify(ref *Report) error {
 	if r == nil || len(r.Metrics) == 0 {
 		return fmt.Errorf("sampling: no sampled metrics to verify")
 	}
-	want := map[string]float64{}
-	if ref != nil {
-		for _, m := range ref.Metrics {
-			want[m.Name] = m.Mean
-		}
+	if _, err := r.means("sampled"); err != nil {
+		return err
+	}
+	want, err := ref.means("reference")
+	if err != nil {
+		return err
 	}
 	var failures []string
 	for _, m := range r.Metrics {
@@ -119,6 +122,22 @@ func (r *Report) Verify(ref *Report) error {
 			len(failures), len(r.Metrics), strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// means maps each metric name of r to its mean; which names r in the
+// error for a repeated name.
+func (r *Report) means(which string) (map[string]float64, error) {
+	out := map[string]float64{}
+	if r == nil {
+		return out, nil
+	}
+	for _, m := range r.Metrics {
+		if _, dup := out[m.Name]; dup {
+			return nil, fmt.Errorf("sampling: the %s report repeats metric %q", which, m.Name)
+		}
+		out[m.Name] = m.Mean
+	}
+	return out, nil
 }
 
 // Text renders the report as the "Sampled estimates" section of a text

@@ -28,16 +28,17 @@ const slowExperiment = "serveslow"
 func init() {
 	exp.Register(exp.NewExperiment(slowExperiment,
 		"test-only: blocks until the run context is cancelled",
-		nil,
-		func(cfg sim.Config, p exp.Params) (exp.Result, error) {
-			if cfg.Ctx == nil {
-				return nil, fmt.Errorf("serveslow needs a run context")
-			}
-			select {
-			case <-cfg.Ctx.Done():
-				return nil, cfg.Ctx.Err()
-			case <-time.After(30 * time.Second):
-				return nil, fmt.Errorf("serveslow was never cancelled")
+		func(*exp.Experiment) exp.RunFunc {
+			return func(cfg sim.Config, _ exp.Values) (exp.Result, error) {
+				if cfg.Ctx == nil {
+					return nil, fmt.Errorf("serveslow needs a run context")
+				}
+				select {
+				case <-cfg.Ctx.Done():
+					return nil, cfg.Ctx.Err()
+				case <-time.After(30 * time.Second):
+					return nil, fmt.Errorf("serveslow was never cancelled")
+				}
 			}
 		}))
 }
@@ -600,6 +601,33 @@ func TestExperimentsCatalogRoundTrip(t *testing.T) {
 		if want := exp.AllParams(e); !reflect.DeepEqual(in.Params, want) {
 			t.Errorf("%s params did not round-trip: got %+v, want %+v", name, in.Params, want)
 		}
+	}
+}
+
+// TestSubmitRejectsBadExperimentParam: an experiment parameter that does
+// not parse is refused when the job is planned, as a bad common knob is,
+// rather than queued to fail later.
+func TestSubmitRejectsBadExperimentParam(t *testing.T) {
+	_, url := startServer(t, serve.Options{})
+	resp, err := http.Post(url+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"experiment":"zoo","set":{"span":"0"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `exp: zoo: exp: parameter span=\"0\": want a positive integer`; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+		t.Errorf("zoo span=0: HTTP %d %s, want %d naming %s", resp.StatusCode, msg, http.StatusBadRequest, want)
+	}
+	resp, err = http.Get(url + "/api/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []serve.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&jobs)
+	resp.Body.Close()
+	if err != nil || len(jobs) != 0 {
+		t.Errorf("jobs after the refused submission: %+v (%v), want none", jobs, err)
 	}
 }
 

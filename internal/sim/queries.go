@@ -269,6 +269,10 @@ type AblationResult struct {
 	PerWalkerCPT   float64
 	SharedCPT      float64
 	DecouplingGain float64 // coupled / per-walker (Section 3.1's ~29% claim)
+
+	// Sampling carries the per-window confidence estimates of the three
+	// design points when the run was sampled; nil otherwise.
+	Sampling *sampling.Report `json:"sampling,omitempty"`
 }
 
 // RunHashingAblation quantifies the benefit of decoupled hashing and of
@@ -290,13 +294,17 @@ func (c Config) RunHashingAblation(q workloads.QuerySpec, walkers int) (*Ablatio
 		{walkers, widx.PerWalkerHash},
 		{walkers, widx.SharedDispatcher},
 	}
-	_, widxRes, _, err := c.runPhase(ph, nil, points)
+	_, widxRes, rep, err := c.runPhase(ph, nil, points)
 	if err != nil {
 		return nil, err
 	}
+	out.Sampling = rep
 	out.CoupledCPT = widxRes[0].CyclesPerTuple()
 	out.PerWalkerCPT = widxRes[1].CyclesPerTuple()
 	out.SharedCPT = widxRes[2].CyclesPerTuple()
 	out.DecouplingGain = out.CoupledCPT / out.PerWalkerCPT
 	return out, nil
 }
+
+// SamplingReport implements SamplingReporter.
+func (a *AblationResult) SamplingReport() *sampling.Report { return a.Sampling }

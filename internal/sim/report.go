@@ -321,5 +321,8 @@ func (a *AblationResult) Text() string {
 	fmt.Fprintf(&b, "%-28s %12.1f\n", "shared dispatcher (3d)", a.SharedCPT)
 	fmt.Fprintf(&b, "decoupling gain: %.0f%% (paper reports a 29%% reduction in time per traversal)\n",
 		100*(1-1/a.DecouplingGain))
+	if a.Sampling != nil {
+		b.WriteString("\n" + a.Sampling.Text())
+	}
 	return b.String()
 }

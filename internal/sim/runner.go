@@ -170,9 +170,11 @@ func resultBytes(n int) uint64 { return uint64(n)*8 + 64 }
 //
 // runPhase is also the one place a phase's sampled metrics are named. The
 // returned sampling block (nil when sampling is off) holds each baseline's
-// cycles per tuple ("ooo", "inorder"), then per Widx point ("2w") its cycles
-// per tuple, its speedup over the first baseline — the OoO core, in every
-// phase that has one — and its mean MSHR occupancy. Experiments attach the
+// cycles per tuple ("ooo", "inorder"), then per Widx point ("2w", or "4w
+// coupled" when its hashing mode is not the shared dispatcher, so the
+// ablation's three 4-walker points keep distinct names) its cycles per
+// tuple, its speedup over the first baseline — the OoO core, in every phase
+// that has one — and its mean MSHR occupancy. Experiments attach the
 // block or merge it under a prefix; -sampling-verify compares it with the
 // same block of the full-detail reference run.
 func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widxPoint) ([]cores.Result, []*widx.OffloadResult, *sampling.Report, error) {
@@ -245,6 +247,9 @@ func (c Config) runPhase(ph *indexPhase, baselines []cores.Config, points []widx
 		}
 		for j, p := range points {
 			prefix := fmt.Sprintf("%dw", p.walkers)
+			if p.mode != widx.SharedDispatcher {
+				prefix += " " + p.mode.String()
+			}
 			rep.Add(sampledMetricName(prefix, metricCPT), cptSeries(widxWins[j]))
 			if len(baselines) > 0 {
 				rep.Add(sampledMetricName(prefix, metricSpeedup), speedupSeries(baseWins[0], widxWins[j]))
