@@ -604,33 +604,6 @@ func TestExperimentsCatalogRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsBadExperimentParam: an experiment parameter that does
-// not parse is refused when the job is planned, as a bad common knob is,
-// rather than queued to fail later.
-func TestSubmitRejectsBadExperimentParam(t *testing.T) {
-	_, url := startServer(t, serve.Options{})
-	resp, err := http.Post(url+"/api/v1/jobs", "application/json",
-		strings.NewReader(`{"experiment":"zoo","set":{"span":"0"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if want := `exp: zoo: exp: parameter span=\"0\": want a positive integer`; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
-		t.Errorf("zoo span=0: HTTP %d %s, want %d naming %s", resp.StatusCode, msg, http.StatusBadRequest, want)
-	}
-	resp, err = http.Get(url + "/api/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobs []serve.JobStatus
-	err = json.NewDecoder(resp.Body).Decode(&jobs)
-	resp.Body.Close()
-	if err != nil || len(jobs) != 0 {
-		t.Errorf("jobs after the refused submission: %+v (%v), want none", jobs, err)
-	}
-}
-
 // TestSubmitValidation: malformed submissions fail synchronously.
 func TestSubmitValidation(t *testing.T) {
 	ctx := testCtx(t)
@@ -704,6 +677,11 @@ func TestSubmitValidation(t *testing.T) {
 			"exp: kernel: mem: invalid config: FillBuffers must be in [1, 1024]"},
 		{"-sweep mshrs=10,10000000000", serve.SubmitRequest{Experiment: "cmp", Sweep: []exp.Axis{{Key: "mshrs", Values: []string{"10", "10000000000"}}}},
 			"exp: cmp [mshrs=10000000000]: mem: invalid config:"},
+		// Experiment parameters are parsed at plan time too.
+		{"-set span=0", serve.SubmitRequest{Experiment: "zoo", Set: map[string]string{"span": "0"}},
+			`exp: zoo: exp: parameter span="0": want a positive integer`},
+		{"-sweep agents=2xooo,7xgpu", serve.SubmitRequest{Experiment: "cmp", Sweep: []exp.Axis{{Key: "agents", Values: []string{"2xooo", "7xgpu"}}}},
+			`exp: cmp [agents=7xgpu]: exp: parameter agents="7xgpu": sim: unknown agent kind "gpu"`},
 	} {
 		if _, err := w.Submit(ctx, bad.req); err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("%s: %v, want a rejection containing %q", bad.name, err, bad.want)
@@ -724,6 +702,17 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := w.Statusz(ctx); err != nil {
 		t.Errorf("daemon stopped serving after the bad knobs: %v", err)
 	}
+	// No refused submission was queued.
+	resp, err := http.Get(wurl + "/api/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []serve.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&jobs)
+	resp.Body.Close()
+	if err != nil || len(jobs) != 0 {
+		t.Errorf("jobs after the refused submissions: %+v (%v), want none", jobs, err)
+	}
 	// A refusal for the server's state, not the request's content, is a
 	// 503: a closed server takes no job, however well formed.
 	closed, closedURL := startServer(t, serve.Options{})
@@ -732,7 +721,7 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(closedURL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(closedURL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
