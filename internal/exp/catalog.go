@@ -21,7 +21,7 @@ func init() {
 		"Figures 4a-4c and 5: the Section 3.2 analytical model of walker scaling\n"+
 			"limits (L1 ports, MSHRs, off-chip bandwidth), evaluated in closed form\n"+
 			"from the configured memory hierarchy — no simulation.",
-		func(e *Experiment) RunFunc {
+		func(*Experiment) RunFunc {
 			return func(cfg sim.Config, _ Values) (Result, error) {
 				return sim.ModelFigures{Params: model.FromMemConfig(cfg.Mem)}, nil
 			}
@@ -59,7 +59,7 @@ func init() {
 		"Figures 9, 10 and 11: the twelve simulated DSS queries — per-query walker\n"+
 			"breakdowns, indexing and query-level speedups over the OoO baseline, and\n"+
 			"the runtime/energy/energy-delay comparison with the Section 6.3 area table.",
-		func(e *Experiment) RunFunc {
+		func(*Experiment) RunFunc {
 			return func(cfg sim.Config, _ Values) (Result, error) {
 				return cfg.RunSimulatedQueries()
 			}
